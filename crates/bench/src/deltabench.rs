@@ -191,7 +191,6 @@ impl DeltaBenchReport {
                 .with_packet_size(packet_size)
                 .with_coding_threads(threads)
                 .with_pipeline_buffer((packet_size / 2).max(64))
-                .with_remote_flush_every(0)
                 .with_save_mode(SaveMode::Pipelined);
             let base = bench_dicts(world, shard_bytes, 1);
             let fresh = bench_dicts(world, shard_bytes, 2);

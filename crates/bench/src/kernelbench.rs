@@ -5,8 +5,7 @@
 //! speedup of each kernel over the scalar reference, and which kernel the
 //! runtime dispatcher actually selected on this host. The result
 //! serializes to a stable JSON document (`BENCH_PR4.json` in CI, the
-//! repo's first kernel-level perf baseline; PR 6 adds the same sweep to
-//! the combined `BENCH_PR6.json`) and
+//! repo's first kernel-level perf baseline) and
 //! [`KernelBenchReport::dispatch_regressions`] gates the CI job: the
 //! dispatched kernel measurably losing to scalar fails the build.
 //!

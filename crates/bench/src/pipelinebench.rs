@@ -149,8 +149,7 @@ impl PipelineBenchReport {
             let base = EcCheckConfig::paper_defaults()
                 .with_packet_size(packet_size)
                 .with_coding_threads(threads)
-                .with_pipeline_buffer(pipeline_buffer)
-                .with_remote_flush_every(0);
+                .with_pipeline_buffer(pipeline_buffer);
             let (sequential_ms, _) =
                 best_save(&spec, base.with_save_mode(SaveMode::Sequential), &dicts);
             let (pipelined_ms, stats) =

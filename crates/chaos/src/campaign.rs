@@ -348,7 +348,6 @@ pub fn run_campaign_on_plane<P: DataPlane>(
         .with_coding_threads(cfg.coding_threads)
         .with_save_mode(cfg.save_mode)
         .with_pipeline_buffer(64)
-        .with_remote_flush_every(0)
         .with_fetch_retries(cfg.fetch_retries);
     let mut ecc = EcCheck::initialize(&spec, engine_cfg).expect("campaign config must be valid");
     if let Some(hub) = obs {
@@ -579,7 +578,6 @@ pub fn run_tiered_campaign(cfg: &CampaignConfig, seed: u64) -> CampaignReport {
         .with_coding_threads(cfg.coding_threads)
         .with_save_mode(cfg.save_mode)
         .with_pipeline_buffer(64)
-        .with_remote_flush_every(0)
         .with_fetch_retries(cfg.fetch_retries);
     let mut ecc = EcCheck::initialize(&spec, engine_cfg).expect("campaign config must be valid");
     // Quiet chaos: the tiered legs inject every fault explicitly, so

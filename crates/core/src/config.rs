@@ -45,7 +45,6 @@ pub struct EcCheckConfig {
     encoding_buffers: usize,
     coding_threads: usize,
     schedule: ScheduleKind,
-    remote_flush_every: u64,
     use_idle_slots: bool,
     fetch_retries: usize,
     fetch_backoff_base_ns: u64,
@@ -61,7 +60,10 @@ pub struct EcCheckConfig {
 impl EcCheckConfig {
     /// The paper's experimental settings (§V-B): `k = m = 2` over
     /// GF(2^8), 64 MB packets, 12 data and 24 encoding buffers per
-    /// worker, idle-slot scheduling on, remote flush every 50 saves.
+    /// worker, idle-slot scheduling on. The paper's low-frequency remote
+    /// copy (step 4) is not a config knob: attach a
+    /// [`crate::store::Drainer`] or call
+    /// [`crate::store::drain_version`] from the training loop.
     pub fn paper_defaults() -> Self {
         Self {
             k: 2,
@@ -72,7 +74,6 @@ impl EcCheckConfig {
             encoding_buffers: 24,
             coding_threads: 8,
             schedule: ScheduleKind::Smart,
-            remote_flush_every: 50,
             use_idle_slots: true,
             fetch_retries: 2,
             fetch_backoff_base_ns: 200_000,
@@ -144,13 +145,6 @@ impl EcCheckConfig {
     /// Overrides the XOR schedule kind.
     pub fn with_schedule(mut self, schedule: ScheduleKind) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Overrides how often (in saves) the checkpoint is also flushed to
-    /// remote storage (step 4; 0 disables).
-    pub fn with_remote_flush_every(mut self, every: u64) -> Self {
-        self.remote_flush_every = every;
         self
     }
 
@@ -259,11 +253,6 @@ impl EcCheckConfig {
     /// XOR schedule kind.
     pub fn schedule(&self) -> ScheduleKind {
         self.schedule
-    }
-
-    /// Remote-flush period in saves (0 = never).
-    pub fn remote_flush_every(&self) -> u64 {
-        self.remote_flush_every
     }
 
     /// Whether checkpoint communication defers to network idle slots.
@@ -410,7 +399,6 @@ mod tests {
             .with_width(4)
             .with_packet_size(320)
             .with_coding_threads(0)
-            .with_remote_flush_every(10)
             .with_idle_slots(false)
             .with_fetch_retries(5)
             .with_fetch_backoff(1_000, 8_000)
@@ -420,7 +408,6 @@ mod tests {
         assert_eq!((c.k(), c.m(), c.w()), (3, 1, 4));
         assert_eq!(c.packet_size(), 320);
         assert_eq!(c.coding_threads(), 1);
-        assert_eq!(c.remote_flush_every(), 10);
         assert!(!c.use_idle_slots());
         assert_eq!(c.fetch_retries(), 5);
         assert_eq!((c.fetch_backoff_base_ns(), c.fetch_backoff_cap_ns()), (1_000, 8_000));

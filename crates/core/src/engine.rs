@@ -13,9 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use ecc_checkpoint::{
-    checksum_frame, decompose, verify_checksum, Decomposition, Packer, Packet, StateDict,
-};
+use ecc_checkpoint::{checksum_frame, decompose, Decomposition, Packer, Packet, StateDict};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthConfig, HealthRegistry};
 use ecc_erasure::{CodeParams, CodingPool, ErasureCode};
 use ecc_obs::{ObsHub, ObsHubConfig, ObsServer, SloSpec};
@@ -26,37 +24,16 @@ use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 use crate::config::SaveMode;
 use crate::keys::{
     chunk_crc_key, chunk_key, committed_epoch, encode_epoch, epoch_key, header_crc_key, header_key,
-    manifest_key, remote_chunk_crc_key, remote_chunk_key, remote_header_crc_key, remote_header_key,
-    remote_manifest_key,
+    manifest_key, remote_chunk_key, remote_header_key, remote_manifest_key,
 };
 use crate::pipeline::{self, DeltaColumn, DeltaJob, PipelineJob, PipelineOutcome, PipelineStats};
-use crate::store::{DrainHandle, RetentionPolicy, VersionIndex, WorkerDirtySet};
+use crate::store::{
+    read_verified, DrainHandle, RetentionPolicy, Tier, Verified, VersionIndex, WorkerDirtySet,
+};
 use crate::{
     select_data_parity_nodes, DeltaReport, EcCheckConfig, EcCheckError, LoadReport, Placement,
     RecoveryWorkflow, ReductionPlan, SaveReport,
 };
-
-/// Outcome of one checksum-verified chunk fetch during recovery.
-enum ChunkFetch {
-    /// The blob is present and matches its stored checksum.
-    Intact(Vec<u8>),
-    /// Node dead, or the blob (or its checksum frame) is absent even
-    /// after the bounded retry budget.
-    Missing,
-    /// The blob is present but fails its checksum: silent corruption,
-    /// reclassified as an erasure.
-    Corrupt,
-}
-
-/// Which public entry point a delta patch serves — selects its
-/// telemetry and trace namespace (`ecc.update.*` vs `ecc.delta.*`).
-#[derive(Clone, Copy)]
-enum DeltaOp {
-    /// [`EcCheck::update_worker`]: the single-worker patch.
-    Update,
-    /// [`EcCheck::save_delta`]: an arbitrary dirty set.
-    Save,
-}
 
 /// The ECCheck checkpointing system (paper §III).
 ///
@@ -71,7 +48,6 @@ pub struct EcCheck {
     pool: CodingPool,
     packer: Packer,
     version: u64,
-    saves: u64,
     /// The placement epoch this engine operates under. 0 until a
     /// membership controller commits a rebalance; strictly monotone
     /// thereafter (see [`EcCheck::apply_placement`]). Save and load
@@ -102,7 +78,7 @@ pub struct EcCheck {
 }
 
 /// Tracing handles for the engine: the driver's `engine` track hosts the
-/// `ecc.{save,load,update,flush}` root spans and their phase children;
+/// `ecc.{save,load,delta}` root spans and their phase children;
 /// per-node `storage` tracks receive the chunk store/fetch flows.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceHandles {
@@ -150,7 +126,6 @@ impl EcCheck {
             pool,
             packer,
             version: 0,
-            saves: 0,
             placement_epoch: 0,
             packets_per_worker: 0,
             recorder,
@@ -218,7 +193,7 @@ impl EcCheck {
     }
 
     /// Attaches an existing span tracer (e.g. one shared with other
-    /// engines) to the save/load/update/flush paths, the erasure code and
+    /// engines) to the save/load/delta paths, the erasure code and
     /// the coding pool. Prefer [`EcCheck::attach_tracer`], which also
     /// aligns the tracer's clock epoch with the recorder's.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
@@ -444,7 +419,8 @@ impl EcCheck {
     }
 
     /// Detaches the drain worker handle, returning it; subsequent saves
-    /// stay tier-0 only (plus the periodic synchronous remote flush).
+    /// stay tier-0 only until something calls
+    /// [`crate::store::drain_version`].
     pub fn clear_drainer(&mut self) -> Option<DrainHandle> {
         self.drain.take()
     }
@@ -467,18 +443,9 @@ impl EcCheck {
         cluster: &impl DataPlane,
         version: u64,
     ) -> Result<(), EcCheckError> {
-        let key = manifest_key(version);
-        let blob = (0..cluster.nodes())
-            .filter(|&node| cluster.alive(node))
-            .find_map(|node| cluster.get_local(node, &key))
-            .or_else(|| cluster.get_remote(&remote_manifest_key(version)))
-            .ok_or(EcCheckError::NoCheckpoint)?;
-        let bytes: [u8; 8] = blob.as_slice().try_into().map_err(|_| EcCheckError::Config {
-            detail: format!("manifest for v{version} is {} bytes, expected 8", blob.len()),
-        })?;
-        self.packets_per_worker = u64::from_le_bytes(bytes) as usize;
+        self.packets_per_worker =
+            read_manifest(cluster, version)?.ok_or(EcCheckError::NoCheckpoint)?;
         self.version = version;
-        self.saves = version;
         // Rebuild the retention index from what the plane actually
         // holds — the adopting engine did not watch the saves happen.
         self.index = VersionIndex::rebuild(cluster);
@@ -581,23 +548,13 @@ impl EcCheck {
         drop(span);
         drop(phase);
 
-        // Step 4 happens only every `remote_flush_every` saves; decided
-        // up front so the pipelined executor knows whether to keep owned
-        // chunk copies around for the flush.
-        let will_flush = self.config.remote_flush_every() > 0
-            && (self.saves + 1).is_multiple_of(self.config.remote_flush_every());
-
         // Steps 3c + 3d: encode parity and place every chunk. Two
         // executors, one contract — byte-identical cluster state (the
         // differential suite in `tests/pipeline_differential.rs` holds
         // them to it).
-        let (encoded_bytes, pipeline_stats, flush_chunks) = match self.config.save_mode() {
-            SaveMode::Sequential => {
-                self.save_sequential(cluster, version, data_chunks, will_flush, &trace)?
-            }
-            SaveMode::Pipelined => {
-                self.save_pipelined(cluster, version, data_chunks, will_flush, &trace)?
-            }
+        let (encoded_bytes, pipeline_stats) = match self.config.save_mode() {
+            SaveMode::Sequential => self.save_sequential(cluster, version, data_chunks, &trace)?,
+            SaveMode::Pipelined => self.save_pipelined(cluster, version, data_chunks, &trace)?,
         };
 
         // Headers and the packet-count manifest go everywhere (tiny,
@@ -615,19 +572,11 @@ impl EcCheck {
         }
         drop(span);
 
-        // Step 4: low-frequency remote flush for catastrophic failures.
-        self.saves += 1;
-        let remote_flushed = will_flush;
-        if remote_flushed {
-            let (flush_data, flush_parity) =
-                flush_chunks.expect("flush chunks kept when a flush is due");
-            self.flush_remote_chunks(cluster, version, &flush_data, &flush_parity, &headers);
-        }
-
         // Seal the new version in the retention index, hand it to the
-        // drain worker (tier-0 → tier-1 copy, off the critical path),
-        // then collect whatever the retention policy allows — never
-        // the version just sealed, never one still pending a drain.
+        // drain worker (step 4: the tier-0 → tier-1 copy, off the
+        // critical path), then collect whatever the retention policy
+        // allows — never the version just sealed, never one still
+        // pending a drain.
         self.version = version;
         self.index.record(version);
         if let Some(drain) = &self.drain {
@@ -642,13 +591,8 @@ impl EcCheck {
         self.recorder.counter("ecc.save.calls").incr();
         self.recorder.counter("ecc.save.bytes_encoded").add(encoded_bytes);
         self.recorder.counter("ecc.save.traffic_bytes").add(traffic.total());
-        if remote_flushed {
-            self.recorder.counter("ecc.save.remote_flushes").incr();
-        }
-        self.recorder.event(
-            "ecc.save",
-            format!("version={version} packets_per_worker={max_packets} flushed={remote_flushed}"),
-        );
+        self.recorder
+            .event("ecc.save", format!("version={version} packets_per_worker={max_packets}"));
         // A completed save placed chunks on every node — that's a
         // liveness proof for each of them.
         for node in 0..self.spec.nodes() {
@@ -660,7 +604,6 @@ impl EcCheck {
             packets_per_worker: max_packets,
             encoded_bytes,
             traffic,
-            remote_flushed,
             pipeline: pipeline_stats,
         })
     }
@@ -696,16 +639,13 @@ impl EcCheck {
     /// Steps 3c + 3d, sequential executor: one monolithic encode, then
     /// every chunk stored in index order. The oracle the pipelined path
     /// is differentially tested against.
-    #[allow(clippy::type_complexity)]
     fn save_sequential(
         &mut self,
         cluster: &mut impl DataPlane,
         version: u64,
         data_chunks: Vec<Vec<u8>>,
-        will_flush: bool,
         trace: &Option<TraceHandles>,
-    ) -> Result<(u64, Option<PipelineStats>, Option<(Vec<Vec<u8>>, Vec<Vec<u8>>)>), EcCheckError>
-    {
+    ) -> Result<(u64, Option<PipelineStats>), EcCheckError> {
         // Step 3c: encode parity chunks (thread-pooled XOR schedules).
         let phase = self.recorder.timer("ecc.save.encode_ns");
         let span = trace.as_ref().map(|t| {
@@ -743,24 +683,20 @@ impl EcCheck {
         }
         drop(span);
         drop(phase);
-        let flush_chunks = will_flush.then_some((data_chunks, parity_chunks));
-        Ok((encoded_bytes, None, flush_chunks))
+        Ok((encoded_bytes, None))
     }
 
     /// Steps 3c + 3d, pipelined executor (paper §IV-C): stripes stream
     /// through encode → XOR-reduce → transfer on the coding threads, with
     /// transfers gated into profiled network idle slots when a profile is
     /// attached. See [`crate::pipeline`]'s module docs for the dataflow.
-    #[allow(clippy::type_complexity)]
     fn save_pipelined(
         &mut self,
         cluster: &mut impl DataPlane,
         version: u64,
         data_chunks: Vec<Vec<u8>>,
-        will_flush: bool,
         trace: &Option<TraceHandles>,
-    ) -> Result<(u64, Option<PipelineStats>, Option<(Vec<Vec<u8>>, Vec<Vec<u8>>)>), EcCheckError>
-    {
+    ) -> Result<(u64, Option<PipelineStats>), EcCheckError> {
         let gate = if self.config.use_idle_slots() {
             // A fresh gate per save: the profile describes one training
             // iteration, and determinism wants every save to schedule
@@ -789,7 +725,6 @@ impl EcCheck {
             PipelineJob {
                 version,
                 data_chunks,
-                keep_chunks: will_flush,
                 code: &self.code,
                 placement: &self.placement,
                 reduction: &self.reduction,
@@ -818,8 +753,8 @@ impl EcCheck {
             t.tracer.begin_at(t.engine, "save.place", "pipelined", outcome.place_begin_ns);
             t.tracer.end_at(t.engine, outcome.place_end_ns);
         }
-        let PipelineOutcome { encoded_bytes, stats, kept, .. } = result?;
-        Ok((encoded_bytes, Some(stats), kept))
+        let PipelineOutcome { encoded_bytes, stats, .. } = result?;
+        Ok((encoded_bytes, Some(stats)))
     }
 
     /// `eccheck.load`: reconstructs every worker's `state_dict` from the
@@ -869,31 +804,21 @@ impl EcCheck {
         let ppw = if version == self.version {
             self.packets_per_worker
         } else {
-            self.manifest_ppw(cluster, version)?
+            read_manifest(cluster, version)?.ok_or(EcCheckError::VersionGone { version })?
         };
         self.load_version_inner(cluster, version, ppw)
     }
 
-    /// Reads back the packet-layout manifest of a retained (but not
-    /// current) `version` from any alive node, falling back to the
-    /// tier-1 remote copy.
-    fn manifest_ppw(&self, cluster: &impl DataPlane, version: u64) -> Result<usize, EcCheckError> {
-        let key = manifest_key(version);
-        let blob = (0..cluster.nodes())
-            .filter(|&node| cluster.alive(node))
-            .find_map(|node| cluster.get_local(node, &key))
-            .or_else(|| cluster.get_remote(&remote_manifest_key(version)))
-            .ok_or(EcCheckError::VersionGone { version })?;
-        let bytes: [u8; 8] = blob.as_slice().try_into().map_err(|_| EcCheckError::Config {
-            detail: format!("manifest for v{version} is {} bytes, expected 8", blob.len()),
-        })?;
-        Ok(u64::from_le_bytes(bytes) as usize)
-    }
-
     /// Shared body of [`EcCheck::load`] and [`EcCheck::load_version`]:
-    /// gather → (decode | resend | remote fallback) → restore fault
+    /// gather → pick the source tier → reconstruct → restore fault
     /// tolerance → reassemble, all against an explicit `version` whose
     /// packet layout is `ppw` packets per worker.
+    ///
+    /// The source tier is picked once: tier 0 when at least `k` chunks
+    /// verify in memory, otherwise *all* chunks and *all* headers come
+    /// from tier 1. The two are never mixed — after a `save_delta`
+    /// tier 0 is newer than the drained copy, and decoding across the
+    /// two would splice different checkpoints into one.
     fn load_version_inner(
         &self,
         cluster: &mut impl DataPlane,
@@ -919,14 +844,14 @@ impl EcCheck {
         let mut corrupt_nodes = Vec::new();
         for node in 0..n {
             match self.fetch_chunk(cluster, node, version, &trace) {
-                ChunkFetch::Intact(blob) => {
+                Verified::Intact { blob, .. } => {
                     let chunk_id = self.chunk_id_of_node(node);
                     trace_fetch(&trace, node, &format!("chunk {chunk_id}"));
                     shards[chunk_id] = Some(blob);
                     self.heartbeat(node);
                 }
-                ChunkFetch::Missing => failed_nodes.push(node),
-                ChunkFetch::Corrupt => {
+                Verified::Missing => failed_nodes.push(node),
+                Verified::Corrupt => {
                     self.recorder.counter("ecc.load.corrupt_chunks").incr();
                     self.recorder
                         .event("ecc.load.corrupt", format!("node {node} chunk failed checksum"));
@@ -939,30 +864,23 @@ impl EcCheck {
             }
         }
         drop(gather_span);
-        let survivors = shards.iter().filter(|s| s.is_some()).count();
+        let mut survivors = shards.iter().filter(|s| s.is_some()).count();
         self.recorder.counter("ecc.load.survivors").add(survivors as u64);
-        if survivors < k {
-            // Catastrophic: fall back to the remote copy if one exists.
-            // (load_timer drops after the call, timing the remote path too.)
-            return self.load_from_remote(
-                cluster,
-                version,
-                ppw,
-                failed_nodes,
-                corrupt_nodes,
-                &shards,
-            );
-        }
 
-        let data_lost = (0..k).any(|j| shards[j].is_none());
-        let workflow = if data_lost { RecoveryWorkflow::Decode } else { RecoveryWorkflow::Resend };
-        self.recorder
-            .counter(if data_lost {
-                "ecc.load.workflow.decode"
-            } else {
-                "ecc.load.workflow.resend"
-            })
-            .incr();
+        let from_remote = survivors < k;
+        if from_remote {
+            // Catastrophic: more than m chunks are gone from memory.
+            shards = self.gather_remote_chunks(cluster, version, &shards)?;
+            survivors = shards.iter().filter(|s| s.is_some()).count();
+        }
+        let (workflow, counter) = if from_remote {
+            (RecoveryWorkflow::Remote, "ecc.load.workflow.remote")
+        } else if (0..k).any(|j| shards[j].is_none()) {
+            (RecoveryWorkflow::Decode, "ecc.load.workflow.decode")
+        } else {
+            (RecoveryWorkflow::Resend, "ecc.load.workflow.resend")
+        };
+        self.recorder.counter(counter).incr();
         self.recorder.event(
             "ecc.load.workflow",
             format!("{workflow:?} survivors={survivors} failed={failed_nodes:?}"),
@@ -970,7 +888,7 @@ impl EcCheck {
 
         // Rebuild all chunks (decode if data lost, re-encode lost parity).
         let shard_refs: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
-        let rebuilt_count = shard_refs.iter().filter(|s| s.is_none()).count();
+        let rebuilt_count = n - survivors;
         let span = trace.as_ref().map(|t| {
             t.tracer.span(
                 t.engine,
@@ -981,24 +899,20 @@ impl EcCheck {
         let all_chunks = self.code.reconstruct_all(&shard_refs)?;
         drop(span);
 
-        // Gather the headers: each worker's header independently falls
-        // back across *all* survivors (and finally the remote copy) —
-        // one node having lost one header must not doom the recovery
-        // while another survivor still holds it.
-        let headers = self.gather_headers(cluster, version, survivors, &trace)?;
+        let headers = self.gather_headers(cluster, version, from_remote, survivors, &trace)?;
 
         // Restore fault tolerance: every node stores its chunk again,
-        // and every node regains the headers. A node that dies *during*
-        // this phase is skipped, not fatal: the decoded state is already
-        // in hand, and the skipped node is re-seeded by the next
-        // save/load.
+        // and every node regains the headers, manifest and epoch
+        // provenance. A node that is dead, or dies *during* this phase,
+        // is skipped, not fatal: the decoded state is already in hand,
+        // and the skipped node is re-seeded by the next save/load.
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.restore", ""));
         let header_frames: Vec<Vec<u8>> =
             headers.iter().map(|h| checksum_frame(h.as_slice())).collect();
         let mut restore_skipped = Vec::new();
         'restore: for node in 0..n {
             let chunk_id = self.chunk_id_of_node(node);
-            let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(2 * headers.len() + 3);
+            let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(2 * headers.len() + 4);
             puts.push((chunk_key(version), all_chunks[chunk_id].clone()));
             puts.push((chunk_crc_key(version), checksum_frame(&all_chunks[chunk_id])));
             for (w, header) in headers.iter().enumerate() {
@@ -1014,7 +928,7 @@ impl EcCheck {
                         self.recorder.counter("ecc.load.restore_skipped").incr();
                         self.recorder.event(
                             "ecc.load.restore_skip",
-                            format!("node {node} died mid-restore"),
+                            format!("node {node} is down, not re-seeded"),
                         );
                         if let Some(t) = &trace {
                             t.tracer.instant(t.engine, "load.restore_skip", format!("node {node}"));
@@ -1052,6 +966,58 @@ impl EcCheck {
         ))
     }
 
+    /// The catastrophic-failure gather: every chunk of `version` that
+    /// verifies in tier 1, indexed by chunk id.
+    ///
+    /// `local_shards` is the (insufficient) set of intact chunks the
+    /// in-memory gather produced. It is never decoded from here — only
+    /// used to name exactly which workers' states are lost when tier 1
+    /// cannot reach `k` chunks either.
+    fn gather_remote_chunks(
+        &self,
+        cluster: &impl DataPlane,
+        version: u64,
+        local_shards: &[Option<Vec<u8>>],
+    ) -> Result<Vec<Option<Vec<u8>>>, EcCheckError> {
+        let (k, n) = (self.config.k(), self.spec.nodes());
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+        for node in 0..n {
+            match read_verified(cluster, Tier::Remote, &remote_chunk_key(version, node)) {
+                Verified::Intact { blob, .. } => shards[self.chunk_id_of_node(node)] = Some(blob),
+                Verified::Missing => {}
+                Verified::Corrupt => {
+                    self.recorder.counter("ecc.load.corrupt_chunks").incr();
+                    self.recorder.event(
+                        "ecc.load.corrupt",
+                        format!("remote chunk of node {node} failed checksum"),
+                    );
+                }
+            }
+        }
+        if shards.iter().filter(|s| s.is_some()).count() >= k {
+            return Ok(shards);
+        }
+        // A data group's state is gone when neither tier holds its
+        // chunk intact (with fewer than k chunks nothing can be decoded
+        // around it). `survivors` in the error counts intact chunks
+        // available *anywhere* — memory or remote.
+        let intact = |id: usize| local_shards[id].is_some() || shards[id].is_some();
+        let group_size = self.placement.group_size();
+        let lost_workers: Vec<usize> = (0..k)
+            .filter(|&j| !intact(j))
+            .flat_map(|j| j * group_size..(j + 1) * group_size)
+            .collect();
+        self.recorder.event(
+            "ecc.load.lost_workers",
+            format!("chunks unrecoverable; lost workers {lost_workers:?}"),
+        );
+        Err(EcCheckError::Unrecoverable {
+            survivors: (0..n).filter(|&id| intact(id)).count(),
+            needed: k,
+            lost_workers,
+        })
+    }
+
     /// Sleeps the bounded exponential backoff before retry `attempt + 1`
     /// (`attempt` is 0-based): `min(base << attempt, cap)` nanoseconds.
     /// Instant retries are correct against the in-memory plane but
@@ -1080,19 +1046,15 @@ impl EcCheck {
         node: usize,
         version: u64,
         trace: &Option<TraceHandles>,
-    ) -> ChunkFetch {
+    ) -> Verified {
         let retries = self.config.fetch_retries();
         for attempt in 0..=retries {
             if !cluster.alive(node) {
-                return ChunkFetch::Missing;
+                break;
             }
-            let blob = cluster.get_local(node, &chunk_key(version));
-            let crc = cluster.get_local(node, &chunk_crc_key(version));
-            if let (Some(blob), Some(crc)) = (blob, crc) {
-                if verify_checksum(&blob, &crc) {
-                    return ChunkFetch::Intact(blob);
-                }
-                return ChunkFetch::Corrupt;
+            match read_verified(cluster, Tier::Local(node), &chunk_key(version)) {
+                Verified::Missing => {}
+                found => return found,
             }
             if attempt < retries {
                 self.recorder.counter("ecc.load.fetch_retries").incr();
@@ -1106,78 +1068,39 @@ impl EcCheck {
                 self.backoff_wait(attempt);
             }
         }
-        ChunkFetch::Missing
+        Verified::Missing
     }
 
-    /// Gathers every worker's header, verifying checksums and falling
-    /// back per header across all survivors, then the remote copy.
+    /// Gathers every worker's header from the tier the chunks came
+    /// from. In tier 0 each header independently falls back across
+    /// *all* alive nodes (with the bounded retry budget) — one node
+    /// having lost one header must not doom the recovery while another
+    /// survivor still holds it. In tier 1 there is one copy to read.
     ///
     /// # Errors
     ///
     /// Returns [`EcCheckError::Unrecoverable`] naming the workers whose
-    /// header is gone from every survivor and from remote storage.
+    /// header is gone from every copy the source tier holds.
     fn gather_headers(
         &self,
         cluster: &impl DataPlane,
         version: u64,
+        from_remote: bool,
         survivors: usize,
         trace: &Option<TraceHandles>,
     ) -> Result<Vec<Vec<u8>>, EcCheckError> {
-        let n = self.spec.nodes();
         let world = self.spec.world_size();
-        let retries = self.config.fetch_retries();
-        let primary = (0..n).find(|&node| cluster.alive(node));
         let mut headers: Vec<Vec<u8>> = Vec::with_capacity(world);
         let mut lost_workers = Vec::new();
         for w in 0..world {
-            let mut found = None;
-            'attempts: for attempt in 0..=retries {
-                for node in 0..n {
-                    if !cluster.alive(node) {
-                        continue;
-                    }
-                    let blob = cluster.get_local(node, &header_key(version, w));
-                    let crc = cluster.get_local(node, &header_crc_key(version, w));
-                    let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-                    if !verify_checksum(&blob, &crc) {
-                        if attempt == 0 {
-                            self.recorder.counter("ecc.load.corrupt_headers").incr();
-                            self.recorder.event(
-                                "ecc.load.corrupt",
-                                format!("node {node} header {w} failed checksum"),
-                            );
-                        }
-                        continue;
-                    }
-                    if primary != Some(node) {
-                        self.recorder.counter("ecc.load.header_fallbacks").incr();
-                        if let Some(t) = trace {
-                            t.tracer.instant(
-                                t.engine,
-                                "load.header_fallback",
-                                format!("header {w} served by node {node}"),
-                            );
-                        }
-                    }
-                    found = Some(blob);
-                    break 'attempts;
+            let found = if from_remote {
+                match read_verified(cluster, Tier::Remote, &remote_header_key(version, w)) {
+                    Verified::Intact { blob, .. } => Some(blob),
+                    Verified::Missing | Verified::Corrupt => None,
                 }
-                if attempt < retries {
-                    self.recorder.counter("ecc.load.fetch_retries").incr();
-                    self.backoff_wait(attempt);
-                }
-            }
-            if found.is_none() {
-                // Last resort: the low-frequency remote copy.
-                let blob = cluster.get_remote(&remote_header_key(version, w));
-                let crc = cluster.get_remote(&remote_header_crc_key(version, w));
-                if let (Some(blob), Some(crc)) = (blob, crc) {
-                    if verify_checksum(&blob, &crc) {
-                        self.recorder.counter("ecc.load.header_remote").incr();
-                        found = Some(blob);
-                    }
-                }
-            }
+            } else {
+                self.fetch_header(cluster, version, w, trace)
+            };
             match found {
                 Some(h) => headers.push(h),
                 None => lost_workers.push(w),
@@ -1197,6 +1120,53 @@ impl EcCheck {
         Ok(headers)
     }
 
+    /// Worker `w`'s header from the first alive node holding an intact
+    /// copy, retrying the whole sweep up to `fetch_retries` times.
+    fn fetch_header(
+        &self,
+        cluster: &impl DataPlane,
+        version: u64,
+        w: usize,
+        trace: &Option<TraceHandles>,
+    ) -> Option<Vec<u8>> {
+        let n = self.spec.nodes();
+        let retries = self.config.fetch_retries();
+        let primary = (0..n).find(|&node| cluster.alive(node));
+        for attempt in 0..=retries {
+            for node in (0..n).filter(|&node| cluster.alive(node)) {
+                match read_verified(cluster, Tier::Local(node), &header_key(version, w)) {
+                    Verified::Intact { blob, .. } => {
+                        if primary != Some(node) {
+                            self.recorder.counter("ecc.load.header_fallbacks").incr();
+                            if let Some(t) = trace {
+                                t.tracer.instant(
+                                    t.engine,
+                                    "load.header_fallback",
+                                    format!("header {w} served by node {node}"),
+                                );
+                            }
+                        }
+                        return Some(blob);
+                    }
+                    Verified::Missing => {}
+                    Verified::Corrupt if attempt == 0 => {
+                        self.recorder.counter("ecc.load.corrupt_headers").incr();
+                        self.recorder.event(
+                            "ecc.load.corrupt",
+                            format!("node {node} header {w} failed checksum"),
+                        );
+                    }
+                    Verified::Corrupt => {}
+                }
+            }
+            if attempt < retries {
+                self.recorder.counter("ecc.load.fetch_retries").incr();
+                self.backoff_wait(attempt);
+            }
+        }
+        None
+    }
+
     /// Reads a chunk that is about to be patched in place, verifying
     /// its checksum first: patching corrupt bytes and re-framing them
     /// would launder the corruption into a "valid" blob.
@@ -1206,54 +1176,16 @@ impl EcCheck {
         node: usize,
         version: u64,
     ) -> Result<Vec<u8>, EcCheckError> {
-        let blob =
-            cluster.get_local(node, &chunk_key(version)).ok_or(EcCheckError::NoCheckpoint)?;
-        let crc =
-            cluster.get_local(node, &chunk_crc_key(version)).ok_or(EcCheckError::NoCheckpoint)?;
-        if !verify_checksum(&blob, &crc) {
-            self.recorder.counter("ecc.update.corrupt_chunks").incr();
-            self.recorder.event("ecc.update.corrupt", format!("node {node} chunk failed checksum"));
-            return Err(EcCheckError::CorruptChunk { node });
+        match read_verified(cluster, Tier::Local(node), &chunk_key(version)) {
+            Verified::Intact { blob, .. } => Ok(blob),
+            Verified::Missing => Err(EcCheckError::NoCheckpoint),
+            Verified::Corrupt => {
+                self.recorder.counter("ecc.delta.corrupt_chunks").incr();
+                self.recorder
+                    .event("ecc.delta.corrupt", format!("node {node} chunk failed checksum"));
+                Err(EcCheckError::CorruptChunk { node })
+            }
         }
-        Ok(blob)
-    }
-
-    /// Incrementally updates one worker's shard in the *current*
-    /// checkpoint version: only the worker's packet region and the
-    /// corresponding parity deltas move, exploiting the code's linearity
-    /// (an extension beyond the paper, in the spirit of Check-N-Run's
-    /// incremental checkpoints discussed in its related work).
-    ///
-    /// Tensor shapes must be unchanged from the last full save (true
-    /// during training — only values evolve); otherwise run a full
-    /// [`EcCheck::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcCheckError::NoCheckpoint`] before the first save,
-    /// [`EcCheckError::Config`] when the worker id is out of range or
-    /// the shard's packet count changed,
-    /// [`EcCheckError::Cluster`] (`NodeDown`) when any node is dead
-    /// (all nodes must be alive to patch chunks in place — run
-    /// [`EcCheck::load`] first to restore fault tolerance), and
-    /// [`EcCheckError::CorruptChunk`] when a stored chunk fails its
-    /// checksum (patching it would launder the corruption under a
-    /// fresh, valid checksum — run [`EcCheck::load`] to repair).
-    ///
-    /// Since the tiered store landed this is sugar for a single-worker
-    /// [`EcCheck::save_delta`]: both share one parity-patch
-    /// implementation (and its all-or-nothing torn-update guard).
-    pub fn update_worker(
-        &mut self,
-        cluster: &mut impl DataPlane,
-        worker: usize,
-        state_dict: &StateDict,
-    ) -> Result<u64, EcCheckError> {
-        let dirty = [WorkerDirtySet { worker, state: state_dict }];
-        let report = self.delta_inner(cluster, &dirty, DeltaOp::Update)?;
-        self.recorder.counter("ecc.update.calls").incr();
-        self.recorder.counter("ecc.update.changed_bytes").add(report.changed_bytes);
-        Ok(report.changed_bytes)
     }
 
     /// Incrementally checkpoints an arbitrary *dirty set* of workers
@@ -1278,8 +1210,15 @@ impl EcCheck {
     ///
     /// # Errors
     ///
-    /// Exactly [`EcCheck::update_worker`]'s, plus
-    /// [`EcCheckError::Config`] when a worker appears twice in `dirty`.
+    /// Returns [`EcCheckError::NoCheckpoint`] before the first save,
+    /// [`EcCheckError::Config`] when a worker id is out of range,
+    /// appears twice in `dirty`, or its shard's packet count grew,
+    /// [`EcCheckError::Cluster`] (`NodeDown`) when any node is dead
+    /// (all nodes must be alive to patch chunks in place — run
+    /// [`EcCheck::load`] first to restore fault tolerance), and
+    /// [`EcCheckError::CorruptChunk`] when a stored chunk fails its
+    /// checksum (patching it would launder the corruption under a
+    /// fresh, valid checksum — run [`EcCheck::load`] to repair).
     pub fn save_delta(
         &mut self,
         cluster: &mut impl DataPlane,
@@ -1300,7 +1239,7 @@ impl EcCheck {
                 pipeline: None,
             });
         }
-        let report = self.delta_inner(cluster, dirty, DeltaOp::Save)?;
+        let report = self.delta_inner(cluster, dirty)?;
         self.recorder.counter("ecc.delta.calls").incr();
         self.recorder.counter("ecc.delta.changed_bytes").add(report.changed_bytes);
         self.recorder.counter("ecc.delta.traffic_bytes").add(report.traffic_bytes);
@@ -1315,11 +1254,10 @@ impl EcCheck {
         Ok(report)
     }
 
-    /// Shared core of [`EcCheck::update_worker`] and
-    /// [`EcCheck::save_delta`]: verify every chunk the patch touches,
-    /// build whole-chunk deltas (zero outside the dirty regions), then
-    /// patch the data chunks and XOR the encoded parity deltas onto
-    /// the stored parity. Both executors produce the same plane-op
+    /// The body of [`EcCheck::save_delta`]: verify every chunk the
+    /// patch touches, build whole-chunk deltas (zero outside the dirty
+    /// regions), then patch the data chunks and XOR the encoded parity
+    /// deltas onto the stored parity. Both executors produce the same plane-op
     /// sequence — all reads up front, then data columns ascending,
     /// then parity, then headers — because in-place patches lack the
     /// full save's version-rotation safety net, so no store may happen
@@ -1328,11 +1266,7 @@ impl EcCheck {
         &mut self,
         cluster: &mut impl DataPlane,
         dirty: &[WorkerDirtySet<'_>],
-        op: DeltaOp,
     ) -> Result<DeltaReport, EcCheckError> {
-        if self.version == 0 {
-            return Err(EcCheckError::NoCheckpoint);
-        }
         let world = self.spec.world_size();
         for d in dirty {
             if d.worker >= world {
@@ -1357,17 +1291,11 @@ impl EcCheck {
         let workers: Vec<usize> = sorted.iter().map(|d| d.worker).collect();
         let ps = self.config.packet_size();
         let max_packets = self.packets_per_worker;
-        let (timer_name, span_name) = match op {
-            DeltaOp::Update => ("ecc.update.ns", "ecc.update"),
-            DeltaOp::Save => ("ecc.delta.ns", "ecc.delta"),
-        };
-        let timer = self.recorder.timer(timer_name);
+        let timer = self.recorder.timer("ecc.delta.ns");
         let trace = self.trace.clone();
-        let detail = match op {
-            DeltaOp::Update => format!("worker {}", workers[0]),
-            DeltaOp::Save => format!("version={version} workers={workers:?}"),
-        };
-        let root_span = trace.as_ref().map(|t| t.tracer.span(t.engine, span_name, detail));
+        let root_span = trace.as_ref().map(|t| {
+            t.tracer.span(t.engine, "ecc.delta", format!("version={version} workers={workers:?}"))
+        });
 
         // Re-pack each dirty worker into its (fixed) packet count and
         // bucket the regions by data column.
@@ -1531,203 +1459,6 @@ impl EcCheck {
         })
     }
 
-    /// Flushes the current checkpoint to remote storage immediately
-    /// (normally driven by `remote_flush_every`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcCheckError::NoCheckpoint`] before the first save.
-    pub fn flush_remote(&self, cluster: &mut impl DataPlane) -> Result<(), EcCheckError> {
-        if self.version == 0 {
-            return Err(EcCheckError::NoCheckpoint);
-        }
-        let version = self.version;
-        let n = self.spec.nodes();
-        let flush_timer = self.recorder.timer("ecc.flush.ns");
-        let root_span = self
-            .trace
-            .as_ref()
-            .map(|t| t.tracer.span(t.engine, "ecc.flush", format!("version={version}")));
-        self.recorder.counter("ecc.flush.calls").incr();
-        for node in 0..n {
-            let blob = cluster.get_local(node, &chunk_key(version));
-            let crc = cluster.get_local(node, &chunk_crc_key(version));
-            let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-            if !verify_checksum(&blob, &crc) {
-                // Never propagate a corrupt chunk into the remote copy
-                // of last resort.
-                self.recorder.counter("ecc.flush.skipped_corrupt").incr();
-                self.recorder
-                    .event("ecc.flush.corrupt", format!("node {node} chunk failed checksum"));
-                continue;
-            }
-            cluster.put_remote(&remote_chunk_key(version, node), blob);
-            cluster.put_remote(&remote_chunk_crc_key(version, node), crc);
-        }
-        // Each header falls back across all survivors, like recovery.
-        for w in 0..self.spec.world_size() {
-            for node in 0..n {
-                if !cluster.alive(node) {
-                    continue;
-                }
-                let h = cluster.get_local(node, &header_key(version, w));
-                let crc = cluster.get_local(node, &header_crc_key(version, w));
-                let (Some(h), Some(crc)) = (h, crc) else { continue };
-                if !verify_checksum(&h, &crc) {
-                    continue;
-                }
-                cluster.put_remote(&remote_header_key(version, w), h);
-                cluster.put_remote(&remote_header_crc_key(version, w), crc);
-                break;
-            }
-        }
-        cluster.put_remote(&remote_manifest_key(version), manifest(self.packets_per_worker));
-        flush_timer.stop();
-        drop(root_span);
-        Ok(())
-    }
-
-    fn flush_remote_chunks(
-        &self,
-        cluster: &mut impl DataPlane,
-        version: u64,
-        data_chunks: &[Vec<u8>],
-        parity_chunks: &[Vec<u8>],
-        headers: &[Vec<u8>],
-    ) {
-        for (j, chunk) in data_chunks.iter().enumerate() {
-            let node = self.placement.data_nodes()[j];
-            cluster.put_remote(&remote_chunk_key(version, node), chunk.clone());
-            cluster.put_remote(&remote_chunk_crc_key(version, node), checksum_frame(chunk));
-        }
-        for (i, chunk) in parity_chunks.iter().enumerate() {
-            let node = self.placement.parity_nodes()[i];
-            cluster.put_remote(&remote_chunk_key(version, node), chunk.clone());
-            cluster.put_remote(&remote_chunk_crc_key(version, node), checksum_frame(chunk));
-        }
-        for (w, h) in headers.iter().enumerate() {
-            cluster.put_remote(&remote_header_key(version, w), h.clone());
-            cluster.put_remote(&remote_header_crc_key(version, w), checksum_frame(h));
-        }
-        cluster.put_remote(&remote_manifest_key(version), manifest(self.packets_per_worker));
-    }
-
-    /// Catastrophic-failure path: restore everything from the remote
-    /// copy written by step 4, verifying remote blobs the same way the
-    /// in-memory path does.
-    ///
-    /// `local_shards` is the (insufficient) set of intact chunks the
-    /// in-memory gather produced, used to attribute exactly which
-    /// workers' states are lost when remote storage cannot fill the
-    /// gap.
-    fn load_from_remote(
-        &self,
-        cluster: &mut impl DataPlane,
-        version: u64,
-        ppw: usize,
-        failed_nodes: Vec<usize>,
-        corrupt_nodes: Vec<usize>,
-        local_shards: &[Option<Vec<u8>>],
-    ) -> Result<(Vec<StateDict>, LoadReport), EcCheckError> {
-        let (k, n) = (self.config.k(), self.spec.nodes());
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        for node in 0..n {
-            let blob = cluster.get_remote(&remote_chunk_key(version, node));
-            let crc = cluster.get_remote(&remote_chunk_crc_key(version, node));
-            let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-            if !verify_checksum(&blob, &crc) {
-                self.recorder.counter("ecc.load.corrupt_chunks").incr();
-                self.recorder.event(
-                    "ecc.load.corrupt",
-                    format!("remote chunk of node {node} failed checksum"),
-                );
-                continue;
-            }
-            shards[self.chunk_id_of_node(node)] = Some(blob);
-        }
-        let survivors = shards.iter().filter(|s| s.is_some()).count();
-        if survivors < k {
-            // Name the lost workers: a data group's state is gone when
-            // neither memory nor remote holds its chunk intact (with
-            // fewer than k chunks nothing can be decoded around it).
-            // `survivors` in the report counts intact chunks available
-            // *anywhere* — memory or remote.
-            let available =
-                (0..n).filter(|&id| local_shards[id].is_some() || shards[id].is_some()).count();
-            let group_size = self.placement.group_size();
-            let lost_workers: Vec<usize> = (0..k)
-                .filter(|&j| local_shards[j].is_none() && shards[j].is_none())
-                .flat_map(|j| j * group_size..(j + 1) * group_size)
-                .collect();
-            self.recorder.event(
-                "ecc.load.lost_workers",
-                format!("chunks unrecoverable; lost workers {lost_workers:?}"),
-            );
-            return Err(EcCheckError::Unrecoverable {
-                survivors: available,
-                needed: k,
-                lost_workers,
-            });
-        }
-        let world = self.spec.world_size();
-        let mut headers: Vec<Vec<u8>> = Vec::with_capacity(world);
-        let mut lost_workers = Vec::new();
-        for w in 0..world {
-            let blob = cluster.get_remote(&remote_header_key(version, w));
-            let crc = cluster.get_remote(&remote_header_crc_key(version, w));
-            match (blob, crc) {
-                (Some(blob), Some(crc)) if verify_checksum(&blob, &crc) => {
-                    headers.push(blob);
-                }
-                _ => lost_workers.push(w),
-            }
-        }
-        if !lost_workers.is_empty() {
-            return Err(EcCheckError::Unrecoverable { survivors, needed: k, lost_workers });
-        }
-        let shard_refs: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
-        let all_chunks = self.code.reconstruct_all(&shard_refs)?;
-        let mut restore_skipped = Vec::new();
-        for node in 0..n {
-            if !cluster.alive(node) {
-                restore_skipped.push(node);
-                continue;
-            }
-            let chunk_id = self.chunk_id_of_node(node);
-            cluster.put_local(node, &chunk_key(version), all_chunks[chunk_id].clone())?;
-            cluster.put_local(
-                node,
-                &chunk_crc_key(version),
-                checksum_frame(&all_chunks[chunk_id]),
-            )?;
-            for (w, header) in headers.iter().enumerate() {
-                cluster.put_local(node, &header_key(version, w), header.clone())?;
-                cluster.put_local(node, &header_crc_key(version, w), checksum_frame(header))?;
-            }
-        }
-        let dicts = self.reassemble_all(&all_chunks[..k], &headers, ppw)?;
-        let restored_bytes: u64 = dicts.iter().map(|d| d.tensor_bytes() as u64).sum();
-        self.recorder.counter("ecc.load.workflow.remote").incr();
-        self.recorder.counter("ecc.load.rebuilt_chunks").add((n - survivors) as u64);
-        self.recorder.counter("ecc.load.restored_bytes").add(restored_bytes);
-        self.recorder.event(
-            "ecc.load.workflow",
-            format!("Remote survivors={survivors} failed={failed_nodes:?}"),
-        );
-        Ok((
-            dicts,
-            LoadReport {
-                version,
-                workflow: RecoveryWorkflow::Remote,
-                failed_nodes,
-                corrupt_nodes,
-                rebuilt_chunks: n - survivors,
-                restore_skipped,
-                restored_bytes,
-            },
-        ))
-    }
-
     /// Splits the data chunks back into per-worker packets and
     /// reassembles each worker's `state_dict` through its header —
     /// deriving the whole layout from the broadcast header alone,
@@ -1799,6 +1530,24 @@ fn trace_fetch(trace: &Option<TraceHandles>, node: usize, what: &str) {
 
 fn manifest(packets_per_worker: usize) -> Vec<u8> {
     (packets_per_worker as u64).to_le_bytes().to_vec()
+}
+
+/// Reads `version`'s packet-layout manifest (packets per worker) from
+/// any alive node, falling back to the tier-1 copy. `None` when neither
+/// tier holds one.
+fn read_manifest(cluster: &impl DataPlane, version: u64) -> Result<Option<usize>, EcCheckError> {
+    let key = manifest_key(version);
+    let Some(blob) = (0..cluster.nodes())
+        .filter(|&node| cluster.alive(node))
+        .find_map(|node| cluster.get_local(node, &key))
+        .or_else(|| cluster.get_remote(&remote_manifest_key(version)))
+    else {
+        return Ok(None);
+    };
+    let bytes: [u8; 8] = blob.as_slice().try_into().map_err(|_| EcCheckError::Config {
+        detail: format!("manifest for v{version} is {} bytes, expected 8", blob.len()),
+    })?;
+    Ok(Some(u64::from_le_bytes(bytes) as usize))
 }
 
 #[cfg(test)]
@@ -1901,7 +1650,7 @@ mod tests {
         ));
         assert!(matches!(ecc.load(&mut cluster), Err(EcCheckError::StaleEpoch { .. })));
         assert!(matches!(
-            ecc.update_worker(&mut cluster, 0, &dicts[0]),
+            ecc.save_delta(&mut cluster, &[WorkerDirtySet { worker: 0, state: &dicts[0] }]),
             Err(EcCheckError::StaleEpoch { .. })
         ));
         // Refreshing the placement to the committed epoch unblocks it.
@@ -2026,15 +1775,13 @@ mod tests {
 
     #[test]
     fn three_failures_without_remote_are_unrecoverable() {
-        let (_, mut cluster, _, dicts) = setup();
-        let spec = ClusterSpec::tiny_test(4, 2);
-        let mut ecc = EcCheck::initialize(&spec, tiny_config().with_remote_flush_every(0)).unwrap();
+        let (_, mut cluster, mut ecc, dicts) = setup();
         ecc.save(&mut cluster, &dicts).unwrap();
         for n in [0, 1, 2] {
             cluster.fail_node(n);
             cluster.replace_node(n);
         }
-        // Only one chunk survives in memory and nothing was flushed to
+        // Only one chunk survives in memory and nothing was drained to
         // remote storage, so recovery must fail (needed = k = 2).
         assert!(matches!(
             ecc.load(&mut cluster),
@@ -2042,11 +1789,16 @@ mod tests {
         ));
     }
 
+    /// Total cluster loss: every node fails and is replaced, so the
+    /// restore comes from tier 1 — and must leave tier 0 as complete
+    /// as a save does. Re-seeded nodes without `manifest`/`epoch` would
+    /// make the restored version invisible to the next drain and to an
+    /// adopting engine.
     #[test]
-    fn catastrophic_failure_falls_back_to_remote() {
-        let (_, mut cluster, mut ecc, dicts) = setup();
+    fn total_loss_restores_from_tier_one_and_reseeds_every_node() {
+        let (spec, mut cluster, mut ecc, dicts) = setup();
         ecc.save(&mut cluster, &dicts).unwrap();
-        ecc.flush_remote(&mut cluster).unwrap();
+        crate::store::drain_version(&mut cluster, 1, 8, ecc.recorder()).unwrap();
         for n in 0..4 {
             cluster.fail_node(n);
             cluster.replace_node(n);
@@ -2054,19 +1806,18 @@ mod tests {
         let (restored, load) = ecc.load(&mut cluster).unwrap();
         assert_eq!(restored, dicts);
         assert_eq!(load.workflow, RecoveryWorkflow::Remote);
-    }
-
-    #[test]
-    fn periodic_remote_flush_fires() {
-        let spec = ClusterSpec::tiny_test(4, 2);
-        let mut cluster = Cluster::new(spec);
-        let mut ecc = EcCheck::initialize(&spec, tiny_config().with_remote_flush_every(2)).unwrap();
-        let (_, _, _, dicts) = setup();
-        let r1 = ecc.save(&mut cluster, &dicts).unwrap();
-        assert!(!r1.remote_flushed);
-        let r2 = ecc.save(&mut cluster, &dicts).unwrap();
-        assert!(r2.remote_flushed);
-        assert!(cluster.remote_used() > 0);
+        assert_eq!(load.rebuilt_chunks, 0, "tier 1 held every chunk");
+        for node in 0..4 {
+            assert!(cluster.get_local(node, &manifest_key(1)).is_some(), "node {node} manifest");
+            assert!(cluster.get_local(node, &epoch_key(1)).is_some(), "node {node} epoch");
+        }
+        let redrain = crate::store::drain_version(&mut cluster, 1, 8, ecc.recorder()).unwrap();
+        assert_eq!(redrain.chunks_copied, 4);
+        let mut fresh = EcCheck::initialize(&spec, tiny_config()).unwrap();
+        fresh.adopt_version(&cluster, 1).unwrap();
+        assert_eq!(VersionIndex::rebuild(&cluster).versions(), &[1], "tier 0 lists the version");
+        assert_eq!(fresh.retained_versions(), vec![1]);
+        assert_eq!(fresh.load(&mut cluster).unwrap().0, dicts);
     }
 
     #[test]
@@ -2168,10 +1919,7 @@ mod tests {
 
     #[test]
     fn corruption_beyond_m_is_unrecoverable_not_garbage() {
-        let spec = ClusterSpec::tiny_test(4, 2);
-        let mut cluster = Cluster::new(spec);
-        let mut ecc = EcCheck::initialize(&spec, tiny_config().with_remote_flush_every(0)).unwrap();
-        let (_, _, _, dicts) = setup();
+        let (_, mut cluster, mut ecc, dicts) = setup();
         ecc.save(&mut cluster, &dicts).unwrap();
         for node in [0, 1, 3] {
             corrupt_chunk(&mut cluster, node, 1);
@@ -2225,9 +1973,7 @@ mod tests {
 
     #[test]
     fn header_lost_everywhere_names_the_worker() {
-        let (_, mut cluster, _, dicts) = setup();
-        let spec = ClusterSpec::tiny_test(4, 2);
-        let mut ecc = EcCheck::initialize(&spec, tiny_config().with_remote_flush_every(0)).unwrap();
+        let (_, mut cluster, mut ecc, dicts) = setup();
         ecc.save(&mut cluster, &dicts).unwrap();
         for node in 0..4 {
             cluster.delete_local(node, &crate::keys::header_key(1, 6));
@@ -2280,6 +2026,10 @@ mod incremental_tests {
         (spec, cluster, ecc, dicts)
     }
 
+    fn dirty(worker: usize, state: &StateDict) -> WorkerDirtySet<'_> {
+        WorkerDirtySet { worker, state }
+    }
+
     fn mutate(sd: &StateDict, worker: usize) -> StateDict {
         let model = ModelConfig::gpt2(64, 4, 4).with_vocab(512).with_seq_len(32);
         let par = ParallelismSpec::new(2, 2, 2).unwrap();
@@ -2301,8 +2051,8 @@ mod incremental_tests {
         // Update two workers in different data groups.
         for w in [1usize, 6] {
             let updated = mutate(&dicts[w], w);
-            let changed = ecc.update_worker(&mut cluster, w, &updated).unwrap();
-            assert!(changed > 0);
+            let report = ecc.save_delta(&mut cluster, &[dirty(w, &updated)]).unwrap();
+            assert!(report.changed_bytes > 0);
             dicts[w] = updated;
         }
         // Any 2-node failure still recovers the *updated* state.
@@ -2319,7 +2069,7 @@ mod incremental_tests {
         let (spec, mut cluster_a, mut ecc_a, mut dicts) = setup();
         ecc_a.save(&mut cluster_a, &dicts).unwrap();
         let updated = mutate(&dicts[3], 3);
-        ecc_a.update_worker(&mut cluster_a, 3, &updated).unwrap();
+        ecc_a.save_delta(&mut cluster_a, &[dirty(3, &updated)]).unwrap();
         dicts[3] = updated;
         // A fresh engine doing a full save of the same state must store
         // identical chunk bytes.
@@ -2343,15 +2093,15 @@ mod incremental_tests {
     fn identical_state_update_changes_nothing() {
         let (_, mut cluster, mut ecc, dicts) = setup();
         ecc.save(&mut cluster, &dicts).unwrap();
-        let changed = ecc.update_worker(&mut cluster, 0, &dicts[0]).unwrap();
-        assert_eq!(changed, 0);
+        let report = ecc.save_delta(&mut cluster, &[dirty(0, &dicts[0])]).unwrap();
+        assert_eq!(report.changed_bytes, 0);
     }
 
     #[test]
     fn update_before_save_errors() {
         let (_, mut cluster, mut ecc, dicts) = setup();
         assert!(matches!(
-            ecc.update_worker(&mut cluster, 0, &dicts[0]),
+            ecc.save_delta(&mut cluster, &[dirty(0, &dicts[0])]),
             Err(EcCheckError::NoCheckpoint)
         ));
     }
@@ -2361,7 +2111,7 @@ mod incremental_tests {
         let (_, mut cluster, mut ecc, dicts) = setup();
         ecc.save(&mut cluster, &dicts).unwrap();
         assert!(matches!(
-            ecc.update_worker(&mut cluster, 8, &dicts[0]),
+            ecc.save_delta(&mut cluster, &[dirty(8, &dicts[0])]),
             Err(EcCheckError::Config { .. })
         ));
     }
@@ -2374,13 +2124,13 @@ mod incremental_tests {
         ecc.save(&mut cluster, &dicts).unwrap();
         cluster.fail_node(3);
         assert!(matches!(
-            ecc.update_worker(&mut cluster, 0, &dicts[0]),
+            ecc.save_delta(&mut cluster, &[dirty(0, &dicts[0])]),
             Err(EcCheckError::Cluster(ecc_cluster::ClusterError::NodeDown { node: 3 }))
         ));
         // After replacement + load, updates work again.
         cluster.replace_node(3);
         ecc.load(&mut cluster).unwrap();
-        ecc.update_worker(&mut cluster, 0, &dicts[0]).unwrap();
+        ecc.save_delta(&mut cluster, &[dirty(0, &dicts[0])]).unwrap();
     }
 
     #[test]
@@ -2395,13 +2145,14 @@ mod incremental_tests {
         let updated = mutate(&dicts[2], 2);
         // Patching would fold the corrupt bytes under a fresh checksum.
         assert!(matches!(
-            ecc.update_worker(&mut cluster, 2, &updated),
+            ecc.save_delta(&mut cluster, &[dirty(2, &updated)]),
             Err(EcCheckError::CorruptChunk { node: 1 })
         ));
         // load() repairs the chunk; the update then applies cleanly and
         // the new state survives failures.
+        assert_eq!(ecc.recorder().snapshot().counter("ecc.delta.corrupt_chunks"), 1);
         ecc.load(&mut cluster).unwrap();
-        ecc.update_worker(&mut cluster, 2, &updated).unwrap();
+        ecc.save_delta(&mut cluster, &[dirty(2, &updated)]).unwrap();
         dicts[2] = updated;
         cluster.fail_node(0);
         cluster.fail_node(2);
@@ -2486,10 +2237,7 @@ mod shape_tests {
         let mut cluster = Cluster::new(spec);
         let mut ecc = EcCheck::initialize(
             &spec,
-            EcCheckConfig::paper_defaults()
-                .with_km(3, 1)
-                .with_packet_size(256)
-                .with_remote_flush_every(0),
+            EcCheckConfig::paper_defaults().with_km(3, 1).with_packet_size(256),
         )
         .unwrap();
         ecc.save(&mut cluster, &dicts(12)).unwrap();
@@ -2533,10 +2281,7 @@ mod store_tests {
     use ecc_cluster::{Cluster, ClusterSpec, SharedPlane};
 
     fn cfg() -> EcCheckConfig {
-        EcCheckConfig::paper_defaults()
-            .with_packet_size(256)
-            .with_coding_threads(2)
-            .with_remote_flush_every(0)
+        EcCheckConfig::paper_defaults().with_packet_size(256).with_coding_threads(2)
     }
 
     /// Per-round worker states with tensor shapes that do NOT depend on
@@ -2663,32 +2408,6 @@ mod store_tests {
             assert_eq!(restored, saved[&v], "version {v}");
             assert_eq!(report.version, v);
         }
-    }
-
-    #[test]
-    fn save_delta_matches_update_worker_blob_for_blob() {
-        // `update_worker` is now sugar for a single-worker `save_delta`;
-        // this pins the two entry points to byte-identical plane state.
-        let spec = ClusterSpec::tiny_test(4, 2);
-        let base = dicts(8, 0);
-        let updated = dicts(8, 1);
-
-        let mut cluster_a = Cluster::new(spec);
-        let mut ecc_a = EcCheck::initialize(&spec, cfg()).unwrap();
-        ecc_a.save(&mut cluster_a, &base).unwrap();
-        let changed_a = ecc_a.update_worker(&mut cluster_a, 3, &updated[3]).unwrap();
-
-        let mut cluster_b = Cluster::new(spec);
-        let mut ecc_b = EcCheck::initialize(&spec, cfg()).unwrap();
-        ecc_b.save(&mut cluster_b, &base).unwrap();
-        let dirty = [WorkerDirtySet { worker: 3, state: &updated[3] }];
-        let report = ecc_b.save_delta(&mut cluster_b, &dirty).unwrap();
-
-        assert!(changed_a > 0);
-        assert_eq!(report.changed_bytes, changed_a);
-        assert_eq!(report.workers, vec![3]);
-        assert_eq!(report.chunks_patched, 1);
-        assert_eq!(version_blobs(&cluster_a, 1, 8), version_blobs(&cluster_b, 1, 8));
     }
 
     #[test]

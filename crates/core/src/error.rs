@@ -28,7 +28,7 @@ pub enum EcCheckError {
     /// No checkpoint has been saved yet.
     NoCheckpoint,
     /// A stored chunk failed its checksum during an in-place patch
-    /// ([`crate::EcCheck::update_worker`]). Run [`crate::EcCheck::load`]
+    /// ([`crate::EcCheck::save_delta`]). Run [`crate::EcCheck::load`]
     /// first: it treats the corruption as an erasure and repairs the
     /// chunk from the surviving ones.
     CorruptChunk {

@@ -11,9 +11,15 @@ pub fn chunk_key(version: u64) -> String {
     format!("ecc/v{version}/chunk")
 }
 
+/// Key of the checksum frame guarding the blob stored under `key`, in
+/// either tier — the one place the sibling-key format is spelled out.
+pub(crate) fn crc_key(key: &str) -> String {
+    format!("{key}.crc")
+}
+
 /// Key of the checksum frame guarding [`chunk_key`].
 pub fn chunk_crc_key(version: u64) -> String {
-    format!("ecc/v{version}/chunk.crc")
+    crc_key(&chunk_key(version))
 }
 
 /// Key of `worker`'s broadcast decomposition header for `version`.
@@ -23,7 +29,7 @@ pub fn header_key(version: u64, worker: usize) -> String {
 
 /// Key of the checksum frame guarding [`header_key`].
 pub fn header_crc_key(version: u64, worker: usize) -> String {
-    format!("ecc/v{version}/hdr/{worker}.crc")
+    crc_key(&header_key(version, worker))
 }
 
 /// Key of the packet-layout manifest for `version`.
@@ -39,7 +45,7 @@ pub fn remote_chunk_key(version: u64, node: usize) -> String {
 /// Remote-storage key of the checksum frame guarding
 /// [`remote_chunk_key`].
 pub fn remote_chunk_crc_key(version: u64, node: usize) -> String {
-    format!("remote/ecc/v{version}/chunk/{node}.crc")
+    crc_key(&remote_chunk_key(version, node))
 }
 
 /// Remote-storage key of `worker`'s header for `version`.
@@ -50,7 +56,7 @@ pub fn remote_header_key(version: u64, worker: usize) -> String {
 /// Remote-storage key of the checksum frame guarding
 /// [`remote_header_key`].
 pub fn remote_header_crc_key(version: u64, worker: usize) -> String {
-    format!("remote/ecc/v{version}/hdr/{worker}.crc")
+    crc_key(&remote_header_key(version, worker))
 }
 
 /// Remote-storage key of the manifest for `version`.
@@ -142,7 +148,7 @@ pub fn key_version(key: &str) -> Option<u64> {
 /// manifest on some alive node, so a fresh process can adopt a
 /// checkpoint it did not write (see `EcCheck::adopt_version`). Returns
 /// `None` when no alive node holds a manifest. Remote storage is not
-/// probed: it has no key listing and is only flushed periodically, so
+/// probed: it has no key listing and only holds drained versions, so
 /// its newest manifest may lag the cluster's.
 pub fn latest_manifest_version(plane: &impl ecc_cluster::DataPlane) -> Option<u64> {
     let mut latest = None;

@@ -12,11 +12,15 @@
 //! * [`EcCheck::initialize`] — chooses the encoding matrix, selects data
 //!   and parity nodes with the sweep-line placement (§IV-B-1), plans XOR
 //!   reduction targets (§IV-B-2), and sizes the buffer pools.
-//! * [`EcCheck::save`] — the four-step checkpoint: DtoH offload,
-//!   decompose + broadcast headers, pipelined encode → XOR-reduce → P2P,
-//!   and (at low frequency) a remote-storage flush (§III-A, Fig. 5).
+//! * [`EcCheck::save`] — the checkpoint's first three steps: DtoH
+//!   offload, decompose + broadcast headers, pipelined encode →
+//!   XOR-reduce → P2P (§III-A, Fig. 5). The fourth, the low-frequency
+//!   copy to remote storage, is [`store::drain_version`] — run by an
+//!   attached [`Drainer`] or called from the training loop. Nothing
+//!   reaches remote storage otherwise.
 //! * [`EcCheck::load`] — the two recovery workflows: resend when all
-//!   data nodes survive, decode otherwise (§III-B, Fig. 7).
+//!   data nodes survive, decode otherwise (§III-B, Fig. 7); with fewer
+//!   than `k` chunks left in memory, the drained copy is restored.
 //!
 //! Two execution planes back the API (see DESIGN.md): `save`/`load` move
 //! *real bytes* through an [`ecc_cluster::Cluster`], so recovery is

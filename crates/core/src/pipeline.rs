@@ -154,9 +154,6 @@ fn occupancy(busy_ns: u64, wall_ns: u64, lanes: u64) -> f64 {
 pub(crate) struct PipelineJob<'a> {
     pub version: u64,
     pub data_chunks: Vec<Vec<u8>>,
-    /// Keep owned copies of every chunk for the remote flush instead of
-    /// moving them into the store.
-    pub keep_chunks: bool,
     pub code: &'a ErasureCode,
     pub placement: &'a Placement,
     pub reduction: &'a ReductionPlan,
@@ -170,10 +167,6 @@ pub(crate) struct PipelineJob<'a> {
     pub fail_encode_task: Option<u64>,
 }
 
-/// `(data chunks, parity chunks)` handed back when the caller asked to
-/// keep them (remote flush).
-pub(crate) type KeptChunks = (Vec<Vec<u8>>, Vec<Vec<u8>>);
-
 /// What [`run`] produced, beyond the cluster-side effects.
 pub(crate) struct PipelineOutcome {
     pub encoded_bytes: u64,
@@ -185,8 +178,6 @@ pub(crate) struct PipelineOutcome {
     /// First/last instants of transfer-stage activity, for `save.place`.
     pub place_begin_ns: u64,
     pub place_end_ns: u64,
-    /// `(data, parity)` chunks, present when `keep_chunks` was set.
-    pub kept: Option<KeptChunks>,
 }
 
 /// One affected data column of a pipelined delta save.
@@ -428,7 +419,6 @@ pub(crate) fn run(
     let PipelineJob {
         version,
         data_chunks,
-        keep_chunks,
         code,
         placement,
         reduction,
@@ -477,7 +467,6 @@ pub(crate) fn run(
         version,
         geo,
         delta: false,
-        keep_chunks,
         placement,
         col_ids: (0..geo.k).collect(),
         col_nodes: placement.data_nodes().to_vec(),
@@ -492,7 +481,6 @@ pub(crate) fn run(
         parity_crcs: vec![vec![vec![0u32; geo.stripes]; geo.w]; geo.m],
         stripes_done: 0,
         reduce_spans: Vec::with_capacity(geo.stripes),
-        kept_data: Vec::new(),
         busy_ns: 0,
         place_begin_ns: u64::MAX,
         place_end_ns: 0,
@@ -589,16 +577,6 @@ pub(crate) fn run(
     recorder.counter("erasure.encode.parity_bytes").add((geo.m * geo.chunk_len) as u64);
     recorder.record("erasure.encode.ns", encode_end - encode_begin);
 
-    let kept = if keep_chunks {
-        let data = driver
-            .kept_data
-            .drain(..)
-            .map(|arc| Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()))
-            .collect();
-        Some((data, std::mem::take(&mut driver.parity)))
-    } else {
-        None
-    };
     Ok(PipelineOutcome {
         encoded_bytes: (geo.m * geo.chunk_len) as u64,
         stats,
@@ -606,7 +584,6 @@ pub(crate) fn run(
         encode_end_ns: encode_end,
         place_begin_ns: place_begin,
         place_end_ns: place_end,
-        kept,
     })
 }
 
@@ -685,7 +662,6 @@ pub(crate) fn run_delta(
         version,
         geo,
         delta: true,
-        keep_chunks: false,
         placement,
         col_ids,
         col_nodes,
@@ -700,7 +676,6 @@ pub(crate) fn run_delta(
         parity_crcs: Vec::new(),
         stripes_done: 0,
         reduce_spans: Vec::with_capacity(geo.stripes),
-        kept_data: Vec::new(),
         busy_ns: 0,
         place_begin_ns: u64::MAX,
         place_end_ns: 0,
@@ -786,7 +761,6 @@ pub(crate) fn run_delta(
         encode_end_ns: encode_end,
         place_begin_ns: place_begin,
         place_end_ns: place_end,
-        kept: None,
     })
 }
 
@@ -1130,7 +1104,6 @@ struct Driver<'a> {
     /// an in-place patch has no version rotation to shield a torn
     /// update, so nothing lands until the whole delta encoded cleanly.
     delta: bool,
-    keep_chunks: bool,
     placement: &'a Placement,
     /// Dense column → true data-column index (identity on full saves).
     col_ids: Vec<usize>,
@@ -1153,7 +1126,6 @@ struct Driver<'a> {
     parity_crcs: Vec<Vec<Vec<u32>>>,
     stripes_done: usize,
     reduce_spans: Vec<(usize, u64, u64)>,
-    kept_data: Vec<Arc<Vec<u8>>>,
     busy_ns: u64,
     place_begin_ns: u64,
     place_end_ns: u64,
@@ -1270,15 +1242,10 @@ impl Driver<'_> {
             (crc.expect("placed only when ready"), (hi - lo) as u64)
         }));
         let arc = self.data[col].take().expect("each data chunk placed once");
-        let bytes = if self.keep_chunks {
-            self.kept_data.push(Arc::clone(&arc));
-            (*arc).clone()
-        } else {
-            // A move when the encode stage is already done with this
-            // chunk (its task-list `Arc` clones dropped), a copy — like
-            // the sequential path's — otherwise.
-            Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone())
-        };
+        // A move when the encode stage is already done with this chunk
+        // (its task-list `Arc` clones dropped), a copy — like the
+        // sequential path's — otherwise.
+        let bytes = Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone());
         let node = self.col_nodes[col];
         self.store(node, bytes, crc, &format!("data chunk {}", self.col_ids[col]), cluster);
     }
@@ -1299,11 +1266,7 @@ impl Driver<'_> {
                 },
             ))
         };
-        let bytes = if self.keep_chunks {
-            self.parity[i].clone()
-        } else {
-            std::mem::take(&mut self.parity[i])
-        };
+        let bytes = std::mem::take(&mut self.parity[i]);
         let node = self.placement.parity_nodes()[i];
         self.store(node, bytes, crc, &format!("parity chunk {i}"), cluster);
     }

@@ -15,8 +15,6 @@ pub struct SaveReport {
     pub encoded_bytes: u64,
     /// Communication accounting for the encode/XOR/P2P phases.
     pub traffic: TrafficSummary,
-    /// Whether this save also flushed to remote storage (step 4).
-    pub remote_flushed: bool,
     /// Stage accounting of the pipelined executor; `None` for
     /// sequential saves.
     pub pipeline: Option<PipelineStats>,
@@ -60,7 +58,7 @@ pub enum RecoveryWorkflow {
     /// through the inverted survivor submatrix.
     Decode,
     /// Fewer than `k` chunks survived in memory; the checkpoint was
-    /// reloaded from the low-frequency remote copy.
+    /// reloaded from the drained tier-1 copy.
     Remote,
 }
 

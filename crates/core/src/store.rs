@@ -24,15 +24,16 @@
 //!   waits on the training thread, while the training thread blocks
 //!   (at most) on the bounded queue that the drain thread is actively
 //!   emptying.
-//! * [`drain_version`] — the synchronous tier-0 → tier-1 copy itself,
+//! * [`drain_version`] — the synchronous tier-0 → tier-1 copy itself
+//!   and the only code in this crate that writes tier 1,
 //!   checksum-verified blob by blob, re-reading the committed
 //!   placement epoch at copy time so node churn between enqueue and
 //!   drain is observed rather than raced. Remote keys are per-node
 //!   (`remote/ecc/v{v}/chunk/{node}`), so the copy stays correct
 //!   whatever incarnation currently owns a slot.
 //! * [`WorkerDirtySet`] — one worker's dirty shard for
-//!   [`crate::EcCheck::save_delta`], the GF-linear delta save that
-//!   generalizes `update_worker` to arbitrary dirty sets.
+//!   [`crate::EcCheck::save_delta`], the GF-linear delta save over an
+//!   arbitrary dirty set.
 
 use std::collections::BTreeSet;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -44,9 +45,8 @@ use ecc_cluster::DataPlane;
 use ecc_telemetry::Recorder;
 
 use crate::keys::{
-    chunk_crc_key, chunk_key, committed_epoch, header_crc_key, header_key, manifest_key,
-    remote_chunk_crc_key, remote_chunk_key, remote_header_crc_key, remote_header_key,
-    remote_manifest_key,
+    chunk_key, committed_epoch, crc_key, header_key, manifest_key, remote_chunk_key,
+    remote_header_key, remote_manifest_key,
 };
 use crate::{EcCheckConfig, EcCheckError};
 
@@ -188,35 +188,35 @@ pub fn drain_version<P: DataPlane>(
     let mut bytes_copied = 0u64;
     let mut skipped_corrupt = 0usize;
     for node in 0..n {
-        let blob = plane.get_local(node, &chunk_key(version));
-        let crc = plane.get_local(node, &chunk_crc_key(version));
-        let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-        if !verify_checksum(&blob, &crc) {
-            skipped_corrupt += 1;
-            recorder.counter("ecc.drain.skipped_corrupt").incr();
-            recorder.event("ecc.drain.corrupt", format!("v{version} node {node} failed checksum"));
-            continue;
+        match read_verified(plane, Tier::Local(node), &chunk_key(version)) {
+            Verified::Intact { blob, crc } => {
+                bytes_copied += (blob.len() + crc.len()) as u64;
+                let key = remote_chunk_key(version, node);
+                plane.put_remote(&key, blob);
+                plane.put_remote(&crc_key(&key), crc);
+                chunks_copied += 1;
+            }
+            Verified::Missing => {}
+            Verified::Corrupt => {
+                skipped_corrupt += 1;
+                recorder.counter("ecc.drain.skipped_corrupt").incr();
+                recorder
+                    .event("ecc.drain.corrupt", format!("v{version} node {node} failed checksum"));
+            }
         }
-        bytes_copied += (blob.len() + crc.len()) as u64;
-        plane.put_remote(&remote_chunk_key(version, node), blob);
-        plane.put_remote(&remote_chunk_crc_key(version, node), crc);
-        chunks_copied += 1;
     }
     for w in 0..world {
-        for node in 0..n {
-            if !plane.alive(node) {
-                continue;
+        let copy = (0..n).filter(|&node| plane.alive(node)).find_map(|node| {
+            match read_verified(plane, Tier::Local(node), &header_key(version, w)) {
+                Verified::Intact { blob, crc } => Some((blob, crc)),
+                Verified::Missing | Verified::Corrupt => None,
             }
-            let h = plane.get_local(node, &header_key(version, w));
-            let crc = plane.get_local(node, &header_crc_key(version, w));
-            let (Some(h), Some(crc)) = (h, crc) else { continue };
-            if !verify_checksum(&h, &crc) {
-                continue;
-            }
+        });
+        if let Some((h, crc)) = copy {
             bytes_copied += (h.len() + crc.len()) as u64;
-            plane.put_remote(&remote_header_key(version, w), h);
-            plane.put_remote(&remote_header_crc_key(version, w), crc);
-            break;
+            let key = remote_header_key(version, w);
+            plane.put_remote(&key, h);
+            plane.put_remote(&crc_key(&key), crc);
         }
     }
     bytes_copied += manifest.len() as u64;
@@ -228,6 +228,40 @@ pub fn drain_version<P: DataPlane>(
         format!("v{version} -> tier1: {chunks_copied} chunks, epoch {epoch:?}"),
     );
     Ok(DrainOutcome { version, epoch, chunks_copied, bytes_copied, skipped_corrupt })
+}
+
+/// Where a blob is read from: a node's memory (tier 0) or the remote
+/// store (tier 1).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tier {
+    Local(usize),
+    Remote,
+}
+
+/// Outcome of one checksum-verified blob read.
+pub(crate) enum Verified {
+    /// The blob is present and matches its stored checksum frame.
+    Intact { blob: Vec<u8>, crc: Vec<u8> },
+    /// The blob or its checksum frame is absent (or the node is dead).
+    Missing,
+    /// The blob is present but fails its checksum: silent corruption,
+    /// which every caller treats as an erasure and never as data.
+    Corrupt,
+}
+
+/// Reads the blob under `key` and the checksum frame beside it from
+/// `tier`, and verifies one against the other. Callers keep their own
+/// counters and events.
+pub(crate) fn read_verified(plane: &impl DataPlane, tier: Tier, key: &str) -> Verified {
+    let get = |key: &str| match tier {
+        Tier::Local(node) => plane.get_local(node, key),
+        Tier::Remote => plane.get_remote(key),
+    };
+    match (get(key), get(&crc_key(key))) {
+        (Some(blob), Some(crc)) if verify_checksum(&blob, &crc) => Verified::Intact { blob, crc },
+        (Some(_), Some(_)) => Verified::Corrupt,
+        _ => Verified::Missing,
+    }
 }
 
 enum DrainMsg {

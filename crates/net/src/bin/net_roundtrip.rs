@@ -122,7 +122,6 @@ fn engine_for(plane: &RemotePlane, opts: &Opts) -> (EcCheck, ClusterSpec, usize)
     let cfg = EcCheckConfig::paper_defaults()
         .with_km(opts.k, opts.m)
         .with_packet_size(256)
-        .with_remote_flush_every(0)
         .with_fetch_retries(2);
     let ecc = EcCheck::initialize(&spec, cfg)
         .unwrap_or_else(|e| fail(&format!("bad engine config: {e}")));

@@ -292,6 +292,10 @@ fn serve_connection<P: ServePlane>(
 ) -> Result<(), WireError> {
     stream.set_read_timeout(Some(cfg.socket_timeout))?;
     stream.set_write_timeout(Some(cfg.socket_timeout))?;
+    // A response leaves as a small length prefix followed by the
+    // payload; under Nagle the payload's tail segment waits out the
+    // client's delayed ACK (~40 ms per read). The client sets this too.
+    stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
     let mut writer = BufWriter::new(stream);
     loop {

@@ -32,7 +32,6 @@ fn engine() -> EcCheck {
     let cfg = EcCheckConfig::paper_defaults()
         .with_km(K, M)
         .with_packet_size(256)
-        .with_remote_flush_every(0)
         .with_fetch_retries(2)
         .with_fetch_backoff(0, 0);
     EcCheck::initialize(&spec, cfg).expect("valid engine config")
@@ -230,6 +229,23 @@ fn wire_plane_preserves_data_plane_semantics() {
     assert!(remote.fail_node(10_000).is_err());
     assert!(remote.replace_node(10_000).is_err());
 
+    server.shutdown();
+}
+
+/// A header-sized response must not stall on Nagle meeting delayed
+/// ACK: the server sets `TCP_NODELAY` on accepted sockets. With it off,
+/// each of these reads waits ~40 ms for the client's delayed ACK.
+#[test]
+fn header_sized_reads_do_not_stall_on_nagle() {
+    let (server, addr) = start_server();
+    let mut plane = RemotePlane::connect(&addr).expect("connect");
+    plane.put_local(0, "hdr", vec![0xA5; 25 * 1024]).expect("put");
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        assert_eq!(plane.get_local(0, "hdr").map(|b| b.len()), Some(25 * 1024));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed.as_millis() < 200, "20 reads of 25 KiB took {elapsed:?}");
     server.shutdown();
 }
 

@@ -23,7 +23,7 @@ fn golden_hub() -> ObsHub {
     recorder.record("ecc.save.ns", 100_000_000);
     recorder.record("ecc.save.ns", 130_000_000);
     recorder.record("ecc.load.ns", 700_000_000);
-    recorder.event("ecc.save", "version=1 packets_per_worker=4 flushed=false");
+    recorder.event("ecc.save", "version=1 packets_per_worker=4");
     recorder.event("chaos.fault.crash_nodes", "nodes [2] — zählt als Ausfall ✓");
 
     let health =

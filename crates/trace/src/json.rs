@@ -68,18 +68,18 @@ impl Json {
 /// Returns a human-readable message (with byte offset) on malformed
 /// input or trailing garbage.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing characters at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -89,7 +89,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -121,7 +121,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -152,7 +152,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let lexeme = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let lexeme = &self.text[start..self.pos];
         match lexeme.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Json::Num(n, lexeme.to_string())),
             _ => self.err("malformed number"),
@@ -181,11 +181,8 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| {
+                            let hex =
+                                self.text.get(self.pos + 1..self.pos + 5).ok_or_else(|| {
                                     format!("truncated \\u escape at byte {}", self.pos)
                                 })?;
                             let code = u32::from_str_radix(hex, 16)
@@ -200,12 +197,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both delimiters are ASCII, so `pos` stays on a
+                    // char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -290,6 +288,19 @@ mod tests {
     #[test]
     fn unescapes_unicode() {
         assert_eq!(parse("\"\\u0041\\u00e9\"").unwrap().as_str(), Some("Aé"));
+    }
+
+    /// `string` used to re-validate the whole remainder as UTF-8 for
+    /// every character: quadratic, a minute on a 3.5 MB trace.
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        let item = format!("\"{}é\\n\"", "x".repeat(4096));
+        let doc = format!("[{}]", vec![item; 1024].join(","));
+        assert!(doc.len() >= 4 << 20);
+        let parsed = parse(&doc).unwrap();
+        let items = parsed.as_arr().unwrap();
+        assert_eq!(items.len(), 1024);
+        assert_eq!(items[1023].as_str().map(str::len), Some(4096 + 2 + 1));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use ecc_cluster::{Cluster, ClusterSpec};
 use ecc_dnn::{build_worker_state_dict, ModelConfig, ParallelismSpec, StateDictSpec};
-use eccheck::{optimal_group_size, EcCheck, EcCheckConfig, GroupedEcCheck};
+use eccheck::{optimal_group_size, EcCheck, EcCheckConfig, GroupedEcCheck, WorkerDirtySet};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let recorder = ecc_telemetry::Recorder::new();
@@ -75,9 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ecc.set_recorder(recorder.clone());
     ecc.save(&mut cluster4, &dicts4)?;
     let updated = build_worker_state_dict(&StateDictSpec { seed: 42, ..sd4 }, 5)?;
-    let changed = ecc.update_worker(&mut cluster4, 5, &updated)?;
+    let delta = ecc.save_delta(&mut cluster4, &[WorkerDirtySet { worker: 5, state: &updated }])?;
     dicts4[5] = updated;
-    println!("incremental update of worker 5 touched {changed} delta bytes");
+    println!("incremental update of worker 5 touched {} delta bytes", delta.changed_bytes);
     cluster4.fail_node(0);
     cluster4.fail_node(2);
     cluster4.replace_node(0);

@@ -16,6 +16,7 @@
 
 use ecc_cluster::{Cluster, ClusterSpec};
 use ecc_dnn::{build_worker_state_dict, ModelConfig, ParallelismSpec, StateDictSpec};
+use eccheck::store::drain_version;
 use eccheck::{EcCheck, EcCheckConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,6 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.packet_size,
         report.traffic.total()
     );
+
+    // The paper's step 4, the low-frequency copy to remote storage, is
+    // the training loop's cadence, not the engine's: nothing reaches
+    // tier 1 unless a `Drainer` is attached or the loop drains itself.
+    if sd_spec.iteration.is_multiple_of(50) {
+        drain_version(&mut cluster, ecc.version(), spec.world_size(), ecc.recorder())?;
+    }
 
     // Catastrophe: a data node AND a parity node die at once. A
     // replication pair scheme (GEMINI) would lose data here.

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use ecc_chaos::{run_campaign, CampaignConfig, ChaosConfig, ChaosPlane};
 use ecc_cluster::{Cluster, ClusterSpec, FailureModel};
 use ecc_dnn::{build_worker_state_dict, ModelConfig, ParallelismSpec, StateDictSpec};
+use eccheck::store::drain_version;
 use eccheck::{EcCheck, EcCheckConfig, EcCheckError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,11 +39,9 @@ fn random_failure_bursts_never_corrupt_state() {
 
     for trial in 0..20u64 {
         let mut cluster = Cluster::new(spec);
-        let mut ecc = EcCheck::initialize(
-            &spec,
-            EcCheckConfig::paper_defaults().with_packet_size(2048).with_remote_flush_every(0),
-        )
-        .unwrap();
+        let mut ecc =
+            EcCheck::initialize(&spec, EcCheckConfig::paper_defaults().with_packet_size(2048))
+                .unwrap();
         let mut rng = StdRng::seed_from_u64(trial);
         let mut current = dicts(0);
         ecc.save(&mut cluster, &current).unwrap();
@@ -110,11 +109,8 @@ fn random_failure_bursts_never_corrupt_state() {
 fn crash_between_gather_and_restore_is_survivable() {
     let spec = ClusterSpec::tiny_test(4, 2);
     let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(7));
-    let mut ecc = EcCheck::initialize(
-        &spec,
-        EcCheckConfig::paper_defaults().with_packet_size(2048).with_remote_flush_every(0),
-    )
-    .unwrap();
+    let mut ecc =
+        EcCheck::initialize(&spec, EcCheckConfig::paper_defaults().with_packet_size(2048)).unwrap();
     let current = dicts(1);
     ecc.save(&mut plane, &current).unwrap();
 
@@ -147,10 +143,7 @@ fn transient_read_outages_are_absorbed_by_bounded_retries() {
         ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(3).with_transient_get(1.0, 1));
     let mut ecc = EcCheck::initialize(
         &spec,
-        EcCheckConfig::paper_defaults()
-            .with_packet_size(2048)
-            .with_remote_flush_every(0)
-            .with_fetch_retries(2),
+        EcCheckConfig::paper_defaults().with_packet_size(2048).with_fetch_retries(2),
     )
     .unwrap();
     plane.set_recorder(ecc.recorder().clone());
@@ -181,18 +174,17 @@ fn seeded_chaos_campaigns_uphold_recovery_contract() {
 }
 
 #[test]
-fn chaos_with_remote_flush_always_recovers() {
+fn chaos_with_a_drained_copy_always_recovers() {
     let spec = ClusterSpec::tiny_test(4, 2);
     let failure = FailureModel::new(0.5).unwrap();
     for trial in 0..8u64 {
         let mut cluster = Cluster::new(spec);
-        let mut ecc = EcCheck::initialize(
-            &spec,
-            EcCheckConfig::paper_defaults().with_packet_size(2048).with_remote_flush_every(1),
-        )
-        .unwrap();
+        let mut ecc =
+            EcCheck::initialize(&spec, EcCheckConfig::paper_defaults().with_packet_size(2048))
+                .unwrap();
         let current = dicts(trial);
         ecc.save(&mut cluster, &current).unwrap();
+        drain_version(&mut cluster, 1, spec.world_size(), ecc.recorder()).unwrap();
         let scenario = failure.sample(4, trial + 99);
         for &n in scenario.failed() {
             cluster.fail_node(n);

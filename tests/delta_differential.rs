@@ -47,7 +47,7 @@ fn local_fingerprint(cluster: &Cluster, nodes: usize) -> Vec<(usize, String, Vec
 }
 
 fn base_config(k: usize, m: usize) -> EcCheckConfig {
-    EcCheckConfig::paper_defaults().with_km(k, m).with_packet_size(256).with_remote_flush_every(0)
+    EcCheckConfig::paper_defaults().with_km(k, m).with_packet_size(256)
 }
 
 /// The differential core: full save of `salt` state, delta-save the

@@ -4,6 +4,7 @@
 
 use ecc_cluster::{Cluster, ClusterSpec};
 use ecc_dnn::{build_worker_state_dict, ModelConfig, ParallelismSpec, StateDictSpec};
+use eccheck::store::drain_version;
 use eccheck::{EcCheck, EcCheckConfig, RecoveryWorkflow};
 
 fn tiny_model(family: &str) -> ModelConfig {
@@ -125,17 +126,13 @@ fn sequential_failures_across_checkpoints() {
 }
 
 #[test]
-fn catastrophic_failure_recovers_from_remote_flush() {
+fn catastrophic_failure_recovers_from_the_drained_copy() {
     let spec = ClusterSpec::tiny_test(4, 4);
     let mut cluster = Cluster::new(spec);
-    let mut ecc = EcCheck::initialize(
-        &spec,
-        EcCheckConfig::paper_defaults().with_packet_size(4096).with_remote_flush_every(1), // flush on every save
-    )
-    .unwrap();
+    let mut ecc = engine(&spec);
     let dicts = paper_shaped_dicts("gpt2", 42);
     let report = ecc.save(&mut cluster, &dicts).unwrap();
-    assert!(report.remote_flushed);
+    drain_version(&mut cluster, report.version, spec.world_size(), ecc.recorder()).unwrap();
 
     // Lose more than m nodes — in-memory recovery is impossible.
     for n in 0..4 {

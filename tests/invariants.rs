@@ -132,8 +132,7 @@ proptest! {
             EcCheckConfig::paper_defaults()
                 .with_km(k, m)
                 .with_packet_size(256)
-                .with_coding_threads(1)
-                .with_remote_flush_every(0),
+                .with_coding_threads(1),
         )
         .unwrap();
         let dicts = engine_dicts(spec.world_size());
@@ -170,8 +169,7 @@ proptest! {
             EcCheckConfig::paper_defaults()
                 .with_km(k, m)
                 .with_packet_size(256)
-                .with_coding_threads(1)
-                .with_remote_flush_every(0),
+                .with_coding_threads(1),
         )
         .unwrap();
         let dicts = engine_dicts(spec.world_size());

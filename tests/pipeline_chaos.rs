@@ -34,7 +34,6 @@ fn pipelined_config(threads: usize) -> EcCheckConfig {
         .with_save_mode(SaveMode::Pipelined)
         .with_coding_threads(threads)
         .with_pipeline_buffer(64)
-        .with_remote_flush_every(0)
 }
 
 #[test]

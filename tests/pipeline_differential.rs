@@ -10,6 +10,7 @@
 
 use ecc_checkpoint::{StateDict, Value};
 use ecc_cluster::{Cluster, ClusterSpec};
+use eccheck::store::drain_version;
 use eccheck::{keys, EcCheck, EcCheckConfig, SaveMode};
 use proptest::prelude::*;
 
@@ -136,24 +137,18 @@ fn checkpoints_load_back_from_either_mode_after_failures() {
 }
 
 #[test]
-fn remote_flush_is_mode_independent() {
-    let seq = run_saves(
+fn drained_copy_is_mode_independent() {
+    let mut seq = run_saves(4, 1, base_config(2, 2).with_save_mode(SaveMode::Sequential), 1, 0);
+    let mut pipe = run_saves(
         4,
         1,
-        base_config(2, 2).with_save_mode(SaveMode::Sequential).with_remote_flush_every(1),
+        base_config(2, 2).with_save_mode(SaveMode::Pipelined).with_pipeline_buffer(96),
         1,
         0,
     );
-    let pipe = run_saves(
-        4,
-        1,
-        base_config(2, 2)
-            .with_save_mode(SaveMode::Pipelined)
-            .with_pipeline_buffer(96)
-            .with_remote_flush_every(1),
-        1,
-        0,
-    );
+    for saved in [&mut seq, &mut pipe] {
+        drain_version(&mut saved.cluster, 1, 4, saved.ecc.recorder()).expect("v1 is sealed");
+    }
     assert_eq!(pipe.cluster.remote_used(), seq.cluster.remote_used());
     let world = 4;
     let mut remote_keys: Vec<String> = vec![keys::remote_manifest_key(1)];

@@ -52,7 +52,6 @@ fn config(keep_last: usize, keep_every: u64, mode: SaveMode) -> EcCheckConfig {
         .with_km(2, 2)
         .with_packet_size(256)
         .with_coding_threads(2)
-        .with_remote_flush_every(0)
         .with_save_mode(mode)
         .with_retain_last(keep_last)
         .with_retain_every(keep_every)

@@ -49,7 +49,6 @@ fn config(mode: SaveMode) -> EcCheckConfig {
         .with_km(2, 2)
         .with_packet_size(256)
         .with_coding_threads(2)
-        .with_remote_flush_every(0)
         .with_save_mode(mode)
         .with_retain_last(2)
         .with_retain_every(2)
