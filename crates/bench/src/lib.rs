@@ -9,21 +9,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod deltabench;
-mod kernelbench;
 mod obs;
-mod perf;
-mod pipelinebench;
 mod telemetry;
 mod trace;
 
-pub use deltabench::{DeltaBenchReport, DeltaShapePerf};
-pub use kernelbench::{
-    default_threads, EncodePerf, KernelBenchReport, RegionOpPerf, DEFAULT_REGION_SIZES, POOL_GATE,
-};
 pub use obs::{obs_session_from_args, ObsSession};
-pub use perf::{PerfReport, ShapePerf};
-pub use pipelinebench::{PipelineBenchReport, PipelineShapePerf};
 pub use telemetry::{print_live_telemetry, print_schedule_comparison};
 pub use trace::{
     arg_value, engine_trace_json, sim_save_trace_json, trace_path_from_args,

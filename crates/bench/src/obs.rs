@@ -1,11 +1,11 @@
-//! Shared `--obs` wiring for the bench binaries.
+//! Shared `--obs` wiring for the examples.
 //!
-//! Every bench binary accepts `--obs HOST:PORT` to serve the live
+//! Every example accepts `--obs HOST:PORT` to serve the live
 //! observability plane (`/metrics`, `/health`, `/ready`, `/events`)
 //! while it runs, and `--obs-hold-ms N` to keep the exporter up after
 //! the run finishes so a scraper (`ecc-top`, CI curl) can grab the
-//! final state. The binaries record into the session's `Recorder`, so
-//! gate downgrades and run telemetry land in the same scrape.
+//! final state. The example's engine records into the session's
+//! `Recorder`, so the scrape carries the run's telemetry.
 
 use std::sync::Arc;
 
@@ -14,7 +14,7 @@ use ecc_telemetry::Recorder;
 
 use crate::arg_value;
 
-/// A live exporter session owned by a bench binary.
+/// A live exporter session owned by an example.
 ///
 /// Constructed from the command line via [`obs_session_from_args`];
 /// call [`ObsSession::finish`] after the run to honour `--obs-hold-ms`
@@ -25,7 +25,7 @@ pub struct ObsSession {
 }
 
 impl ObsSession {
-    /// The recorder the exporter scrapes; bench code reports into it.
+    /// The recorder the exporter scrapes; the example reports into it.
     pub fn recorder(&self) -> Recorder {
         self.server.hub().recorder().clone()
     }

@@ -41,8 +41,6 @@ pub struct EcCheckConfig {
     m: usize,
     w: u8,
     packet_size: usize,
-    data_buffers: usize,
-    encoding_buffers: usize,
     coding_threads: usize,
     schedule: ScheduleKind,
     use_idle_slots: bool,
@@ -59,10 +57,9 @@ pub struct EcCheckConfig {
 
 impl EcCheckConfig {
     /// The paper's experimental settings (§V-B): `k = m = 2` over
-    /// GF(2^8), 64 MB packets, 12 data and 24 encoding buffers per
-    /// worker, idle-slot scheduling on. The paper's low-frequency remote
-    /// copy (step 4) is not a config knob: attach a
-    /// [`crate::store::Drainer`] or call
+    /// GF(2^8), 64 MB packets, idle-slot scheduling on. The paper's
+    /// low-frequency remote copy (step 4) is not a config knob: attach
+    /// a [`crate::store::Drainer`] or call
     /// [`crate::store::drain_version`] from the training loop.
     pub fn paper_defaults() -> Self {
         Self {
@@ -70,8 +67,6 @@ impl EcCheckConfig {
             m: 2,
             w: 8,
             packet_size: 64 << 20,
-            data_buffers: 12,
-            encoding_buffers: 24,
             coding_threads: 8,
             schedule: ScheduleKind::Smart,
             use_idle_slots: true,
@@ -126,13 +121,6 @@ impl EcCheckConfig {
     /// Overrides the packet (buffer) size in bytes.
     pub fn with_packet_size(mut self, bytes: usize) -> Self {
         self.packet_size = bytes;
-        self
-    }
-
-    /// Overrides the buffer pool sizes (data, encoding).
-    pub fn with_buffers(mut self, data: usize, encoding: usize) -> Self {
-        self.data_buffers = data;
-        self.encoding_buffers = encoding;
         self
     }
 
@@ -235,16 +223,6 @@ impl EcCheckConfig {
         self.packet_size
     }
 
-    /// Reserved data buffers per worker.
-    pub fn data_buffers(&self) -> usize {
-        self.data_buffers
-    }
-
-    /// Reserved encoding buffers per worker.
-    pub fn encoding_buffers(&self) -> usize {
-        self.encoding_buffers
-    }
-
     /// Coding thread-pool size.
     pub fn coding_threads(&self) -> usize {
         self.coding_threads
@@ -305,8 +283,8 @@ impl EcCheckConfig {
     /// # Errors
     ///
     /// Returns [`EcCheckError::Config`] when `k + m` does not equal the
-    /// node count, the packet size is not coding-aligned, the buffer
-    /// pools are empty, or the world size does not divide by `k`.
+    /// node count, the packet size is not coding-aligned, or the world
+    /// size does not divide by `k`.
     pub fn validate(&self, nodes: usize, world_size: usize) -> Result<(), EcCheckError> {
         if self.k + self.m != nodes {
             return Err(EcCheckError::Config {
@@ -325,11 +303,6 @@ impl EcCheckConfig {
                     "packet size {} must be a positive multiple of w*8 = {align}",
                     self.packet_size
                 ),
-            });
-        }
-        if self.data_buffers == 0 || self.encoding_buffers == 0 {
-            return Err(EcCheckError::Config {
-                detail: "buffer pools must be non-empty".to_string(),
             });
         }
         if self.pipeline_buffer == 0 {
@@ -358,7 +331,6 @@ mod tests {
         let c = EcCheckConfig::paper_defaults();
         assert_eq!((c.k(), c.m(), c.w()), (2, 2, 8));
         assert_eq!(c.packet_size(), 64 << 20);
-        assert_eq!((c.data_buffers(), c.encoding_buffers()), (12, 24));
         assert!(c.use_idle_slots());
     }
 
@@ -384,12 +356,6 @@ mod tests {
     fn validate_rejects_indivisible_world() {
         let c = EcCheckConfig::paper_defaults().with_km(3, 1);
         assert!(c.validate(4, 16).is_err()); // 16 % 3 != 0
-    }
-
-    #[test]
-    fn validate_rejects_empty_pools() {
-        let c = EcCheckConfig::paper_defaults().with_buffers(0, 4);
-        assert!(c.validate(4, 16).is_err());
     }
 
     #[test]

@@ -523,7 +523,6 @@ impl EcCheck {
                 packets.push(Packet::new(packets.len(), vec![0u8; ps]));
             }
         }
-        self.packets_per_worker = max_packets;
         drop(span);
         drop(phase);
 
@@ -578,6 +577,7 @@ impl EcCheck {
         // allows — never the version just sealed, never one still
         // pending a drain.
         self.version = version;
+        self.packets_per_worker = max_packets;
         self.index.record(version);
         if let Some(drain) = &self.drain {
             drain.enqueue(version, world);

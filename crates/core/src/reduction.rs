@@ -251,7 +251,18 @@ mod tests {
     /// checkpoint equals m × s × W.
     #[test]
     fn total_traffic_is_m_s_w() {
-        for (nodes, g, k, m) in [(4, 4, 2, 2), (4, 1, 2, 2), (6, 2, 3, 3), (8, 4, 4, 4)] {
+        // The last three rows are the k > m ladder (4,2), (6,3), (8,4)
+        // at 2 GPUs per node; k = 6 and 8 lie outside the property
+        // suite's `k in 1..6` range (`tests/invariants.rs`).
+        for (nodes, g, k, m) in [
+            (4, 4, 2, 2),
+            (4, 1, 2, 2),
+            (6, 2, 3, 3),
+            (8, 4, 4, 4),
+            (6, 2, 4, 2),
+            (9, 2, 6, 3),
+            (12, 2, 8, 4),
+        ] {
             let plan = plan_for(nodes, g, k, m);
             let s = 10u64;
             let w = (nodes * g) as u64;

@@ -233,15 +233,22 @@ pub fn drain_version<P: DataPlane>(
 /// Where a blob is read from: a node's memory (tier 0) or the remote
 /// store (tier 1).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Tier {
+pub enum Tier {
+    /// The in-memory store of the given node.
     Local(usize),
+    /// The remote persistent store.
     Remote,
 }
 
 /// Outcome of one checksum-verified blob read.
-pub(crate) enum Verified {
+pub enum Verified {
     /// The blob is present and matches its stored checksum frame.
-    Intact { blob: Vec<u8>, crc: Vec<u8> },
+    Intact {
+        /// The verified blob.
+        blob: Vec<u8>,
+        /// The checksum frame stored beside it.
+        crc: Vec<u8>,
+    },
     /// The blob or its checksum frame is absent (or the node is dead).
     Missing,
     /// The blob is present but fails its checksum: silent corruption,
@@ -252,7 +259,7 @@ pub(crate) enum Verified {
 /// Reads the blob under `key` and the checksum frame beside it from
 /// `tier`, and verifies one against the other. Callers keep their own
 /// counters and events.
-pub(crate) fn read_verified(plane: &impl DataPlane, tier: Tier, key: &str) -> Verified {
+pub fn read_verified(plane: &impl DataPlane, tier: Tier, key: &str) -> Verified {
     let get = |key: &str| match tier {
         Tier::Local(node) => plane.get_local(node, key),
         Tier::Remote => plane.get_remote(key),

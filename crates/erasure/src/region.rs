@@ -83,7 +83,7 @@ impl MulTable {
     }
 
     /// The underlying split nibble tables, for callers that drive a
-    /// [`ecc_gf::Kernel`] directly (e.g. the kernel bench harness).
+    /// [`ecc_gf::Kernel`] directly.
     pub fn split(&self) -> &Split8 {
         &self.split
     }
@@ -239,7 +239,7 @@ impl MulTable16 {
     }
 
     /// The underlying split tables, for callers that drive a
-    /// [`ecc_gf::Kernel`] directly (e.g. the kernel bench harness).
+    /// [`ecc_gf::Kernel`] directly.
     pub fn split(&self) -> &Split16 {
         &self.split
     }

@@ -42,8 +42,8 @@
 //!   `avx2`, `avx512`, `gfni`, `neon` or `auto`) before the first coding
 //!   operation. An unknown or unavailable name falls back to
 //!   auto-detection.
-//! * Call [`force_kernel`] at any time (used by `kernel-bench` to sweep
-//!   every kernel in one process).
+//! * Call [`force_kernel`] at any time (used by the kernel-equivalence
+//!   suites to sweep every kernel in one process).
 //!
 //! # Examples
 //!
@@ -347,8 +347,7 @@ fn mul16_scalar(t: &Split16, src: &[u8], dst: &mut [u8], accumulate: bool) {
 /// kernels handle unaligned heads/tails internally.
 pub trait Kernel: Send + Sync {
     /// Short stable name (`"scalar"`, `"ssse3"`, `"avx2"`, `"neon"`) —
-    /// used by the `ECC_KERNEL` override, telemetry counters and
-    /// `kernel-bench` reports.
+    /// used by the `ECC_KERNEL` override and telemetry counters.
     fn name(&self) -> &'static str;
 
     /// `dst[i] ^= src[i]` over the whole region.

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ecc_checkpoint::{checksum_frame, verify_checksum};
+use ecc_checkpoint::checksum_frame;
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthRegistry, NodeHealth, NodeId};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_telemetry::Recorder;
@@ -19,6 +19,7 @@ use eccheck::keys::{
     chunk_crc_key, chunk_key, encode_epoch, epoch_key, header_crc_key, header_key, key_version,
     manifest_key, placement_epoch_key,
 };
+use eccheck::store::{read_verified, Tier, Verified};
 use eccheck::{select_data_parity_nodes, EcCheckConfig, EcCheckError, Placement};
 
 use crate::{MemberState, MembershipError, MembershipTable, ShardMap};
@@ -514,13 +515,14 @@ impl PlacementController {
             if targets.contains(&entry.slot) || !plane.alive(entry.slot) {
                 continue;
             }
-            let blob = plane.get_local(entry.slot, &chunk_key(version));
-            let crc = plane.get_local(entry.slot, &chunk_crc_key(version));
-            let (Some(blob), Some(crc)) = (blob, crc) else { continue };
-            if !verify_checksum(&blob, &crc) {
-                self.recorder.counter("membership.migration.corrupt_survivors").incr();
-                continue;
-            }
+            let blob = match read_verified(plane, Tier::Local(entry.slot), &chunk_key(version)) {
+                Verified::Intact { blob, .. } => blob,
+                Verified::Missing => continue,
+                Verified::Corrupt => {
+                    self.recorder.counter("membership.migration.corrupt_survivors").incr();
+                    continue;
+                }
+            };
             read_bytes += blob.len() as u64;
             intact += 1;
             shards[entry.chunk] = Some(blob);
@@ -631,20 +633,12 @@ impl PlacementController {
                     detail: format!("slot {slot} (chunk {chunk}) is not alive"),
                 });
             }
-            let blob = plane.get_local(slot, &chunk_key(version));
-            let crc = plane.get_local(slot, &chunk_crc_key(version));
-            let (Some(blob), Some(crc)) = (blob, crc) else {
-                return Err(MembershipError::GuaranteeViolated {
-                    version,
-                    detail: format!("chunk {chunk} absent on slot {slot}"),
-                });
+            let detail = match read_verified(plane, Tier::Local(slot), &chunk_key(version)) {
+                Verified::Intact { .. } => continue,
+                Verified::Missing => format!("chunk {chunk} absent on slot {slot}"),
+                Verified::Corrupt => format!("chunk {chunk} on slot {slot} fails its checksum"),
             };
-            if !verify_checksum(&blob, &crc) {
-                return Err(MembershipError::GuaranteeViolated {
-                    version,
-                    detail: format!("chunk {chunk} on slot {slot} fails its checksum"),
-                });
-            }
+            return Err(MembershipError::GuaranteeViolated { version, detail });
         }
         Ok(())
     }

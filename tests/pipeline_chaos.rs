@@ -8,9 +8,9 @@
 //! must hold over saves written by the executor under fault pressure.
 
 use ecc_chaos::{ChaosConfig, ChaosPlane};
-use ecc_checkpoint::{StateDict, Value};
+use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec};
-use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, SaveMode};
+use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, SaveMode, WorkerDirtySet};
 
 fn dicts(world: usize, salt: u8) -> Vec<StateDict> {
     (0..world)
@@ -22,6 +22,24 @@ fn dicts(world: usize, salt: u8) -> Vec<StateDict> {
             sd.insert(
                 "payload",
                 Value::Bytes((0..len).map(|i| (i as u8) ^ (w as u8) ^ salt).collect()),
+            );
+            sd
+        })
+        .collect()
+}
+
+/// States whose tensor payload is `len` bytes per worker, so the packet
+/// count per worker follows `len` (the `Value::Bytes` payload of
+/// [`dicts`] rides in the header and never changes it).
+fn tensor_dicts(world: usize, len: usize, salt: u8) -> Vec<StateDict> {
+    (0..world)
+        .map(|w| {
+            let bytes: Vec<u8> = (0..len).map(|i| (i as u8) ^ (w as u8) ^ salt).collect();
+            let mut sd = StateDict::new();
+            sd.insert("rank", Value::Int(w as i64));
+            sd.insert(
+                "weights",
+                Value::Tensor(Tensor::from_bytes(DType::U8, &[len], bytes).expect("shape valid")),
             );
             sd
         })
@@ -117,6 +135,44 @@ fn worker_killed_mid_steal_fails_cleanly_and_keeps_the_old_checkpoint() {
             assert_eq!(report.version, 1, "threads={threads} fail_at={fail_at}");
             assert_eq!(restored, good, "threads={threads} fail_at={fail_at}");
         }
+    }
+}
+
+#[test]
+fn failed_save_with_a_different_packet_count_leaves_the_sealed_layout_alone() {
+    // The failed save packs into a different number of packets per
+    // worker than the sealed version, growing (1 -> 8) and shrinking
+    // (8 -> 1). Until a save seals, the engine must keep describing the
+    // version it can still restore.
+    for (sealed_len, failed_len) in [(100usize, 2000usize), (2000, 100)] {
+        let spec = ClusterSpec::tiny_test(4, 2);
+        let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(17));
+        let mut ecc = EcCheck::initialize(&spec, pipelined_config(2)).unwrap();
+        let good = tensor_dicts(8, sealed_len, 1);
+        ecc.save(&mut plane, &good).expect("fault-free save succeeds");
+
+        ecc.set_fail_encode_task(Some(0));
+        let failed = ecc.save(&mut plane, &tensor_dicts(8, failed_len, 2));
+        assert!(
+            matches!(failed, Err(EcCheckError::StageFailed { .. })),
+            "{sealed_len}->{failed_len}: {:?}",
+            failed.map(|r| r.version)
+        );
+        ecc.set_fail_encode_task(None);
+
+        assert_eq!(ecc.version(), 1, "{sealed_len}->{failed_len}");
+        let (restored, report) = ecc.load(&mut plane).expect("sealed version must survive");
+        assert_eq!(report.version, 1, "{sealed_len}->{failed_len}");
+        assert_eq!(restored, good, "{sealed_len}->{failed_len}");
+
+        let patched = tensor_dicts(8, sealed_len, 3).swap_remove(5);
+        let delta = ecc
+            .save_delta(&mut plane, &[WorkerDirtySet { worker: 5, state: &patched }])
+            .expect("delta on the sealed version still applies");
+        assert_eq!(delta.version, 1);
+        let (restored, _) = ecc.load(&mut plane).expect("patched version loads");
+        assert_eq!(restored[5], patched, "{sealed_len}->{failed_len}");
+        assert_eq!(restored[4], good[4], "{sealed_len}->{failed_len}");
     }
 }
 
