@@ -5,7 +5,7 @@
 //! and the final telemetry snapshot as JSON artifacts.
 //!
 //! ```text
-//! chaos-campaign [--seeds 0,1,2,3] [--rounds 8] [--save-mode pipelined] \
+//! chaos-campaign [--seeds 0,1,2,3] [--rounds 8] \
 //!     [--tiered] [--fault-log faults.json] [--fetch-log fetches.json] \
 //!     [--telemetry telemetry.json] \
 //!     [--obs 127.0.0.1:9184] [--obs-hold-ms 2000]
@@ -14,7 +14,7 @@
 //! `--tiered` swaps in the tiered-store campaign (mid-drain crashes,
 //! tier-1 loss, tier-0 heavy loss, delta torn-update refusal);
 //! `--fetch-log` writes each seed's tier-provenance fetch log, the
-//! artifact CI diffs across save executors.
+//! artifact CI checks for both tiers.
 //!
 //! With `--obs ADDR` the campaign serves the live observability plane
 //! (`/metrics`, `/health`, `/ready`, `/events`) while it runs; the
@@ -31,7 +31,6 @@ use ecc_chaos::{
 use ecc_cluster::{HealthConfig, HealthRegistry};
 use ecc_obs::{ObsHub, ObsHubConfig, ObsServer};
 use ecc_telemetry::Recorder;
-use eccheck::SaveMode;
 
 fn main() -> ExitCode {
     let mut seeds: Vec<u64> = (0..4).collect();
@@ -80,21 +79,10 @@ fn main() -> ExitCode {
                     std::process::exit(2);
                 });
             }
-            "--save-mode" => {
-                cfg.save_mode = match value("--save-mode").as_str() {
-                    "sequential" => SaveMode::Sequential,
-                    "pipelined" => SaveMode::Pipelined,
-                    other => {
-                        eprintln!("--save-mode wants 'sequential' or 'pipelined', got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: chaos-campaign [--seeds 0,1,2] [--rounds N] \
-                     [--save-mode sequential|pipelined] [--tiered] [--fault-log FILE] \
-                     [--fetch-log FILE] [--telemetry FILE] \
+                    "usage: chaos-campaign [--seeds 0,1,2] [--rounds N] [--tiered] \
+                     [--fault-log FILE] [--fetch-log FILE] [--telemetry FILE] \
                      [--obs HOST:PORT] [--obs-hold-ms N]"
                 );
                 return ExitCode::SUCCESS;
@@ -173,8 +161,7 @@ fn main() -> ExitCode {
     fetch_logs.push_str("\n]\n");
 
     println!(
-        "campaign ({:?} saves): {} seeds x {} rounds, {recovered} recovered, {refused} refused",
-        cfg.save_mode,
+        "campaign: {} seeds x {} rounds, {recovered} recovered, {refused} refused",
         seeds.len(),
         cfg.rounds
     );

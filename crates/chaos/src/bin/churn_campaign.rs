@@ -1,16 +1,16 @@
-//! Seeded churn-campaign runner producing the PR 9 migration-traffic
-//! artifact.
+//! Seeded churn-campaign runner producing the migration-traffic
+//! verdict.
 //!
 //! Runs the elastic-membership churn campaign over a seed matrix,
 //! checks the migration-traffic gate (chunk migration bytes must stay
 //! under the naive full-re-encode bound on every committed rebalance),
-//! and writes a single JSON document — `BENCH_PR9.json` in CI — that
+//! and writes a single JSON document — `churn_verdict.json` in CI — that
 //! records per-round placement epochs, move taxonomy, and the measured
 //! traffic next to the bound. Exits non-zero on any contract
 //! violation or gate failure.
 //!
 //! ```text
-//! churn-campaign [--seeds 0,1,2,3] [--rounds 6] [--out BENCH_PR9.json] \
+//! churn-campaign [--seeds 0,1,2,3] [--rounds 6] [--out churn_verdict.json] \
 //!     [--rounds-log churn_rounds.json]
 //! ```
 

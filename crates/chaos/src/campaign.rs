@@ -15,11 +15,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ecc_checkpoint::{StateDict, Value};
+use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, DataPlane, FailureModel, NodeId};
 use ecc_obs::{ObsHub, SloSpec};
 use eccheck::store::{self, WorkerDirtySet};
-use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, RecoveryWorkflow, SaveMode};
+use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, RecoveryWorkflow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,11 +65,8 @@ pub struct CampaignConfig {
     pub p_transient_get: f64,
     /// Engine fetch retries (must cover one transient failure).
     pub fetch_retries: usize,
-    /// How saves execute — the recovery contract must hold under both
-    /// the sequential oracle and the pipelined executor.
-    pub save_mode: SaveMode,
-    /// Coding threads for the save path (the pipelined executor's
-    /// worker count; faults must be mode- and thread-count-agnostic).
+    /// Coding threads for the save path (the save pipeline's encode
+    /// worker count; faults must be thread-count-agnostic).
     pub coding_threads: usize,
 }
 
@@ -97,14 +94,8 @@ impl CampaignConfig {
             p_duplicate_put: 0.05,
             p_transient_get: 0.1,
             fetch_retries: 2,
-            save_mode: SaveMode::Pipelined,
             coding_threads: 2,
         }
-    }
-
-    /// The same campaign driven through the sequential save oracle.
-    pub fn sequential() -> Self {
-        Self { save_mode: SaveMode::Sequential, ..Self::standard() }
     }
 }
 
@@ -162,7 +153,7 @@ pub struct CampaignReport {
     /// Every successful blob fetch with the tier that served it, in
     /// order — which restores were answered by the peer EC group and
     /// which fell back to the remote store. Like the fault log, this
-    /// must be identical across save executors for a given seed.
+    /// must repeat exactly for a given seed.
     pub fetch_log: Vec<FetchRecord>,
     /// Final telemetry snapshot (engine + chaos counters), as JSON.
     pub telemetry_json: String,
@@ -205,8 +196,8 @@ impl CampaignReport {
 
     /// The fetch log as a JSON array: one object per served fetch with
     /// its tier provenance (`"peer"` or `"remote"`; remote fetches have
-    /// a `null` node). Diffable across save executors the same way the
-    /// fault log is.
+    /// a `null` node). Diffable across runs the same way the fault log
+    /// is.
     pub fn fetch_log_json(&self) -> String {
         let mut out = String::from("[\n");
         for (i, f) in self.fetch_log.iter().enumerate() {
@@ -346,7 +337,6 @@ pub fn run_campaign_on_plane<P: DataPlane>(
         .with_km(cfg.k, cfg.m)
         .with_packet_size(cfg.packet_size)
         .with_coding_threads(cfg.coding_threads)
-        .with_save_mode(cfg.save_mode)
         .with_pipeline_buffer(64)
         .with_fetch_retries(cfg.fetch_retries);
     let mut ecc = EcCheck::initialize(&spec, engine_cfg).expect("campaign config must be valid");
@@ -559,8 +549,7 @@ pub fn run_campaign_on_plane<P: DataPlane>(
 ///
 /// The legs are deterministic per seed, and — like
 /// [`run_campaign`] — the whole report (outcomes, fault log, **and**
-/// fetch log) must be identical under the sequential and pipelined
-/// save executors.
+/// fetch log) repeats exactly from run to run.
 ///
 /// # Panics
 ///
@@ -576,7 +565,6 @@ pub fn run_tiered_campaign(cfg: &CampaignConfig, seed: u64) -> CampaignReport {
         .with_km(cfg.k, cfg.m)
         .with_packet_size(cfg.packet_size)
         .with_coding_threads(cfg.coding_threads)
-        .with_save_mode(cfg.save_mode)
         .with_pipeline_buffer(64)
         .with_fetch_retries(cfg.fetch_retries);
     let mut ecc = EcCheck::initialize(&spec, engine_cfg).expect("campaign config must be valid");
@@ -762,7 +750,9 @@ fn heartbeat_all(hub: &ObsHub, nodes: usize) {
 
 /// Deterministic per-round worker states: varying sizes so padding and
 /// heterogeneous shards are exercised, plus scalars that make any
-/// cross-round or cross-worker mixup visible.
+/// cross-round or cross-worker mixup visible. The payload is a tensor —
+/// `Value::Bytes` rides in the replicated header and would leave every
+/// erasure-coded chunk all zeros.
 fn round_dicts(world: usize, seed: u64, round: usize) -> Vec<StateDict> {
     let mut rng = StdRng::seed_from_u64(seed ^ ((round as u64) << 32) ^ 0x5EED);
     (0..world)
@@ -773,7 +763,8 @@ fn round_dicts(world: usize, seed: u64, round: usize) -> Vec<StateDict> {
             sd.insert("tag", Value::Str(format!("s{seed}-r{round}-w{w}")));
             let len = 32 + rng.gen_range(0..160usize);
             let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
-            sd.insert("payload", Value::Bytes(payload));
+            let t = Tensor::from_bytes(DType::U8, &[len], payload).expect("tensor shape valid");
+            sd.insert("payload", Value::Tensor(t));
             sd
         })
         .collect()
@@ -818,20 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_sequential_campaigns_agree_fault_for_fault() {
-        // Both modes store byte-identical blobs through an identical
-        // sequence of data-plane operations, so a seeded campaign must
-        // produce the same faults and the same verdicts under either.
-        let a = run_campaign(&CampaignConfig::standard(), 7);
-        let b = run_campaign(&CampaignConfig::sequential(), 7);
-        assert!(a.passed(), "pipelined violations: {:?}", a.violations);
-        assert!(b.passed(), "sequential violations: {:?}", b.violations);
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.fault_log, b.fault_log);
-        assert_eq!(a.fetch_log, b.fetch_log);
-    }
-
-    #[test]
     fn tiered_campaign_passes_and_proves_tier_provenance() {
         let cfg = CampaignConfig::standard();
         let report = run_tiered_campaign(&cfg, 3);
@@ -845,14 +822,13 @@ mod tests {
     }
 
     #[test]
-    fn tiered_campaign_is_executor_agnostic_fetch_for_fetch() {
-        // The delta path and the drain issue the same plane-op
-        // sequence under either save executor, so the tiered legs must
-        // agree fault-for-fault AND fetch-for-fetch across modes.
+    fn tiered_campaigns_are_deterministic_fetch_for_fetch() {
+        // Which tier served every blob is part of the recovery
+        // contract, not an accident of scheduling: a seeded run must
+        // repeat fault-for-fault AND fetch-for-fetch.
         let a = run_tiered_campaign(&CampaignConfig::standard(), 9);
-        let b = run_tiered_campaign(&CampaignConfig::sequential(), 9);
-        assert!(a.passed(), "pipelined violations: {:?}", a.violations);
-        assert!(b.passed(), "sequential violations: {:?}", b.violations);
+        let b = run_tiered_campaign(&CampaignConfig::standard(), 9);
+        assert!(a.passed(), "violations: {:?}", a.violations);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.fault_log, b.fault_log);
         assert_eq!(a.fetch_log, b.fetch_log);

@@ -24,13 +24,13 @@
 //! deterministic, violations are collected (not panicked) so one
 //! failing seed reports everything it found, and the report renders
 //! dependency-free JSON for CI artifacts ([`ChurnReport::summary_json`]
-//! and [`ChurnReport::rounds_json`] — the latter feeds
-//! `BENCH_PR9.json`).
+//! and [`ChurnReport::rounds_json`] — the latter is embedded in the
+//! churn verdict CI uploads).
 
-use ecc_checkpoint::{StateDict, Value};
+use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, NodeId};
 use ecc_membership::PlacementController;
-use eccheck::{EcCheck, EcCheckConfig, EcCheckError, SaveMode};
+use eccheck::{EcCheck, EcCheckConfig, EcCheckError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,8 +54,6 @@ pub struct ChurnConfig {
     pub p_graceful: f64,
     /// Probability a round churns two slots at once (capped at `m`).
     pub p_double_churn: f64,
-    /// Engine save mode.
-    pub save_mode: SaveMode,
 }
 
 impl ChurnConfig {
@@ -71,7 +69,6 @@ impl ChurnConfig {
             rounds: 6,
             p_graceful: 0.4,
             p_double_churn: 0.3,
-            save_mode: SaveMode::Pipelined,
         }
     }
 }
@@ -172,7 +169,7 @@ impl ChurnReport {
     }
 
     /// JSON array of the per-round records — the placement-epoch /
-    /// migration-traffic artifact CI uploads and `BENCH_PR9.json`
+    /// migration-traffic artifact CI uploads and the churn verdict
     /// embeds.
     pub fn rounds_json(&self) -> String {
         let mut out = String::from("[\n");
@@ -197,10 +194,8 @@ impl ChurnReport {
 /// count); contract violations are collected into the report instead.
 pub fn run_churn_campaign(cfg: &ChurnConfig, seed: u64) -> ChurnReport {
     let spec = ClusterSpec::tiny_test(cfg.nodes, cfg.gpus_per_node);
-    let engine_cfg = EcCheckConfig::paper_defaults()
-        .with_km(cfg.k, cfg.m)
-        .with_packet_size(cfg.packet_size)
-        .with_save_mode(cfg.save_mode);
+    let engine_cfg =
+        EcCheckConfig::paper_defaults().with_km(cfg.k, cfg.m).with_packet_size(cfg.packet_size);
     let mut cluster = Cluster::new(spec);
     let mut ecc = EcCheck::initialize(&spec, engine_cfg).expect("valid churn config");
     let mut ctl = PlacementController::new(&spec, &engine_cfg).expect("valid churn config");
@@ -394,7 +389,8 @@ fn combinations(n: usize, m: usize) -> Vec<Vec<NodeId>> {
 }
 
 /// Deterministic per-round worker states — varying payload sizes so
-/// padding and heterogeneous shards are exercised across churn.
+/// padding and heterogeneous shards are exercised across churn. Tensor
+/// payloads, so the erasure-coded chunks carry real bytes.
 fn churn_dicts(world: usize, seed: u64, round: usize) -> Vec<StateDict> {
     let mut rng = StdRng::seed_from_u64(seed ^ ((round as u64) << 32) ^ 0xC0DE);
     (0..world)
@@ -405,7 +401,8 @@ fn churn_dicts(world: usize, seed: u64, round: usize) -> Vec<StateDict> {
             sd.insert("tag", Value::Str(format!("churn-s{seed}-r{round}-w{w}")));
             let len = 32 + rng.gen_range(0..160usize);
             let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
-            sd.insert("payload", Value::Bytes(payload));
+            let t = Tensor::from_bytes(DType::U8, &[len], payload).expect("tensor shape valid");
+            sd.insert("payload", Value::Tensor(t));
             sd
         })
         .collect()

@@ -81,8 +81,8 @@ impl Tier {
 }
 
 /// One successful blob fetch, with the tier that served it — the
-/// provenance record the tiered-store campaigns compare across save
-/// modes (like the fault log, the sequence must be executor-agnostic).
+/// provenance record the tiered-store campaigns compare across runs
+/// (like the fault log, the sequence must repeat exactly per seed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FetchRecord {
     /// Storage-op counter value at the fetch. Remote fetches do not

@@ -1,23 +1,4 @@
-use ecc_erasure::ScheduleKind;
-
 use crate::EcCheckError;
-
-/// How [`crate::EcCheck::save`] executes (paper §IV).
-///
-/// Both modes store byte-identical blobs — the differential suite in
-/// `tests/pipeline_differential.rs` holds them to that — so the choice
-/// only affects *how* the work is scheduled, never what lands on the
-/// cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SaveMode {
-    /// One monolithic pass: pack, build chunks, encode, then place. The
-    /// oracle the pipelined executor is differentially tested against.
-    Sequential,
-    /// The paper's checkpoint coding pipeline: fixed-size stripes stream
-    /// through encode → XOR-reduce → transfer stages on worker threads,
-    /// with transfers gated into profiled network idle slots.
-    Pipelined,
-}
 
 /// Tunables of the ECCheck system.
 ///
@@ -42,25 +23,23 @@ pub struct EcCheckConfig {
     w: u8,
     packet_size: usize,
     coding_threads: usize,
-    schedule: ScheduleKind,
-    use_idle_slots: bool,
     fetch_retries: usize,
     fetch_backoff_base_ns: u64,
     fetch_backoff_cap_ns: u64,
-    save_mode: SaveMode,
     pipeline_buffer: usize,
     pipeline_depth: usize,
     retain_last: usize,
     retain_every: u64,
-    fail_encode_task: Option<u64>,
 }
 
 impl EcCheckConfig {
     /// The paper's experimental settings (§V-B): `k = m = 2` over
-    /// GF(2^8), 64 MB packets, idle-slot scheduling on. The paper's
-    /// low-frequency remote copy (step 4) is not a config knob: attach
-    /// a [`crate::store::Drainer`] or call
-    /// [`crate::store::drain_version`] from the training loop.
+    /// GF(2^8), 64 MB packets. Two of the paper's mechanisms are not
+    /// config knobs: idle-slot scheduling switches on when a profile is
+    /// attached ([`crate::EcCheck::set_idle_profile`]), and the
+    /// low-frequency remote copy (step 4) runs when a
+    /// [`crate::store::Drainer`] is attached or the training loop calls
+    /// [`crate::store::drain_version`].
     pub fn paper_defaults() -> Self {
         Self {
             k: 2,
@@ -68,41 +47,14 @@ impl EcCheckConfig {
             w: 8,
             packet_size: 64 << 20,
             coding_threads: 8,
-            schedule: ScheduleKind::Smart,
-            use_idle_slots: true,
             fetch_retries: 2,
             fetch_backoff_base_ns: 200_000,
             fetch_backoff_cap_ns: 50_000_000,
-            save_mode: SaveMode::Pipelined,
             pipeline_buffer: 4 << 20,
             pipeline_depth: 8,
             retain_last: 1,
             retain_every: 0,
-            fail_encode_task: None,
         }
-    }
-
-    /// Fail point for chaos tests: the pipelined executor's encode
-    /// worker that picks up global task `n` (0-based, in pick-up order)
-    /// panics mid-steal, exercising the executor's clean-failure path.
-    /// Applies to every pipelined save made with this config.
-    #[doc(hidden)]
-    pub fn with_fail_encode_task(mut self, n: u64) -> Self {
-        self.fail_encode_task = Some(n);
-        self
-    }
-
-    /// Disarms the encode-worker fail point.
-    #[doc(hidden)]
-    pub fn without_fail_encode_task(mut self) -> Self {
-        self.fail_encode_task = None;
-        self
-    }
-
-    /// The injected encode-worker fail point, if any.
-    #[doc(hidden)]
-    pub fn fail_encode_task(&self) -> Option<u64> {
-        self.fail_encode_task
     }
 
     /// Overrides the data/parity split.
@@ -127,24 +79,6 @@ impl EcCheckConfig {
     /// Overrides the coding thread-pool size.
     pub fn with_coding_threads(mut self, threads: usize) -> Self {
         self.coding_threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the XOR schedule kind.
-    pub fn with_schedule(mut self, schedule: ScheduleKind) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Enables or disables idle-slot communication scheduling.
-    pub fn with_idle_slots(mut self, on: bool) -> Self {
-        self.use_idle_slots = on;
-        self
-    }
-
-    /// Overrides how the save path executes (default: pipelined).
-    pub fn with_save_mode(mut self, mode: SaveMode) -> Self {
-        self.save_mode = mode;
         self
     }
 
@@ -228,16 +162,6 @@ impl EcCheckConfig {
         self.coding_threads
     }
 
-    /// XOR schedule kind.
-    pub fn schedule(&self) -> ScheduleKind {
-        self.schedule
-    }
-
-    /// Whether checkpoint communication defers to network idle slots.
-    pub fn use_idle_slots(&self) -> bool {
-        self.use_idle_slots
-    }
-
     /// Bounded retry budget for recovery fetches.
     pub fn fetch_retries(&self) -> usize {
         self.fetch_retries
@@ -251,11 +175,6 @@ impl EcCheckConfig {
     /// Ceiling on a single backoff delay in nanoseconds.
     pub fn fetch_backoff_cap_ns(&self) -> u64 {
         self.fetch_backoff_cap_ns
-    }
-
-    /// How the save path executes.
-    pub fn save_mode(&self) -> SaveMode {
-        self.save_mode
     }
 
     /// Pipeline stripe-buffer size in bytes.
@@ -331,7 +250,6 @@ mod tests {
         let c = EcCheckConfig::paper_defaults();
         assert_eq!((c.k(), c.m(), c.w()), (2, 2, 8));
         assert_eq!(c.packet_size(), 64 << 20);
-        assert!(c.use_idle_slots());
     }
 
     #[test]
@@ -365,27 +283,22 @@ mod tests {
             .with_width(4)
             .with_packet_size(320)
             .with_coding_threads(0)
-            .with_idle_slots(false)
             .with_fetch_retries(5)
             .with_fetch_backoff(1_000, 8_000)
-            .with_save_mode(SaveMode::Sequential)
             .with_pipeline_buffer(1 << 16)
             .with_pipeline_depth(1);
         assert_eq!((c.k(), c.m(), c.w()), (3, 1, 4));
         assert_eq!(c.packet_size(), 320);
         assert_eq!(c.coding_threads(), 1);
-        assert!(!c.use_idle_slots());
         assert_eq!(c.fetch_retries(), 5);
         assert_eq!((c.fetch_backoff_base_ns(), c.fetch_backoff_cap_ns()), (1_000, 8_000));
-        assert_eq!(c.save_mode(), SaveMode::Sequential);
         assert_eq!(c.pipeline_buffer(), 1 << 16);
         assert_eq!(c.pipeline_depth(), 2, "depth clamps to a working minimum");
     }
 
     #[test]
-    fn default_save_mode_is_pipelined() {
+    fn default_pipeline_geometry_is_usable() {
         let c = EcCheckConfig::paper_defaults();
-        assert_eq!(c.save_mode(), SaveMode::Pipelined);
         assert!(c.pipeline_buffer() > 0 && c.pipeline_depth() >= 2);
     }
 

@@ -15,18 +15,17 @@ use std::collections::BTreeMap;
 
 use ecc_checkpoint::{checksum_frame, decompose, Decomposition, Packer, Packet, StateDict};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthConfig, HealthRegistry};
-use ecc_erasure::{CodeParams, CodingPool, ErasureCode};
+use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_obs::{ObsHub, ObsHubConfig, ObsServer, SloSpec};
 use ecc_sim::{Bandwidth, BusyWindows, SlotGate};
 use ecc_telemetry::Recorder;
 use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 
-use crate::config::SaveMode;
 use crate::keys::{
     chunk_crc_key, chunk_key, committed_epoch, encode_epoch, epoch_key, header_crc_key, header_key,
     manifest_key, remote_chunk_key, remote_header_key, remote_manifest_key,
 };
-use crate::pipeline::{self, DeltaColumn, DeltaJob, PipelineJob, PipelineOutcome, PipelineStats};
+use crate::pipeline::{self, PipelineJob, PipelineStats};
 use crate::store::{
     read_verified, DrainHandle, RetentionPolicy, Tier, Verified, VersionIndex, WorkerDirtySet,
 };
@@ -45,7 +44,6 @@ pub struct EcCheck {
     code: ErasureCode,
     placement: Placement,
     reduction: ReductionPlan,
-    pool: CodingPool,
     packer: Packer,
     version: u64,
     /// The placement epoch this engine operates under. 0 until a
@@ -59,8 +57,11 @@ pub struct EcCheck {
     recorder: Recorder,
     trace: Option<TraceHandles>,
     /// Profiled network-busy windows + wire bandwidth for idle-slot
-    /// gating of pipelined transfers (paper §IV-B-3).
+    /// gating of a save's transfers (paper §IV-B-3).
     idle_profile: Option<(BusyWindows, Bandwidth)>,
+    /// Chaos fail point: the encode worker picking up global task `n`
+    /// panics (see [`EcCheck::set_fail_encode_task`]).
+    fail_encode_task: Option<u64>,
     /// The health registry handed out by [`EcCheck::obs_hub`], if any.
     /// Checkpoint traffic doubles as liveness evidence: a successful
     /// save heartbeats every node, a load heartbeats each node whose
@@ -115,15 +116,12 @@ impl EcCheck {
         let placement = select_data_parity_nodes(&spec.origin_group(), config.k())?;
         let reduction = ReductionPlan::build(spec, &placement, config.m())?;
         let packer = Packer::new(config.packet_size())?;
-        let mut pool = CodingPool::new(config.coding_threads());
-        pool.set_recorder(&recorder);
         Ok(Self {
             config,
             spec: *spec,
             code,
             placement,
             reduction,
-            pool,
             packer,
             version: 0,
             placement_epoch: 0,
@@ -131,6 +129,7 @@ impl EcCheck {
             recorder,
             trace: None,
             idle_profile: None,
+            fail_encode_task: None,
             health: None,
             index: VersionIndex::new(),
             drain: None,
@@ -138,15 +137,15 @@ impl EcCheck {
     }
 
     /// Attaches a profiled training iteration — its network-busy windows
-    /// and the checkpoint wire bandwidth — so pipelined saves gate their
+    /// and the checkpoint wire bandwidth — so saves gate their chunk
     /// transfers into the idle slots (paper §IV-B-3). Gating is virtual
     /// time: stores still complete immediately on the in-memory data
     /// plane, but each save deterministically accounts when its transfers
     /// would start, finish and wait on the profiled wire (see
     /// [`crate::PipelineStats`] and the `ecc.pipeline.slot_*` counters).
     ///
-    /// Takes effect when the configuration has idle slots enabled (the
-    /// default) and the save mode is pipelined.
+    /// Attaching a profile is what arms the gate: every full save from
+    /// here on is gated until [`EcCheck::clear_idle_profile`].
     pub fn set_idle_profile(&mut self, windows: BusyWindows, wire: Bandwidth) {
         self.idle_profile = Some((windows, wire));
     }
@@ -169,11 +168,10 @@ impl EcCheck {
     }
 
     /// Replaces the telemetry recorder (e.g. with one driven by a
-    /// simulated clock) and re-attaches the erasure code and coding pool
-    /// to it. Metrics already recorded stay with the old recorder.
+    /// simulated clock) and re-attaches the erasure code to it. Metrics
+    /// already recorded stay with the old recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.code.set_recorder(&recorder);
-        self.pool.set_recorder(&recorder);
         self.recorder = recorder;
         // Keep the span timeline on the same epoch as the new recorder's
         // event log (the two are meant to be cross-referenced).
@@ -184,8 +182,8 @@ impl EcCheck {
 
     /// Builds a span tracer on the recorder's clock (one shared epoch, so
     /// trace timestamps and `Recorder::snapshot` event timestamps are
-    /// directly comparable), wires it through the erasure code and the
-    /// coding pool, and returns a handle for exporting.
+    /// directly comparable), wires it through the erasure code, and
+    /// returns a handle for exporting.
     pub fn attach_tracer(&mut self) -> Tracer {
         let tracer = Tracer::for_recorder(&self.recorder);
         self.set_tracer(&tracer);
@@ -193,12 +191,11 @@ impl EcCheck {
     }
 
     /// Attaches an existing span tracer (e.g. one shared with other
-    /// engines) to the save/load/delta paths, the erasure code and
-    /// the coding pool. Prefer [`EcCheck::attach_tracer`], which also
-    /// aligns the tracer's clock epoch with the recorder's.
+    /// engines) to the save/load/delta paths and the erasure code.
+    /// Prefer [`EcCheck::attach_tracer`], which also aligns the
+    /// tracer's clock epoch with the recorder's.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.code.set_tracer(tracer);
-        self.pool.set_tracer(tracer);
         self.trace = Some(TraceHandles::attach(tracer));
     }
 
@@ -285,16 +282,14 @@ impl EcCheck {
         ObsServer::serve(std::sync::Arc::new(self.obs_hub()), addr)
     }
 
-    /// Arms (or disarms, with `None`) the pipelined executor's
-    /// encode-worker fail point at runtime — chaos tests save a healthy
-    /// checkpoint first, then kill a worker mid-steal on the next save.
-    /// See [`EcCheckConfig::with_fail_encode_task`].
+    /// Arms (or disarms, with `None`) the save executor's encode-worker
+    /// fail point — chaos tests save a healthy checkpoint first, then
+    /// kill a worker mid-steal on the next save: the worker that picks
+    /// up global task `n` (0-based, in pick-up order) panics,
+    /// exercising the executor's clean-failure path.
     #[doc(hidden)]
     pub fn set_fail_encode_task(&mut self, n: Option<u64>) {
-        self.config = match n {
-            Some(n) => self.config.with_fail_encode_task(n),
-            None => self.config.without_fail_encode_task(),
-        };
+        self.fail_encode_task = n;
     }
 
     /// The node placement chosen at initialization.
@@ -547,17 +542,12 @@ impl EcCheck {
         drop(span);
         drop(phase);
 
-        // Steps 3c + 3d: encode parity and place every chunk. Two
-        // executors, one contract — byte-identical cluster state (the
-        // differential suite in `tests/pipeline_differential.rs` holds
-        // them to it).
-        let (encoded_bytes, pipeline_stats) = match self.config.save_mode() {
-            SaveMode::Sequential => self.save_sequential(cluster, version, data_chunks, &trace)?,
-            SaveMode::Pipelined => self.save_pipelined(cluster, version, data_chunks, &trace)?,
-        };
+        // Steps 3c + 3d: encode parity and place every chunk.
+        let (encoded_bytes, pipeline_stats) =
+            self.encode_and_place(cluster, version, data_chunks, &trace)?;
 
         // Headers and the packet-count manifest go everywhere (tiny,
-        // ungated), closing out the placement identically in both modes.
+        // ungated), closing out the placement.
         let header_frames: Vec<Vec<u8>> =
             headers.iter().map(|h| checksum_frame(h.as_slice())).collect();
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.headers", ""));
@@ -604,7 +594,7 @@ impl EcCheck {
             packets_per_worker: max_packets,
             encoded_bytes,
             traffic,
-            pipeline: pipeline_stats,
+            pipeline: Some(pipeline_stats),
         })
     }
 
@@ -636,75 +626,22 @@ impl EcCheck {
         }
     }
 
-    /// Steps 3c + 3d, sequential executor: one monolithic encode, then
-    /// every chunk stored in index order. The oracle the pipelined path
-    /// is differentially tested against.
-    fn save_sequential(
-        &mut self,
-        cluster: &mut impl DataPlane,
-        version: u64,
-        data_chunks: Vec<Vec<u8>>,
-        trace: &Option<TraceHandles>,
-    ) -> Result<(u64, Option<PipelineStats>), EcCheckError> {
-        // Step 3c: encode parity chunks (thread-pooled XOR schedules).
-        let phase = self.recorder.timer("ecc.save.encode_ns");
-        let span = trace.as_ref().map(|t| {
-            t.tracer.span(
-                t.engine,
-                "save.encode",
-                format!("k={} m={}", self.config.k(), self.config.m()),
-            )
-        });
-        let chunk_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
-        let parity_chunks = if self.config.coding_threads() > 1 {
-            self.pool.encode(&self.code, &chunk_refs)?
-        } else {
-            self.code.encode_with(&chunk_refs, self.config.schedule())?
-        };
-        let encoded_bytes: u64 = parity_chunks.iter().map(|c| c.len() as u64).sum();
-        drop(span);
-        drop(phase);
-
-        // Step 3d: place chunks (XOR reduction + P2P in the real system;
-        // here the byte movement outcome).
-        let phase = self.recorder.timer("ecc.save.place_ns");
-        let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.place", ""));
-        for (j, chunk) in data_chunks.iter().enumerate() {
-            let node = self.placement.data_nodes()[j];
-            cluster.put_local(node, &chunk_key(version), chunk.clone())?;
-            cluster.put_local(node, &chunk_crc_key(version), checksum_frame(chunk))?;
-            trace_store(trace, node, &format!("data chunk {j}"));
-        }
-        for (i, chunk) in parity_chunks.iter().enumerate() {
-            let node = self.placement.parity_nodes()[i];
-            cluster.put_local(node, &chunk_key(version), chunk.clone())?;
-            cluster.put_local(node, &chunk_crc_key(version), checksum_frame(chunk))?;
-            trace_store(trace, node, &format!("parity chunk {i}"));
-        }
-        drop(span);
-        drop(phase);
-        Ok((encoded_bytes, None))
-    }
-
-    /// Steps 3c + 3d, pipelined executor (paper §IV-C): stripes stream
+    /// Steps 3c + 3d, the paper's coding pipeline (§IV-C): stripes stream
     /// through encode → XOR-reduce → transfer on the coding threads, with
     /// transfers gated into profiled network idle slots when a profile is
     /// attached. See [`crate::pipeline`]'s module docs for the dataflow.
-    fn save_pipelined(
+    fn encode_and_place(
         &mut self,
         cluster: &mut impl DataPlane,
         version: u64,
         data_chunks: Vec<Vec<u8>>,
         trace: &Option<TraceHandles>,
-    ) -> Result<(u64, Option<PipelineStats>), EcCheckError> {
-        let gate = if self.config.use_idle_slots() {
-            // A fresh gate per save: the profile describes one training
-            // iteration, and determinism wants every save to schedule
-            // against the same virtual timeline.
-            self.idle_profile.as_ref().map(|(windows, wire)| SlotGate::new(windows.clone(), *wire))
-        } else {
-            None
-        };
+    ) -> Result<(u64, PipelineStats), EcCheckError> {
+        // A fresh gate per save: the profile describes one training
+        // iteration, and determinism wants every save to schedule
+        // against the same virtual timeline.
+        let gate =
+            self.idle_profile.as_ref().map(|(windows, wire)| SlotGate::new(windows.clone(), *wire));
         if let Some(t) = trace {
             // The worker count is deliberately absent: traces are
             // byte-identical across stealing thread counts (see
@@ -734,7 +671,7 @@ impl EcCheck {
                 recorder: &self.recorder,
                 trace: trace.as_ref(),
                 gate,
-                fail_encode_task: self.config.fail_encode_task(),
+                fail_encode_task: self.fail_encode_task,
             },
             cluster,
         );
@@ -746,15 +683,15 @@ impl EcCheck {
             t.tracer.begin_at(
                 t.engine,
                 "save.encode",
-                format!("k={} m={} pipelined", self.config.k(), self.config.m()),
+                format!("k={} m={}", self.config.k(), self.config.m()),
                 outcome.encode_begin_ns,
             );
             t.tracer.end_at(t.engine, outcome.encode_end_ns);
-            t.tracer.begin_at(t.engine, "save.place", "pipelined", outcome.place_begin_ns);
+            t.tracer.begin_at(t.engine, "save.place", "", outcome.place_begin_ns);
             t.tracer.end_at(t.engine, outcome.place_end_ns);
         }
-        let PipelineOutcome { encoded_bytes, stats, .. } = result?;
-        Ok((encoded_bytes, Some(stats)))
+        let outcome = result?;
+        Ok((outcome.encoded_bytes, outcome.stats))
     }
 
     /// `eccheck.load`: reconstructs every worker's `state_dict` from the
@@ -1196,11 +1133,10 @@ impl EcCheck {
     /// code's GF(2)-linearity, the patched parity equals what a full
     /// re-encode would produce, at a fraction of the traffic
     /// (`region × (1 + m)` instead of the full save's `m·s·W`; see
-    /// [`DeltaReport::traffic_bytes`]). Like a full save, the patch
-    /// streams through the configured executor:
-    /// [`SaveMode::Pipelined`] runs the dirty columns through the same
-    /// encode → reduce → transfer rings, with all stores deferred to
-    /// the end so a mid-flight failure cannot tear the in-place update.
+    /// [`DeltaReport::traffic_bytes`]). The patch runs straight-line on
+    /// the calling thread, not through the save pipeline: an in-place
+    /// patch may store nothing until everything that can fail has
+    /// succeeded, so there is no transfer for an encode to overlap.
     ///
     /// Delta saves do not bump the version — they evolve the newest
     /// retained checkpoint in place. Tensor shapes must be unchanged
@@ -1236,7 +1172,6 @@ impl EcCheck {
                 region_bytes: 0,
                 traffic_bytes: 0,
                 encoded_bytes: 0,
-                pipeline: None,
             });
         }
         let report = self.delta_inner(cluster, dirty)?;
@@ -1257,11 +1192,11 @@ impl EcCheck {
     /// The body of [`EcCheck::save_delta`]: verify every chunk the
     /// patch touches, build whole-chunk deltas (zero outside the dirty
     /// regions), then patch the data chunks and XOR the encoded parity
-    /// deltas onto the stored parity. Both executors produce the same plane-op
-    /// sequence — all reads up front, then data columns ascending,
-    /// then parity, then headers — because in-place patches lack the
-    /// full save's version-rotation safety net, so no store may happen
-    /// until everything that could fail has succeeded.
+    /// deltas onto the stored parity. The plane-op sequence is all reads
+    /// up front, then data columns ascending, then parity, then headers
+    /// — in-place patches lack the full save's version-rotation safety
+    /// net, so no store may happen until everything that could fail has
+    /// succeeded.
     fn delta_inner(
         &mut self,
         cluster: &mut impl DataPlane,
@@ -1371,68 +1306,30 @@ impl EcCheck {
             deltas.push(delta);
         }
 
-        let (encoded_bytes, pipeline_stats) = match self.config.save_mode() {
-            SaveMode::Sequential => {
-                let mut encoded = 0u64;
-                for ((j, _), delta) in cols.iter().zip(&deltas) {
-                    let parity_deltas = self.code.parity_delta(*j, delta)?;
-                    for (i, pd) in parity_deltas.iter().enumerate() {
-                        encoded += pd.len() as u64;
-                        ecc_erasure::region::xor_into(&mut parities[i], pd);
-                    }
-                }
-                // Canonical store order, shared with the pipelined
-                // executor's finish step: data columns ascending, then
-                // parity — each chunk before its checksum frame.
-                for (j, chunk) in &cols {
-                    let node = self.placement.data_nodes()[*j];
-                    let frame = checksum_frame(chunk);
-                    cluster.put_local(node, &chunk_key(version), chunk.clone())?;
-                    cluster.put_local(node, &chunk_crc_key(version), frame)?;
-                    trace_store(&trace, node, &format!("data chunk {j}"));
-                }
-                for (i, parity) in parities.iter().enumerate() {
-                    let node = self.placement.parity_nodes()[i];
-                    let frame = checksum_frame(parity);
-                    cluster.put_local(node, &chunk_key(version), parity.clone())?;
-                    cluster.put_local(node, &chunk_crc_key(version), frame)?;
-                    trace_store(&trace, node, &format!("parity chunk {i}"));
-                }
-                (encoded, None)
+        let mut encoded_bytes = 0u64;
+        for ((j, _), delta) in cols.iter().zip(&deltas) {
+            let parity_deltas = self.code.parity_delta(*j, delta)?;
+            for (i, pd) in parity_deltas.iter().enumerate() {
+                encoded_bytes += pd.len() as u64;
+                ecc_erasure::region::xor_into(&mut parities[i], pd);
             }
-            SaveMode::Pipelined => {
-                let gate = if self.config.use_idle_slots() {
-                    self.idle_profile
-                        .as_ref()
-                        .map(|(windows, wire)| SlotGate::new(windows.clone(), *wire))
-                } else {
-                    None
-                };
-                let delta_cols: Vec<DeltaColumn> = cols
-                    .into_iter()
-                    .zip(deltas)
-                    .map(|((col, chunk), delta)| DeltaColumn { col, chunk, delta })
-                    .collect();
-                let outcome = pipeline::run_delta(
-                    DeltaJob {
-                        version,
-                        cols: delta_cols,
-                        parity: parities,
-                        code: &self.code,
-                        placement: &self.placement,
-                        threads: self.config.coding_threads(),
-                        buffer: self.config.pipeline_buffer(),
-                        depth: self.config.pipeline_depth(),
-                        recorder: &self.recorder,
-                        trace: trace.as_ref(),
-                        gate,
-                        fail_encode_task: self.config.fail_encode_task(),
-                    },
-                    cluster,
-                )?;
-                (outcome.encoded_bytes, Some(outcome.stats))
-            }
-        };
+        }
+        // Canonical store order: data columns ascending, then parity —
+        // each chunk before its checksum frame.
+        for (j, chunk) in &cols {
+            let node = self.placement.data_nodes()[*j];
+            let frame = checksum_frame(chunk);
+            cluster.put_local(node, &chunk_key(version), chunk.clone())?;
+            cluster.put_local(node, &chunk_crc_key(version), frame)?;
+            trace_store(&trace, node, &format!("data chunk {j}"));
+        }
+        for (i, parity) in parities.iter().enumerate() {
+            let node = self.placement.parity_nodes()[i];
+            let frame = checksum_frame(parity);
+            cluster.put_local(node, &chunk_key(version), parity.clone())?;
+            cluster.put_local(node, &chunk_crc_key(version), frame)?;
+            trace_store(&trace, node, &format!("parity chunk {i}"));
+        }
 
         // Re-broadcast each dirty worker's (possibly changed) header,
         // ascending worker order.
@@ -1455,7 +1352,6 @@ impl EcCheck {
             region_bytes,
             traffic_bytes: region_bytes * (1 + self.config.m() as u64),
             encoded_bytes,
-            pipeline: pipeline_stats,
         })
     }
 

@@ -74,7 +74,7 @@ mod report;
 pub mod store;
 pub mod timing;
 
-pub use config::{EcCheckConfig, SaveMode};
+pub use config::EcCheckConfig;
 pub use engine::EcCheck;
 pub use error::EcCheckError;
 pub use groups::{optimal_group_size, GroupSizeCost, GroupedEcCheck};

@@ -26,9 +26,9 @@
 //! * **Stage 3 — transfer.** The driver scatters finished stripes into
 //!   the parity chunks, stitches piece CRCs with
 //!   [`ecc_checkpoint::crc32_combine`], and issues every store in one
-//!   canonical order (data chunks by index, then parity, as the
-//!   sequential oracle does), gating each transfer through the profiled
-//!   idle-slot [`SlotGate`] when one is attached.
+//!   canonical order (data chunks by index, then parity), gating each
+//!   transfer through the profiled idle-slot [`SlotGate`] when one is
+//!   attached.
 //!
 //! Memory is bounded by construction: contributions recycle through a
 //! ring of `threads + 2` buffers and at most `pipeline_depth` stripes may
@@ -178,37 +178,6 @@ pub(crate) struct PipelineOutcome {
     /// First/last instants of transfer-stage activity, for `save.place`.
     pub place_begin_ns: u64,
     pub place_end_ns: u64,
-}
-
-/// One affected data column of a pipelined delta save.
-pub(crate) struct DeltaColumn {
-    /// True data-column index (what the code's encode matrix sees).
-    pub col: usize,
-    /// The patched (new) chunk, to be stored on the column's node.
-    pub chunk: Vec<u8>,
-    /// `old ⊕ new`, zero outside the dirty worker regions — what gets
-    /// encoded; its parity is XORed onto the old parity (GF(2)
-    /// linearity).
-    pub delta: Vec<u8>,
-}
-
-/// One pipelined delta save: only the affected columns stream through
-/// the encode → reduce → transfer rings, and the parity chunks are
-/// patched rather than rebuilt.
-pub(crate) struct DeltaJob<'a> {
-    pub version: u64,
-    pub cols: Vec<DeltaColumn>,
-    /// The verified current parity chunks, patched in place.
-    pub parity: Vec<Vec<u8>>,
-    pub code: &'a ErasureCode,
-    pub placement: &'a Placement,
-    pub threads: usize,
-    pub buffer: usize,
-    pub depth: usize,
-    pub recorder: &'a Recorder,
-    pub trace: Option<&'a TraceHandles>,
-    pub gate: Option<SlotGate>,
-    pub fail_encode_task: Option<u64>,
 }
 
 /// Work items of the encode stage. Seeded in global order round-robin
@@ -408,7 +377,8 @@ fn make_tracks(trace: Option<&TraceHandles>) -> Option<PipelineTracks> {
 }
 
 /// Runs one pipelined save: encodes, reduces and stores every chunk of
-/// `version`, leaving the cluster byte-identical to the sequential path.
+/// `version`, leaving the cluster byte-identical to a one-pass encode
+/// of the same chunks (the oracle in `tests/pipeline_differential.rs`).
 ///
 /// Headers, manifests and version rotation stay with the engine — this
 /// function owns exactly the chunk dataflow.
@@ -466,10 +436,7 @@ pub(crate) fn run(
     let mut driver = Driver {
         version,
         geo,
-        delta: false,
         placement,
-        col_ids: (0..geo.k).collect(),
-        col_nodes: placement.data_nodes().to_vec(),
         recorder,
         trace,
         tracks: tracks.as_ref(),
@@ -498,7 +465,6 @@ pub(crate) fn run(
         recorder,
         tracks.is_some(),
         fail_encode_task,
-        true,
         &mut driver,
         cluster,
     );
@@ -587,185 +553,8 @@ pub(crate) fn run(
     })
 }
 
-/// Runs one pipelined delta save ([`crate::EcCheck::save_delta`]'s
-/// executor half): the affected columns' deltas stream through the same
-/// encode → reduce → transfer rings as a full save, the old parity is
-/// XOR-patched stripe by stripe, and *every* store — patched data
-/// columns ascending, then parity — is deferred until the executor
-/// drained cleanly. An in-place patch has no fresh version to abandon
-/// on failure, so deferring the transfer commit is what keeps a
-/// mid-delta crash from tearing the live checkpoint.
-pub(crate) fn run_delta(
-    job: DeltaJob<'_>,
-    cluster: &mut impl DataPlane,
-) -> Result<PipelineOutcome, EcCheckError> {
-    let DeltaJob {
-        version,
-        cols,
-        parity,
-        code,
-        placement,
-        threads,
-        buffer,
-        depth,
-        recorder,
-        trace,
-        mut gate,
-        fail_encode_task,
-    } = job;
-    debug_assert!(!cols.is_empty(), "the engine short-circuits empty deltas");
-    let params = code.params();
-    let chunk_len = parity[0].len();
-    // Dense-column geometry: the affected columns stand in for `k`, so
-    // the reducer waits for exactly one contribution per affected
-    // column and the stats reflect the work actually done.
-    let geo = Geometry::new(cols.len(), params.m(), params.w() as usize, chunk_len, buffer);
-    let threads = threads.max(1);
-    let depth = depth.max(2);
-    let tracks = make_tracks(trace);
-
-    let wall_begin = recorder.now_ns();
-    let col_ids: Vec<usize> = cols.iter().map(|c| c.col).collect();
-    let col_nodes: Vec<usize> = col_ids.iter().map(|&c| placement.data_nodes()[c]).collect();
-    let mut new_chunks = Vec::with_capacity(col_ids.len());
-    let mut deltas = Vec::with_capacity(col_ids.len());
-    for c in cols {
-        new_chunks.push(Arc::new(c.chunk));
-        deltas.push((c.col, Arc::new(c.delta)));
-    }
-
-    // Seed exactly like a full save, with the dense column set standing
-    // in for `k`: CRC pieces cover the *patched* chunks (what gets
-    // stored), contributions encode the *delta* chunks (what the parity
-    // absorbs). `DataCrc.col` is the dense index (a driver array
-    // index); `Contrib.col` is the true column (what the encode matrix
-    // needs).
-    let locals: Vec<Worker<(u64, Task)>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let mut next = 0u64;
-    for (dense, chunk) in new_chunks.iter().enumerate() {
-        for piece in 0..geo.crc_pieces {
-            locals[(next as usize) % threads]
-                .push((next, Task::DataCrc { col: dense, piece, chunk: Arc::clone(chunk) }));
-            next += 1;
-        }
-    }
-    for stripe in 0..geo.stripes {
-        for (col, delta) in &deltas {
-            locals[(next as usize) % threads]
-                .push((next, Task::Contrib { stripe, col: *col, chunk: Arc::clone(delta) }));
-            next += 1;
-        }
-    }
-
-    let contrib_len = geo.m * geo.w * geo.rows;
-    let mut driver = Driver {
-        version,
-        geo,
-        delta: true,
-        placement,
-        col_ids,
-        col_nodes,
-        recorder,
-        trace,
-        tracks: tracks.as_ref(),
-        gate: gate.as_mut(),
-        data: new_chunks.into_iter().map(Some).collect(),
-        data_placed: 0,
-        data_crcs: vec![vec![None; geo.crc_pieces]; geo.k],
-        parity,
-        parity_crcs: Vec::new(),
-        stripes_done: 0,
-        reduce_spans: Vec::with_capacity(geo.stripes),
-        busy_ns: 0,
-        place_begin_ns: u64::MAX,
-        place_end_ns: 0,
-        slot_wait_ns: 0,
-        slot_admissions: 0,
-        failed: None,
-    };
-
-    let stages = execute_stages(
-        &geo,
-        code,
-        locals,
-        threads,
-        depth,
-        recorder,
-        tracks.is_some(),
-        fail_encode_task,
-        false,
-        &mut driver,
-        cluster,
-    );
-    if stages.panicked && driver.failed.is_none() {
-        driver.failed = Some(EcCheckError::StageFailed {
-            detail: "an encode worker panicked mid-delta".to_string(),
-        });
-    }
-    driver.finish(cluster);
-    let mut encode_spans = stages.encode_spans;
-
-    if let (Some(t), Some(tr)) = (trace, tracks.as_ref()) {
-        encode_spans.sort_unstable_by_key(|&(seq, ..)| seq);
-        for (_, name, detail, begin_ns, end_ns) in encode_spans {
-            t.tracer.begin_at(tr.encode, name, detail, begin_ns);
-            t.tracer.end_at(tr.encode, end_ns);
-        }
-        driver.reduce_spans.sort_unstable_by_key(|&(stripe, _, _)| stripe);
-        for (stripe, begin_ns, end_ns) in &driver.reduce_spans {
-            t.tracer.begin_at(tr.reduce, "reduce.stripe", format!("stripe={stripe}"), *begin_ns);
-            t.tracer.end_at(tr.reduce, *end_ns);
-        }
-    }
-
-    if let Some(err) = driver.failed.take() {
-        return Err(err);
-    }
-
-    let wall_end = recorder.now_ns();
-    let stats = PipelineStats {
-        stripes: geo.stripes,
-        stripe_rows: geo.rows,
-        buffer_bytes: contrib_len,
-        encode_workers: threads,
-        encode_tasks: (geo.stripes * geo.k + geo.k * geo.crc_pieces) as u64,
-        encode_busy_ns: stages.encode_busy_ns,
-        reduce_busy_ns: stages.reduce_busy_ns,
-        transfer_busy_ns: driver.busy_ns,
-        wall_ns: wall_end.saturating_sub(wall_begin),
-        ring_waits: stages.ring_waits,
-        window_waits: stages.window_waits,
-        encode_steals: stages.encode_steals,
-        slot_wait_ns: driver.slot_wait_ns,
-        slot_admissions: driver.slot_admissions,
-        local_reduce_targets: 0,
-    };
-    recorder.counter("ecc.pipeline.stripes").add(geo.stripes as u64);
-    recorder.counter("ecc.pipeline.encode_tasks").add(stats.encode_tasks);
-    // No parity piece CRCs in delta mode — only the data pieces count.
-    recorder.counter("ecc.pipeline.crc_pieces").add((geo.k * geo.crc_pieces) as u64);
-    let encode_begin =
-        if stages.encode_begin_ns == u64::MAX { wall_begin } else { stages.encode_begin_ns };
-    let encode_end = stages.encode_end_ns.max(encode_begin);
-    let place_begin =
-        if driver.place_begin_ns == u64::MAX { wall_end } else { driver.place_begin_ns };
-    let place_end = driver.place_end_ns.max(place_begin);
-    recorder.record("ecc.delta.encode_ns", encode_end - encode_begin);
-    recorder.record("ecc.delta.place_ns", place_end - place_begin);
-    recorder.record("ecc.delta.pipeline_ns", stats.wall_ns);
-
-    Ok(PipelineOutcome {
-        encoded_bytes: (geo.k * geo.m * geo.chunk_len) as u64,
-        stats,
-        encode_begin_ns: encode_begin,
-        encode_end_ns: encode_end,
-        place_begin_ns: place_begin,
-        place_end_ns: place_end,
-    })
-}
-
 /// Nondeterministic residue of one executor run, handed back from
-/// [`execute_stages`] to whichever mode drove it.
+/// [`execute_stages`] to [`run`].
 struct StageOutcome {
     reduce_busy_ns: u64,
     encode_spans: Vec<SpanRec>,
@@ -780,9 +569,7 @@ struct StageOutcome {
 }
 
 /// Drives the three stages over an already-seeded task list until every
-/// deque drains (or a failure cancels the run). Shared verbatim by full
-/// saves ([`run`]) and delta saves ([`run_delta`]) — the driver's mode
-/// flag decides placement semantics, not the machinery.
+/// deque drains (or a failure cancels the run).
 #[allow(clippy::too_many_arguments)]
 fn execute_stages(
     geo: &Geometry,
@@ -793,7 +580,6 @@ fn execute_stages(
     recorder: &Recorder,
     record_spans: bool,
     fail_encode_task: Option<u64>,
-    piece_crcs: bool,
     driver: &mut Driver<'_>,
     cluster: &mut impl DataPlane,
 ) -> StageOutcome {
@@ -821,9 +607,7 @@ fn execute_stages(
         let reducer = {
             let driver_tx = driver_tx.clone();
             let ring = &ring;
-            scope.spawn(move || {
-                reduce_stage(geo, contrib_rx, acc_rx, driver_tx, ring, recorder, piece_crcs)
-            })
+            scope.spawn(move || reduce_stage(geo, contrib_rx, acc_rx, driver_tx, ring, recorder))
         };
         let handles: Vec<_> = locals
             .into_iter()
@@ -1033,12 +817,10 @@ fn next_task(
     }
 }
 
-/// Stage 2: folds the column contributions of each stripe (one per
-/// dense column, `geo.k` of them) into one accumulator, releases
-/// contribution buffers back to the ring, and ships finished stripes to
-/// the driver — with per-piece parity CRCs when `piece_crcs` is set
-/// (full saves stitch them; delta saves can't, see
-/// [`Driver::place_parity`]). Returns its busy time in ns.
+/// Stage 2: folds the `geo.k` column contributions of each stripe into
+/// one accumulator, releases contribution buffers back to the ring, and
+/// ships finished stripes to the driver with their per-piece parity
+/// CRCs. Returns its busy time in ns.
 fn reduce_stage(
     geo: &Geometry,
     contrib_rx: Receiver<Contribution>,
@@ -1046,7 +828,6 @@ fn reduce_stage(
     driver_tx: Sender<DriverMsg>,
     ring: &Ring,
     recorder: &Recorder,
-    piece_crcs: bool,
 ) -> u64 {
     // Open stripes: (accumulator, contributions still missing, begin ts).
     let mut open: Vec<Option<(Vec<u8>, usize, u64)>> = (0..geo.stripes).map(|_| None).collect();
@@ -1075,11 +856,8 @@ fn reduce_stage(
         if let Some((_, 0, _)) = slot {
             let (acc, _, begin_ns) = slot.take().expect("slot is open");
             let rows = hi - lo;
-            let crcs: Vec<u32> = if piece_crcs {
-                (0..geo.m * geo.w).map(|idx| crc32(&acc[idx * rows..(idx + 1) * rows])).collect()
-            } else {
-                Vec::new()
-            };
+            let crcs: Vec<u32> =
+                (0..geo.m * geo.w).map(|idx| crc32(&acc[idx * rows..(idx + 1) * rows])).collect();
             let end_ns = recorder.now_ns();
             busy += end_ns.saturating_sub(begin);
             if driver_tx.send(DriverMsg::Stripe { stripe, acc, crcs, begin_ns, end_ns }).is_err() {
@@ -1097,19 +875,7 @@ fn reduce_stage(
 struct Driver<'a> {
     version: u64,
     geo: Geometry,
-    /// Delta mode: `data` holds *patched* chunks for the affected
-    /// columns only (`geo.k` is the affected-column count), `parity`
-    /// starts from the verified old parity and stripes are XORed in
-    /// (GF(2) linearity), and every store is deferred to [`finish`] —
-    /// an in-place patch has no version rotation to shield a torn
-    /// update, so nothing lands until the whole delta encoded cleanly.
-    delta: bool,
     placement: &'a Placement,
-    /// Dense column → true data-column index (identity on full saves).
-    col_ids: Vec<usize>,
-    /// Dense column → owning node (the placement's data nodes on full
-    /// saves; the affected columns' nodes on deltas).
-    col_nodes: Vec<usize>,
     recorder: &'a Recorder,
     trace: Option<&'a TraceHandles>,
     tracks: Option<&'a PipelineTracks>,
@@ -1118,8 +884,8 @@ struct Driver<'a> {
     /// they are placed.
     data: Vec<Option<Arc<Vec<u8>>>>,
     /// Data chunks stored so far; chunk `j` goes out only when chunks
-    /// `0..j` are out and all its CRC pieces arrived, so store order
-    /// matches the sequential oracle exactly.
+    /// `0..j` are out and all its CRC pieces arrived, so the store
+    /// order never depends on scheduling.
     data_placed: usize,
     data_crcs: Vec<Vec<Option<u32>>>,
     parity: Vec<Vec<u8>>,
@@ -1146,11 +912,7 @@ impl Driver<'_> {
         match msg {
             DriverMsg::DataCrc { col, piece, crc } => {
                 self.data_crcs[col][piece] = Some(crc);
-                // Delta stores are deferred wholesale to `finish`.
-                while !self.delta
-                    && self.data_placed < self.geo.k
-                    && self.data_ready(self.data_placed)
-                {
+                while self.data_placed < self.geo.k && self.data_ready(self.data_placed) {
                     let next = self.data_placed;
                     self.place_data(next, cluster);
                     self.data_placed += 1;
@@ -1165,14 +927,8 @@ impl Driver<'_> {
                             let idx = i * self.geo.w + c;
                             let dst = &mut self.parity[i]
                                 [c * self.geo.ps_total + lo..c * self.geo.ps_total + hi];
-                            let src = &acc[idx * rows..(idx + 1) * rows];
-                            if self.delta {
-                                // parity' = parity ⊕ encode(delta).
-                                region::xor_into(dst, src);
-                            } else {
-                                dst.copy_from_slice(src);
-                                self.parity_crcs[i][c][stripe] = crcs[idx];
-                            }
+                            dst.copy_from_slice(&acc[idx * rows..(idx + 1) * rows]);
+                            self.parity_crcs[i][c][stripe] = crcs[idx];
                         }
                     }
                 }
@@ -1188,27 +944,12 @@ impl Driver<'_> {
     }
 
     /// After every stage has hung up: store the parity chunks (all
-    /// stripes are in by then) in index order. Delta mode also stores
-    /// the patched data chunks here — ascending column, then parity —
-    /// so an executor failure earlier leaves the live version untouched
-    /// (torn-update safety) and both delta paths share one canonical
-    /// store order.
+    /// stripes are in by then) in index order.
     fn finish(&mut self, cluster: &mut impl DataPlane) {
         let begin = self.recorder.now_ns();
         if self.failed.is_none() {
             debug_assert_eq!(self.stripes_done, self.geo.stripes, "all stripes reduced");
-            if self.delta {
-                for col in 0..self.geo.k {
-                    if self.failed.is_some() {
-                        break;
-                    }
-                    debug_assert!(self.data_ready(col), "all CRC pieces arrived before hang-up");
-                    self.place_data(col, cluster);
-                    self.data_placed += 1;
-                }
-            } else {
-                debug_assert_eq!(self.data_placed, self.geo.k, "all data chunks placed");
-            }
+            debug_assert_eq!(self.data_placed, self.geo.k, "all data chunks placed");
             for i in 0..self.geo.m {
                 if self.failed.is_some() {
                     break;
@@ -1243,36 +984,27 @@ impl Driver<'_> {
         }));
         let arc = self.data[col].take().expect("each data chunk placed once");
         // A move when the encode stage is already done with this chunk
-        // (its task-list `Arc` clones dropped), a copy — like the
-        // sequential path's — otherwise.
+        // (its task-list `Arc` clones dropped), a copy otherwise.
         let bytes = Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone());
-        let node = self.col_nodes[col];
-        self.store(node, bytes, crc, &format!("data chunk {}", self.col_ids[col]), cluster);
+        let node = self.placement.data_nodes()[col];
+        self.store(node, bytes, crc, &format!("data chunk {col}"), cluster);
     }
 
     fn place_parity(&mut self, i: usize, cluster: &mut impl DataPlane) {
         let geo = self.geo;
-        let crc = if self.delta {
-            // The parity bytes are old ⊕ encode(delta): the reducer's
-            // piece CRCs cover only the delta contribution, and
-            // `crc32_combine` cannot stitch across an XOR — take one
-            // whole-buffer pass instead.
-            crc32(&self.parity[i])
-        } else {
-            self.stitch((0..geo.w).flat_map(|c| (0..geo.stripes).map(move |b| (c, b))).map(
-                |(c, b)| {
-                    let (lo, hi) = geo.rows_of(b);
-                    (self.parity_crcs[i][c][b], (hi - lo) as u64)
-                },
-            ))
-        };
+        let crc = self.stitch((0..geo.w).flat_map(|c| (0..geo.stripes).map(move |b| (c, b))).map(
+            |(c, b)| {
+                let (lo, hi) = geo.rows_of(b);
+                (self.parity_crcs[i][c][b], (hi - lo) as u64)
+            },
+        ));
         let bytes = std::mem::take(&mut self.parity[i]);
         let node = self.placement.parity_nodes()[i];
         self.store(node, bytes, crc, &format!("parity chunk {i}"), cluster);
     }
 
     /// One gated store: chunk blob plus its CRC frame, byte-identical to
-    /// the sequential path's `checksum_frame` output.
+    /// `checksum_frame`'s output.
     fn store(
         &mut self,
         node: usize,
@@ -1329,8 +1061,9 @@ mod tests {
     use super::*;
     use ecc_checkpoint::checksum_frame;
 
-    // `checksum_frame` is what the sequential oracle stores; keep the
-    // equivalence pinned where the pipelined frame bytes are produced.
+    // `checksum_frame` is what every other writer (and the test-side
+    // oracle) stores; keep the equivalence pinned where the pipelined
+    // frame bytes are produced.
     #[test]
     fn le_bytes_equal_checksum_frame() {
         let data = b"pipelined frame bytes";

@@ -15,8 +15,9 @@ pub struct SaveReport {
     pub encoded_bytes: u64,
     /// Communication accounting for the encode/XOR/P2P phases.
     pub traffic: TrafficSummary,
-    /// Stage accounting of the pipelined executor; `None` for
-    /// sequential saves.
+    /// Stage accounting of the save pipeline. Always `Some`: every save
+    /// streams through the pipelined executor (the `Option` is kept for
+    /// the callers that `extend` a list with it).
     pub pipeline: Option<PipelineStats>,
 }
 
@@ -42,9 +43,6 @@ pub struct DeltaReport {
     pub traffic_bytes: u64,
     /// Bytes of parity delta produced by the encoder.
     pub encoded_bytes: u64,
-    /// Stage accounting of the pipelined executor; `None` for
-    /// sequential delta saves.
-    pub pipeline: Option<PipelineStats>,
 }
 
 /// Which recovery workflow [`crate::EcCheck::load`] executed (paper

@@ -77,8 +77,8 @@ pub struct RecoveryTiming {
 /// Predicts the duration of one ECCheck save.
 ///
 /// `shard_bytes` is the per-worker checkpoint payload `s`; `profile`
-/// (when given and `config.use_idle_slots()`) confines the XOR-reduction
-/// and P2P stages to the training network's idle windows.
+/// (when given) confines the XOR-reduction and P2P stages to the
+/// training network's idle windows.
 ///
 /// # Panics
 ///
@@ -150,7 +150,7 @@ fn save_plan(
     let t_comm = per_worker_nic.transfer_time((ps as f64 * (xor_share + p2p_share)).ceil() as u64);
 
     let durations = vec![vec![t_encode; packets as usize], vec![t_comm; packets as usize]];
-    let idle = profile.filter(|_| config.use_idle_slots()).map(IterationProfile::windows);
+    let idle = profile.map(IterationProfile::windows);
     let comm_constraint = match idle {
         Some(w) => StageConstraint::IdleSlots(w),
         None => StageConstraint::Free,
@@ -266,7 +266,7 @@ pub fn trace_save_timing(
     let step1_end = t0 + plan.timing.step1_offload;
     let start = plan.start;
     let pipeline_end = *plan.done.last().and_then(|s| s.last()).expect("at least one packet");
-    let idle = profile.filter(|_| config.use_idle_slots()).map(IterationProfile::windows);
+    let idle = profile.map(IterationProfile::windows);
 
     for node in 0..spec.nodes() {
         let gpu = tracer.track(node as u64, &format!("node{node}"), "gpu");

@@ -33,7 +33,7 @@
 //! transport failure, 2 on usage errors.
 
 use ecc_chaos::{run_campaign, run_campaign_on_plane, CampaignConfig};
-use ecc_checkpoint::{StateDict, Value};
+use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::ClusterSpec;
 use ecc_net::RemotePlane;
 use eccheck::{keys, EcCheck, EcCheckConfig};
@@ -68,7 +68,8 @@ fn expected_dicts(world: usize, seed: u64) -> Vec<StateDict> {
             sd.insert("tag", Value::Str(format!("net-s{seed}-w{w}")));
             let len = 64 + rng.gen_range(0..256usize);
             let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
-            sd.insert("payload", Value::Bytes(payload));
+            let t = Tensor::from_bytes(DType::U8, &[len], payload).expect("tensor shape valid");
+            sd.insert("payload", Value::Tensor(t));
             sd
         })
         .collect()

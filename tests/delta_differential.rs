@@ -9,12 +9,14 @@
 //! **every node must hold byte-identical blobs to a full save of the
 //! mutated state** — same chunks, same checksum frames, same headers,
 //! same manifest — for arbitrary (k, m) shapes, arbitrary dirty sets,
-//! both save executors, and every available GF kernel.
+//! and every available GF kernel. (The full save on the other side of
+//! the comparison streams through the pipeline, so thread counts and
+//! stripe buffers stay in the sweep.)
 
 use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec};
 use ecc_gf::kernel::{available_kernels, force_kernel};
-use eccheck::{EcCheck, EcCheckConfig, SaveMode, WorkerDirtySet};
+use eccheck::{EcCheck, EcCheckConfig, WorkerDirtySet};
 use proptest::prelude::*;
 
 /// (k, m, gpus_per_node) shapes; world = (k + m) * gpus.
@@ -56,7 +58,6 @@ fn base_config(k: usize, m: usize) -> EcCheckConfig {
 /// the patched checkpoint still survives `m` failures.
 fn delta_vs_full(
     (k, m, gpus): (usize, usize, usize),
-    mode: SaveMode,
     threads: usize,
     buffer: usize,
     dirty: &[usize],
@@ -65,10 +66,7 @@ fn delta_vs_full(
     let nodes = k + m;
     let spec = ClusterSpec::tiny_test(nodes, gpus);
     let world = spec.world_size();
-    let cfg = base_config(k, m)
-        .with_save_mode(mode)
-        .with_coding_threads(threads)
-        .with_pipeline_buffer(buffer);
+    let cfg = base_config(k, m).with_coding_threads(threads).with_pipeline_buffer(buffer);
 
     // Engine A: full save of the base state, then the delta patch.
     let mut cluster_a = Cluster::new(spec);
@@ -100,7 +98,7 @@ fn delta_vs_full(
         local_fingerprint(&cluster_a, nodes),
         local_fingerprint(&cluster_b, nodes),
         "delta-patched plane must be byte-identical to a full save \
-         (k={k} m={m} gpus={gpus} mode={mode:?} dirty={dirty:?})"
+         (k={k} m={m} gpus={gpus} dirty={dirty:?})"
     );
 
     // The patched checkpoint must still tolerate m failures.
@@ -112,45 +110,37 @@ fn delta_vs_full(
     assert_eq!(restored, want, "restore after delta + {m} failures");
 }
 
+/// The dirty-worker set a property case's bit `mask` selects (never
+/// empty: a mask with no worker bit set picks one by remainder).
+fn dirty_from_mask((k, m, gpus): (usize, usize, usize), mask: u64) -> Vec<usize> {
+    let world = (k + m) * gpus;
+    let mut dirty: Vec<usize> = (0..world).filter(|&w| mask >> w & 1 == 1).collect();
+    if dirty.is_empty() {
+        dirty.push(mask as usize % world);
+    }
+    dirty
+}
+
 #[test]
 fn single_and_multi_worker_deltas_equal_full_saves() {
-    // Deterministic smoke across shapes and both executors before the
-    // randomized sweep: one dirty worker, and one dirty worker per
-    // data group.
+    // Deterministic smoke across shapes before the randomized sweep:
+    // one dirty worker, and one dirty worker per data group.
     for &(k, m, gpus) in &SHAPES {
         let world = (k + m) * gpus;
         let group = world / k;
         let spread: Vec<usize> = (0..k).map(|j| j * group + (j % group)).collect();
-        for mode in [SaveMode::Sequential, SaveMode::Pipelined] {
-            delta_vs_full((k, m, gpus), mode, 2, 96, &[world - 1], 7);
-            delta_vs_full((k, m, gpus), mode, 2, 96, &spread, 7);
-        }
+        delta_vs_full((k, m, gpus), 2, 96, &[world - 1], 7);
+        delta_vs_full((k, m, gpus), 2, 96, &spread, 7);
     }
 }
 
+/// The cases recorded in `delta_differential.proptest-regressions`,
+/// replayed by value so they keep running whatever the property's
+/// parameter list looks like.
 #[test]
-fn delta_modes_store_identical_blobs() {
-    // The sequential and pipelined delta executors must drive the very
-    // same plane operations — not merely equivalent final bytes.
-    let spec = ClusterSpec::tiny_test(4, 2);
-    let mut fingerprints = Vec::new();
-    for mode in [SaveMode::Sequential, SaveMode::Pipelined] {
-        let cfg =
-            base_config(2, 2).with_save_mode(mode).with_coding_threads(3).with_pipeline_buffer(128);
-        let mut cluster = Cluster::new(spec);
-        let mut ecc = EcCheck::initialize(&spec, cfg).expect("config valid");
-        let base: Vec<StateDict> = (0..8).map(|w| worker_dict(w, 3)).collect();
-        ecc.save(&mut cluster, &base).expect("base save");
-        let new1 = worker_dict(1, 99);
-        let new6 = worker_dict(6, 99);
-        let sets = [
-            WorkerDirtySet { worker: 1, state: &new1 },
-            WorkerDirtySet { worker: 6, state: &new6 },
-        ];
-        ecc.save_delta(&mut cluster, &sets).expect("delta save");
-        fingerprints.push(local_fingerprint(&cluster, 4));
-    }
-    assert_eq!(fingerprints[0], fingerprints[1]);
+fn recorded_regressions_still_hold() {
+    delta_vs_full(SHAPES[3], 1, 32, &dirty_from_mask(SHAPES[3], 1), 0);
+    delta_vs_full(SHAPES[1], 2, 96, &dirty_from_mask(SHAPES[1], 2048), 90);
 }
 
 #[test]
@@ -160,9 +150,7 @@ fn delta_is_bit_identical_under_every_kernel() {
     let before = ecc_gf::kernel::active_kernel().name();
     for kernel in available_kernels() {
         force_kernel(kernel.name()).unwrap();
-        for mode in [SaveMode::Sequential, SaveMode::Pipelined] {
-            delta_vs_full((2, 2, 2), mode, 2, 128, &[1, 6], 9);
-        }
+        delta_vs_full((2, 2, 2), 2, 128, &[1, 6], 9);
     }
     force_kernel(before).unwrap();
 }
@@ -171,23 +159,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The differential property over arbitrary shapes, dirty-worker
-    /// subsets, executors, thread counts and stripe buffers.
+    /// subsets, thread counts and stripe buffers.
     #[test]
     fn delta_equals_full_save_for_arbitrary_dirty_sets(
         shape in 0usize..SHAPES.len(),
         mask in 1u64..4096,
         salt in 0u8..200,
-        pipelined in any::<bool>(),
         threads in 1usize..4,
         buffer in 32usize..2048,
     ) {
-        let (k, m, gpus) = SHAPES[shape];
-        let world = (k + m) * gpus;
-        let mut dirty: Vec<usize> = (0..world).filter(|&w| mask >> w & 1 == 1).collect();
-        if dirty.is_empty() {
-            dirty.push(mask as usize % world);
-        }
-        let mode = if pipelined { SaveMode::Pipelined } else { SaveMode::Sequential };
-        delta_vs_full((k, m, gpus), mode, threads, buffer, &dirty, salt);
+        let dirty = dirty_from_mask(SHAPES[shape], mask);
+        delta_vs_full(SHAPES[shape], threads, buffer, &dirty, salt);
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate invariants, property-tested: traffic accounting, failure
 //! sampling vs closed-form reliability, and code-level recoverability.
 
-use ecc_checkpoint::{StateDict, Value};
+use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, FailureModel};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_reliability::{ec_recovery, monte_carlo_recovery, replication_pairs_recovery};
@@ -12,12 +12,17 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Small, shape-diverse worker states for end-to-end engine proptests.
+/// The payload is a tensor (`Value::Bytes` rides in the header), so the
+/// failure patterns below decode real bytes, not zeros.
 fn engine_dicts(world: usize) -> Vec<StateDict> {
     (0..world)
         .map(|w| {
             let mut sd = StateDict::new();
             sd.insert("rank", Value::Int(w as i64));
-            sd.insert("payload", Value::Bytes(vec![w as u8 ^ 0x5A; 40 + (w * 13) % 80]));
+            let len = 40 + (w * 13) % 80;
+            let bytes = (0..len).map(|i| (i as u8).wrapping_mul(5) ^ w as u8 ^ 0x5A).collect();
+            let t = Tensor::from_bytes(DType::U8, &[len], bytes).expect("tensor shape valid");
+            sd.insert("payload", Value::Tensor(t));
             sd
         })
         .collect()

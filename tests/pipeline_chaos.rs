@@ -10,33 +10,26 @@
 use ecc_chaos::{ChaosConfig, ChaosPlane};
 use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec};
-use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, SaveMode, WorkerDirtySet};
+use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, WorkerDirtySet};
 
+/// Shape-diverse states: worker `w` carries a `64 + (w * 41) % 160`
+/// byte tensor (one packet each at the test packet size).
 fn dicts(world: usize, salt: u8) -> Vec<StateDict> {
-    (0..world)
-        .map(|w| {
-            let mut sd = StateDict::new();
-            sd.insert("rank", Value::Int(w as i64));
-            sd.insert("salt", Value::Int(salt as i64));
-            let len = 64 + (w * 41) % 160;
-            sd.insert(
-                "payload",
-                Value::Bytes((0..len).map(|i| (i as u8) ^ (w as u8) ^ salt).collect()),
-            );
-            sd
-        })
-        .collect()
+    tensor_dicts(world, |w| 64 + (w * 41) % 160, salt)
 }
 
-/// States whose tensor payload is `len` bytes per worker, so the packet
-/// count per worker follows `len` (the `Value::Bytes` payload of
-/// [`dicts`] rides in the header and never changes it).
-fn tensor_dicts(world: usize, len: usize, salt: u8) -> Vec<StateDict> {
+/// States whose tensor payload is `len(w)` bytes for worker `w`, so the
+/// packet count per worker follows `len`. The payload is a tensor, not
+/// `Value::Bytes`: bytes ride in the header and would leave the chunks
+/// the executor codes all zeros.
+fn tensor_dicts(world: usize, len: impl Fn(usize) -> usize, salt: u8) -> Vec<StateDict> {
     (0..world)
         .map(|w| {
+            let len = len(w);
             let bytes: Vec<u8> = (0..len).map(|i| (i as u8) ^ (w as u8) ^ salt).collect();
             let mut sd = StateDict::new();
             sd.insert("rank", Value::Int(w as i64));
+            sd.insert("salt", Value::Int(salt as i64));
             sd.insert(
                 "weights",
                 Value::Tensor(Tensor::from_bytes(DType::U8, &[len], bytes).expect("shape valid")),
@@ -49,7 +42,6 @@ fn tensor_dicts(world: usize, len: usize, salt: u8) -> Vec<StateDict> {
 fn pipelined_config(threads: usize) -> EcCheckConfig {
     EcCheckConfig::paper_defaults()
         .with_packet_size(256)
-        .with_save_mode(SaveMode::Pipelined)
         .with_coding_threads(threads)
         .with_pipeline_buffer(64)
 }
@@ -148,11 +140,11 @@ fn failed_save_with_a_different_packet_count_leaves_the_sealed_layout_alone() {
         let spec = ClusterSpec::tiny_test(4, 2);
         let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(17));
         let mut ecc = EcCheck::initialize(&spec, pipelined_config(2)).unwrap();
-        let good = tensor_dicts(8, sealed_len, 1);
+        let good = tensor_dicts(8, |_| sealed_len, 1);
         ecc.save(&mut plane, &good).expect("fault-free save succeeds");
 
         ecc.set_fail_encode_task(Some(0));
-        let failed = ecc.save(&mut plane, &tensor_dicts(8, failed_len, 2));
+        let failed = ecc.save(&mut plane, &tensor_dicts(8, |_| failed_len, 2));
         assert!(
             matches!(failed, Err(EcCheckError::StageFailed { .. })),
             "{sealed_len}->{failed_len}: {:?}",
@@ -165,7 +157,7 @@ fn failed_save_with_a_different_packet_count_leaves_the_sealed_layout_alone() {
         assert_eq!(report.version, 1, "{sealed_len}->{failed_len}");
         assert_eq!(restored, good, "{sealed_len}->{failed_len}");
 
-        let patched = tensor_dicts(8, sealed_len, 3).swap_remove(5);
+        let patched = tensor_dicts(8, |_| sealed_len, 3).swap_remove(5);
         let delta = ecc
             .save_delta(&mut plane, &[WorkerDirtySet { worker: 5, state: &patched }])
             .expect("delta on the sealed version still applies");
@@ -182,8 +174,8 @@ fn disarmed_fail_point_never_fires() {
     // the counter reaches every task without hitting the trigger.
     let spec = ClusterSpec::tiny_test(4, 2);
     let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(13));
-    let mut ecc =
-        EcCheck::initialize(&spec, pipelined_config(4).with_fail_encode_task(u64::MAX)).unwrap();
+    let mut ecc = EcCheck::initialize(&spec, pipelined_config(4)).unwrap();
+    ecc.set_fail_encode_task(Some(u64::MAX));
     let state = dicts(8, 7);
     ecc.save(&mut plane, &state).expect("out-of-range fail point is inert");
     let (restored, _) = ecc.load(&mut plane).unwrap();

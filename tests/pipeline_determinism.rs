@@ -8,22 +8,29 @@
 //! are recorded per task, re-emitted by the driver in task order on a
 //! single thread-count-independent track). A steal storm — many tiny
 //! stripes, far more workers than stripes — must lose and duplicate
-//! nothing.
+//! nothing. The idle-slot gate accounts in virtual time, so a gated
+//! save is held to the same standard.
 
 use std::sync::Arc;
 
+use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec};
+use ecc_sim::{Bandwidth, BusyWindows, SimDuration, SimTime};
 use ecc_telemetry::{ManualClock, Recorder};
 use ecc_trace::validate_chrome_trace;
-use eccheck::{EcCheck, EcCheckConfig, SaveMode};
+use eccheck::{keys, EcCheck, EcCheckConfig};
 
-fn dicts(world: usize) -> Vec<ecc_checkpoint::StateDict> {
-    use ecc_checkpoint::{StateDict, Value};
+/// Tensor payloads (not `Value::Bytes`, which rides in the header), so
+/// the stripes the executor schedules carry real bytes.
+fn dicts(world: usize) -> Vec<StateDict> {
     (0..world)
         .map(|w| {
             let mut sd = StateDict::new();
             sd.insert("rank", Value::Int(w as i64));
-            sd.insert("payload", Value::Bytes(vec![w as u8 ^ 0x3C; 96 + (w * 29) % 180]));
+            let len = 96 + (w * 29) % 180;
+            let bytes = (0..len).map(|i| (i as u8).wrapping_mul(7) ^ w as u8 ^ 0x3C).collect();
+            let t = Tensor::from_bytes(DType::U8, &[len], bytes).expect("tensor shape valid");
+            sd.insert("payload", Value::Tensor(t));
             sd
         })
         .collect()
@@ -36,7 +43,6 @@ fn run_once(threads: usize) -> (String, String) {
     let mut cluster = Cluster::new(spec);
     let cfg = EcCheckConfig::paper_defaults()
         .with_packet_size(1024)
-        .with_save_mode(SaveMode::Pipelined)
         .with_coding_threads(threads)
         .with_pipeline_buffer(128)
         .with_pipeline_depth(3);
@@ -100,7 +106,6 @@ fn steal_storm_loses_and_duplicates_nothing() {
         let mut cluster = Cluster::new(spec);
         let cfg = EcCheckConfig::paper_defaults()
             .with_packet_size(1024)
-            .with_save_mode(SaveMode::Pipelined)
             .with_coding_threads(threads)
             .with_pipeline_buffer(64)
             .with_pipeline_depth(2);
@@ -111,7 +116,7 @@ fn steal_storm_loses_and_duplicates_nothing() {
         let report = ecc.save(&mut cluster, &current).unwrap();
         let (restored, _) = ecc.load(&mut cluster).unwrap();
         assert_eq!(restored, current, "steal storm corrupted the checkpoint at {threads} threads");
-        let stats = report.pipeline.expect("pipelined saves carry stage stats");
+        let stats = report.pipeline.expect("every save carries stage stats");
         (stats, ecc.recorder().snapshot().to_json())
     };
     let (base, snap_base) = run(1);
@@ -164,8 +169,8 @@ fn per_save_stage_accounting_is_work_deterministic() {
         let mut ecc = EcCheck::initialize(&spec, cfg).unwrap();
         ecc.save(&mut cluster, &dicts(8)).unwrap()
     };
-    let one = report(1).pipeline.expect("pipelined saves carry stage stats");
-    let eight = report(8).pipeline.expect("pipelined saves carry stage stats");
+    let one = report(1).pipeline.expect("every save carries stage stats");
+    let eight = report(8).pipeline.expect("every save carries stage stats");
     assert_eq!(one.stripes, eight.stripes);
     assert_eq!(one.stripe_rows, eight.stripe_rows);
     assert_eq!(one.buffer_bytes, eight.buffer_bytes);
@@ -174,5 +179,51 @@ fn per_save_stage_accounting_is_work_deterministic() {
     assert_eq!((one.encode_workers, eight.encode_workers), (1, 8));
     for occ in [one.encode_occupancy(), one.reduce_occupancy(), one.transfer_occupancy()] {
         assert!((0.0..=1.0).contains(&occ), "occupancy out of range: {occ}");
+    }
+}
+
+#[test]
+fn gated_save_schedules_every_transfer_into_the_idle_slots_deterministically() {
+    // Attaching a profile arms the gate (paper §IV-B-3): each of the
+    // k + m chunk transfers is admitted through it in store order, the
+    // virtual-time wait is a function of the profile alone — never of
+    // the thread count — and gating changes no stored byte.
+    let run = |threads: usize, wire_bytes_per_ms: Option<usize>| {
+        let spec = ClusterSpec::tiny_test(4, 2);
+        let mut cluster = Cluster::new(spec);
+        let cfg = EcCheckConfig::paper_defaults()
+            .with_packet_size(1024)
+            .with_coding_threads(threads)
+            .with_pipeline_buffer(128);
+        let mut ecc = EcCheck::initialize(&spec, cfg).unwrap();
+        if let Some(rate) = wire_bytes_per_ms {
+            // The wire is busy during [1 ms, 3 ms) of the iteration.
+            let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+            let mut busy = BusyWindows::new();
+            busy.add_busy(ms(1), ms(3));
+            ecc.set_idle_profile(busy, Bandwidth::from_bytes_per_sec(rate as f64 * 1000.0));
+        }
+        let stats = ecc.save(&mut cluster, &dicts(8)).unwrap().pipeline.expect("stage stats");
+        let blobs: Vec<_> = (0..4)
+            .flat_map(|node| cluster.local_keys(node).into_iter().map(move |key| (node, key)))
+            .map(|(node, key)| (node, cluster.get_local(node, &key).expect("listed"), key))
+            .collect();
+        (stats, blobs, ecc.recorder().snapshot())
+    };
+
+    let (ungated, want, _) = run(2, None);
+    assert_eq!((ungated.slot_admissions, ungated.slot_wait_ns), (0, 0));
+    let chunk_len = want.iter().find(|(_, _, key)| *key == keys::chunk_key(1)).unwrap().1.len();
+
+    // One chunk takes exactly 1 ms of wire: the first transfer fills
+    // [0, 1), the second parks behind the busy window for 2 ms, the
+    // last two follow back to back.
+    for threads in [1usize, 8] {
+        let (gated, got, snap) = run(threads, Some(chunk_len));
+        assert_eq!(gated.slot_admissions, 4, "k + m transfers at {threads} threads");
+        assert_eq!(gated.slot_wait_ns, 2_000_000, "slot wait at {threads} threads");
+        assert_eq!(snap.counter("ecc.pipeline.slot_admissions"), 4);
+        assert_eq!(snap.counter("ecc.pipeline.slot_wait_ns"), 2_000_000);
+        assert_eq!(got, want, "gating must not change what is stored ({threads} threads)");
     }
 }

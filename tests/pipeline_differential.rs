@@ -1,22 +1,27 @@
 //! Differential harness for the pipelined save executor.
 //!
-//! `SaveMode::Pipelined` reschedules the encode → XOR-reduce → transfer
-//! work of a save; it must never change *what* a save stores. These
-//! tests hold it to that: for every code shape, stripe-buffer size and
-//! thread count, a pipelined save must leave every node of the cluster
-//! holding byte-identical blobs — same keys, same chunk bytes, same
-//! checksum frames — as a sequential save of the same state, and a
-//! checkpoint written by either mode must load back exactly.
+//! The executor schedules the encode → XOR-reduce → transfer work of a
+//! save across threads, stripes and rings; it must never change *what*
+//! a save stores. These tests hold it to a test-side oracle — one
+//! straight-line pass over the same state built from public crate APIs
+//! alone — for every code shape, stripe-buffer size and thread count:
+//! every node must hold exactly the oracle's chunk bytes and checksum
+//! frame under the same keys, and the checkpoint must load back exactly.
+//! The oracle is the only sequential full-save code in the repository.
 
-use ecc_checkpoint::{StateDict, Value};
+use ecc_checkpoint::{checksum_frame, decompose, DType, Packer, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec};
+use ecc_erasure::{CodeParams, ErasureCode, ScheduleKind};
 use eccheck::store::drain_version;
-use eccheck::{keys, EcCheck, EcCheckConfig, SaveMode};
+use eccheck::{keys, select_data_parity_nodes, EcCheck, EcCheckConfig};
 use proptest::prelude::*;
+
+const PACKET: usize = 256;
 
 /// Deterministic, shape-diverse worker states. `extra` grows one
 /// worker's payload so saves cover uneven shard sizes and the packet
-/// padding tail.
+/// padding tail. The payload is a tensor: `Value::Bytes` rides in the
+/// replicated header and would leave every coded chunk all zeros.
 fn dicts_for(world: usize, salt: u8, extra: usize) -> Vec<StateDict> {
     (0..world)
         .map(|w| {
@@ -26,29 +31,84 @@ fn dicts_for(world: usize, salt: u8, extra: usize) -> Vec<StateDict> {
             let len = 40 + (w * 37) % 200 + if w == 0 { extra } else { 0 };
             let payload: Vec<u8> =
                 (0..len).map(|i| (i as u8).wrapping_mul(31) ^ (w as u8) ^ salt).collect();
-            sd.insert("payload", Value::Bytes(payload));
+            let t = Tensor::from_bytes(DType::U8, &[len], payload).expect("tensor shape valid");
+            sd.insert("payload", Value::Tensor(t));
             sd
         })
         .collect()
 }
 
-/// Every blob on every live node, in a canonical order: the complete
-/// observable result of a save on the local data plane.
-fn local_fingerprint(cluster: &Cluster, nodes: usize) -> Vec<(usize, String, Vec<u8>)> {
+/// The oracle: the sorted `(node, key, bytes)` chunk and checksum-frame
+/// blobs a save of `dicts` as `version` must leave behind, computed in one
+/// pass — decompose, pack, pad to a common packet count, concatenate
+/// each data group into its chunk, encode all parity at once, frame,
+/// and place by the sweep-line node selection.
+fn oracle_chunks(
+    spec: &ClusterSpec,
+    (k, m): (usize, usize),
+    version: u64,
+    dicts: &[StateDict],
+) -> Vec<(usize, String, Vec<u8>)> {
+    let packer = Packer::new(PACKET).expect("packet size valid");
+    let packed: Vec<_> = dicts.iter().map(|d| packer.pack(decompose(d).tensor_data()).0).collect();
+    let max_packets = packed.iter().map(Vec::len).max().expect("world size > 0");
+    let placement = select_data_parity_nodes(&spec.origin_group(), k).expect("shape valid");
+    let group = placement.group_size();
+    let mut chunks: Vec<Vec<u8>> = packed
+        .chunks(group)
+        .map(|workers| {
+            let mut chunk = Vec::with_capacity(group * max_packets * PACKET);
+            for packets in workers {
+                packets.iter().for_each(|p| chunk.extend_from_slice(p.data()));
+                chunk.resize(chunk.len() + (max_packets - packets.len()) * PACKET, 0);
+            }
+            chunk
+        })
+        .collect();
+    assert!(
+        chunks.iter().flatten().any(|&b| b != 0),
+        "the oracle must code real bytes: all-zero chunks encode to zeros under any schedule"
+    );
+    let code = ErasureCode::cauchy_good(CodeParams::new(k, m, 8).expect("params valid"))
+        .expect("code builds");
+    let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+    chunks.extend(code.encode_with(&refs, ScheduleKind::Smart).expect("aligned chunks encode"));
+    let mut blobs: Vec<_> = placement
+        .data_nodes()
+        .iter()
+        .chain(placement.parity_nodes())
+        .zip(chunks)
+        .flat_map(|(&node, chunk)| {
+            [
+                (node, keys::chunk_crc_key(version), checksum_frame(&chunk)),
+                (node, keys::chunk_key(version), chunk),
+            ]
+        })
+        .collect();
+    blobs.sort();
+    blobs
+}
+
+/// Every chunk-class blob on every node, sorted: the part of a save's
+/// observable result the executor is responsible for.
+fn stored_chunks(cluster: &Cluster, nodes: usize) -> Vec<(usize, String, Vec<u8>)> {
     let mut out = Vec::new();
     for node in 0..nodes {
-        for key in cluster.local_keys(node) {
+        for key in cluster.local_keys(node).into_iter().filter(|key| keys::is_chunk_class(key)) {
             let bytes = cluster.get_local(node, &key).expect("listed key readable").to_vec();
             out.push((node, key, bytes));
         }
     }
+    out.sort();
     out
 }
 
 struct Saved {
     cluster: Cluster,
     ecc: EcCheck,
-    nodes: usize,
+    spec: ClusterSpec,
+    /// The state of the newest save.
+    dicts: Vec<StateDict>,
 }
 
 /// Runs `saves` checkpoints of evolving state through one engine.
@@ -56,15 +116,16 @@ fn run_saves(nodes: usize, gpus: usize, cfg: EcCheckConfig, saves: u64, extra: u
     let spec = ClusterSpec::tiny_test(nodes, gpus);
     let mut cluster = Cluster::new(spec);
     let mut ecc = EcCheck::initialize(&spec, cfg).expect("config valid for shape");
+    let mut dicts = Vec::new();
     for v in 1..=saves {
-        let dicts = dicts_for(spec.world_size(), v as u8, extra);
+        dicts = dicts_for(spec.world_size(), v as u8, extra);
         ecc.save(&mut cluster, &dicts).expect("save succeeds");
     }
-    Saved { cluster, ecc, nodes }
+    Saved { cluster, ecc, spec, dicts }
 }
 
 fn base_config(k: usize, m: usize) -> EcCheckConfig {
-    EcCheckConfig::paper_defaults().with_km(k, m).with_packet_size(256)
+    EcCheckConfig::paper_defaults().with_km(k, m).with_packet_size(PACKET)
 }
 
 #[test]
@@ -72,24 +133,19 @@ fn pipelined_stores_identical_blobs_across_shapes_buffers_and_threads() {
     // (k, m, gpus): world = (k+m)*gpus must divide by k.
     for (k, m, gpus) in [(2usize, 2usize, 1usize), (2, 2, 2), (4, 2, 2), (3, 3, 1)] {
         let nodes = k + m;
-        let oracle =
-            run_saves(nodes, gpus, base_config(k, m).with_save_mode(SaveMode::Sequential), 1, 0);
-        let want = local_fingerprint(&oracle.cluster, nodes);
-        assert!(!want.is_empty(), "oracle must have stored something");
+        let spec = ClusterSpec::tiny_test(nodes, gpus);
+        let want = oracle_chunks(&spec, (k, m), 1, &dicts_for(spec.world_size(), 1, 0));
         for buffer in [64usize, 256, 1024, 8192] {
             for threads in [1usize, 2, 4, 8] {
                 let got = run_saves(
                     nodes,
                     gpus,
-                    base_config(k, m)
-                        .with_save_mode(SaveMode::Pipelined)
-                        .with_coding_threads(threads)
-                        .with_pipeline_buffer(buffer),
+                    base_config(k, m).with_coding_threads(threads).with_pipeline_buffer(buffer),
                     1,
                     0,
                 );
                 assert_eq!(
-                    local_fingerprint(&got.cluster, nodes),
+                    stored_chunks(&got.cluster, nodes),
                     want,
                     "k={k} m={m} gpus={gpus} buffer={buffer} threads={threads}"
                 );
@@ -99,102 +155,74 @@ fn pipelined_stores_identical_blobs_across_shapes_buffers_and_threads() {
 }
 
 #[test]
-fn modes_agree_across_multiple_save_versions() {
-    // Version numbering, header turnover and chunk contents must track
-    // each other save after save, not just on the first one.
-    let seq = run_saves(4, 2, base_config(2, 2).with_save_mode(SaveMode::Sequential), 3, 0);
-    let pipe = run_saves(
-        4,
-        2,
-        base_config(2, 2)
-            .with_save_mode(SaveMode::Pipelined)
-            .with_coding_threads(3)
-            .with_pipeline_buffer(128),
-        3,
-        0,
-    );
-    assert_eq!(local_fingerprint(&pipe.cluster, 4), local_fingerprint(&seq.cluster, 4));
+fn pipeline_matches_the_oracle_across_multiple_save_versions() {
+    // Version numbering, rotation and chunk contents must track each
+    // other save after save, not just on the first one: after three
+    // saves the only chunk-class blobs left are the oracle's v3.
+    let pipe =
+        run_saves(4, 2, base_config(2, 2).with_coding_threads(3).with_pipeline_buffer(128), 3, 0);
+    let want = oracle_chunks(&pipe.spec, (2, 2), 3, &pipe.dicts);
+    assert_eq!(stored_chunks(&pipe.cluster, 4), want);
 }
 
 #[test]
-fn checkpoints_load_back_from_either_mode_after_failures() {
-    for mode in [SaveMode::Sequential, SaveMode::Pipelined] {
-        let Saved { mut cluster, ecc, .. } =
-            run_saves(4, 2, base_config(2, 2).with_save_mode(mode), 2, 0);
-        let expected = dicts_for(8, 2, 0);
+fn checkpoints_load_back_after_failures() {
+    let Saved { mut cluster, ecc, dicts: expected, .. } = run_saves(4, 2, base_config(2, 2), 2, 0);
 
-        // Clean load first, then a two-node failure burst (= m).
-        let (restored, _) = ecc.load(&mut cluster).expect("clean load");
-        assert_eq!(restored, expected, "{mode:?} clean load");
-        cluster.fail_node(0);
-        cluster.fail_node(2);
-        cluster.replace_node(0);
-        cluster.replace_node(2);
-        let (restored, report) = ecc.load(&mut cluster).expect("recovery load");
-        assert_eq!(restored, expected, "{mode:?} recovery load");
-        assert_eq!(report.version, 2);
-    }
+    // Clean load first, then a two-node failure burst (= m).
+    let (restored, _) = ecc.load(&mut cluster).expect("clean load");
+    assert_eq!(restored, expected, "clean load");
+    cluster.fail_node(0);
+    cluster.fail_node(2);
+    cluster.replace_node(0);
+    cluster.replace_node(2);
+    let (restored, report) = ecc.load(&mut cluster).expect("recovery load");
+    assert_eq!(restored, expected, "recovery load");
+    assert_eq!(report.version, 2);
 }
 
 #[test]
-fn drained_copy_is_mode_independent() {
-    let mut seq = run_saves(4, 1, base_config(2, 2).with_save_mode(SaveMode::Sequential), 1, 0);
-    let mut pipe = run_saves(
-        4,
-        1,
-        base_config(2, 2).with_save_mode(SaveMode::Pipelined).with_pipeline_buffer(96),
-        1,
-        0,
-    );
-    for saved in [&mut seq, &mut pipe] {
-        drain_version(&mut saved.cluster, 1, 4, saved.ecc.recorder()).expect("v1 is sealed");
+fn drained_copy_matches_the_oracle() {
+    let mut pipe = run_saves(4, 1, base_config(2, 2).with_pipeline_buffer(96), 1, 0);
+    drain_version(&mut pipe.cluster, 1, 4, pipe.ecc.recorder()).expect("v1 is sealed");
+    for (node, key, bytes) in oracle_chunks(&pipe.spec, (2, 2), 1, &pipe.dicts) {
+        let remote = if key == keys::chunk_key(1) {
+            keys::remote_chunk_key(1, node)
+        } else {
+            keys::remote_chunk_crc_key(1, node)
+        };
+        assert_eq!(pipe.cluster.get_remote(&remote), Some(bytes), "remote blob {remote}");
     }
-    assert_eq!(pipe.cluster.remote_used(), seq.cluster.remote_used());
-    let world = 4;
-    let mut remote_keys: Vec<String> = vec![keys::remote_manifest_key(1)];
-    for node in 0..4 {
-        remote_keys.push(keys::remote_chunk_key(1, node));
-        remote_keys.push(keys::remote_chunk_crc_key(1, node));
-    }
-    for worker in 0..world {
-        remote_keys.push(keys::remote_header_key(1, worker));
-        remote_keys.push(keys::remote_header_crc_key(1, worker));
-    }
-    for key in remote_keys {
+    for (worker, dict) in pipe.dicts.iter().enumerate() {
+        let header = decompose(dict).header_to_bytes();
         assert_eq!(
-            pipe.cluster.get_remote(&key),
-            seq.cluster.get_remote(&key),
-            "remote blob {key} must not depend on the save mode"
+            pipe.cluster.get_remote(&keys::remote_header_crc_key(1, worker)),
+            Some(checksum_frame(&header)),
+            "remote header frame {worker}"
         );
-        assert!(pipe.cluster.get_remote(&key).is_some(), "remote blob {key} must exist");
+        assert_eq!(
+            pipe.cluster.get_remote(&keys::remote_header_key(1, worker)),
+            Some(header),
+            "remote header {worker}"
+        );
     }
+    assert!(pipe.cluster.get_remote(&keys::remote_manifest_key(1)).is_some());
 }
 
 #[test]
 fn pipelined_saves_report_stage_accounting() {
-    let pipe = run_saves(
-        4,
-        1,
-        base_config(2, 2).with_save_mode(SaveMode::Pipelined).with_pipeline_buffer(64),
-        1,
-        0,
-    );
+    let pipe = run_saves(4, 1, base_config(2, 2).with_pipeline_buffer(64), 1, 0);
     let snap = pipe.ecc.recorder().snapshot();
     assert!(snap.counter("ecc.pipeline.stripes") > 0, "stripes must be counted");
     assert!(
         snap.counter("ecc.pipeline.encode_tasks") >= snap.counter("ecc.pipeline.stripes"),
         "each stripe takes at least one encode task per data chunk"
     );
-
-    let seq = run_saves(4, 1, base_config(2, 2).with_save_mode(SaveMode::Sequential), 1, 0);
-    let seq_snap = seq.ecc.recorder().snapshot();
-    assert_eq!(seq_snap.counter("ecc.pipeline.stripes"), 0, "sequential saves use no stripes");
-    // Both paths keep the aggregate encode totals complete.
-    assert_eq!(
-        snap.counter("erasure.encode.bytes"),
-        seq_snap.counter("erasure.encode.bytes"),
-        "aggregate encode byte accounting must not depend on the mode"
-    );
+    // The column-at-a-time encode keeps the aggregate totals complete:
+    // k data chunks in, m parity chunks out.
+    let chunk_len = pipe.cluster.get_local(0, &keys::chunk_key(1)).expect("chunk stored").len();
+    assert_eq!(snap.counter("erasure.encode.bytes"), 2 * chunk_len as u64);
+    assert_eq!(snap.counter("erasure.encode.parity_bytes"), 2 * chunk_len as u64);
 }
 
 proptest! {
@@ -210,12 +238,10 @@ proptest! {
         threads in 1usize..8,
         depth in 2usize..6,
     ) {
-        let seq = run_saves(4, 1, base_config(2, 2).with_save_mode(SaveMode::Sequential), 1, extra);
         let pipe = run_saves(
             4,
             1,
             base_config(2, 2)
-                .with_save_mode(SaveMode::Pipelined)
                 .with_coding_threads(threads)
                 .with_pipeline_buffer(buffer)
                 .with_pipeline_depth(depth),
@@ -223,8 +249,8 @@ proptest! {
             extra,
         );
         prop_assert_eq!(
-            local_fingerprint(&pipe.cluster, pipe.nodes),
-            local_fingerprint(&seq.cluster, seq.nodes)
+            stored_chunks(&pipe.cluster, 4),
+            oracle_chunks(&pipe.spec, (2, 2), 1, &pipe.dicts)
         );
     }
 }

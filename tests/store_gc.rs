@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use ecc_checkpoint::{verify_checksum, DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, DataPlane, SharedPlane};
 use eccheck::store::Drainer;
-use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, SaveMode};
+use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError};
 use proptest::prelude::*;
 
 const NODES: usize = 4;
@@ -47,12 +47,11 @@ fn dicts(round: u64) -> Vec<StateDict> {
         .collect()
 }
 
-fn config(keep_last: usize, keep_every: u64, mode: SaveMode) -> EcCheckConfig {
+fn config(keep_last: usize, keep_every: u64) -> EcCheckConfig {
     EcCheckConfig::paper_defaults()
         .with_km(2, 2)
         .with_packet_size(256)
         .with_coding_threads(2)
-        .with_save_mode(mode)
         .with_retain_last(keep_last)
         .with_retain_every(keep_every)
 }
@@ -72,65 +71,73 @@ fn version_present(cluster: &Cluster, version: u64) -> bool {
     })
 }
 
+/// Incremental GC over `saves` checkpoints equals the closed form,
+/// keeps everything it claims restorable, and sweeps the rest.
+fn check_retention(saves: u64, keep_last: usize, keep_every: u64) -> Result<(), TestCaseError> {
+    let spec = ClusterSpec::tiny_test(NODES, GPUS);
+    let mut cluster = Cluster::new(spec);
+    let mut ecc = EcCheck::initialize(&spec, config(keep_last, keep_every)).expect("config valid");
+
+    let mut saved = BTreeMap::new();
+    for round in 1..=saves {
+        let d = dicts(round);
+        let report = ecc.save(&mut cluster, &d).expect("save");
+        prop_assert_eq!(report.version, round);
+        saved.insert(round, d);
+    }
+
+    let expect = expected_retained(saves, keep_last, keep_every);
+    prop_assert_eq!(ecc.retained_versions(), expect.clone());
+    prop_assert!(expect.contains(&saves), "the newest version must never be collected");
+
+    // Every retained version restores bit-exactly and reports its
+    // own version number.
+    for &v in &expect {
+        let (restored, report) = ecc.load_version(&mut cluster, v).expect("retained loads");
+        prop_assert_eq!(&restored, &saved[&v]);
+        prop_assert_eq!(report.version, v);
+    }
+
+    // Every collected version refuses cleanly and is truly swept.
+    for v in 1..=saves {
+        if expect.contains(&v) {
+            continue;
+        }
+        match ecc.load_version(&mut cluster, v) {
+            Err(EcCheckError::VersionGone { version }) => prop_assert_eq!(version, v),
+            other => prop_assert!(false, "collected v{} must be VersionGone, got {:?}", v, other),
+        }
+        prop_assert!(!version_present(&cluster, v), "v{} blobs must be swept", v);
+    }
+
+    // And the default entry point still lands on the newest.
+    let (newest, report) = ecc.load(&mut cluster).expect("newest loads");
+    prop_assert_eq!(&newest, &saved[&saves]);
+    prop_assert_eq!(report.version, saves);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Incremental GC over an arbitrary save history equals the closed
-    /// form, keeps everything it claims restorable, and sweeps the
-    /// rest — under both save executors.
+    /// The retention property over an arbitrary save history.
     #[test]
     fn gc_retention_matches_closed_form_and_stays_restorable(
         saves in 1u64..8,
         keep_last in 0usize..4,
         keep_every in 0u64..4,
-        pipelined in any::<bool>(),
     ) {
-        let mode = if pipelined { SaveMode::Pipelined } else { SaveMode::Sequential };
-        let spec = ClusterSpec::tiny_test(NODES, GPUS);
-        let mut cluster = Cluster::new(spec);
-        let mut ecc = EcCheck::initialize(&spec, config(keep_last, keep_every, mode))
-            .expect("config valid");
-
-        let mut saved = BTreeMap::new();
-        for round in 1..=saves {
-            let d = dicts(round);
-            let report = ecc.save(&mut cluster, &d).expect("save");
-            prop_assert_eq!(report.version, round);
-            saved.insert(round, d);
-        }
-
-        let expect = expected_retained(saves, keep_last, keep_every);
-        prop_assert_eq!(ecc.retained_versions(), expect.clone());
-        prop_assert!(
-            expect.contains(&saves),
-            "the newest version must never be collected"
-        );
-
-        // Every retained version restores bit-exactly and reports its
-        // own version number.
-        for &v in &expect {
-            let (restored, report) = ecc.load_version(&mut cluster, v).expect("retained loads");
-            prop_assert_eq!(&restored, &saved[&v]);
-            prop_assert_eq!(report.version, v);
-        }
-
-        // Every collected version refuses cleanly and is truly swept.
-        for v in 1..=saves {
-            if expect.contains(&v) {
-                continue;
-            }
-            match ecc.load_version(&mut cluster, v) {
-                Err(EcCheckError::VersionGone { version }) => prop_assert_eq!(version, v),
-                other => prop_assert!(false, "collected v{} must be VersionGone, got {:?}", v, other),
-            }
-            prop_assert!(!version_present(&cluster, v), "v{} blobs must be swept", v);
-        }
-
-        // And the default entry point still lands on the newest.
-        let (newest, report) = ecc.load(&mut cluster).expect("newest loads");
-        prop_assert_eq!(&newest, &saved[&saves]);
-        prop_assert_eq!(report.version, saves);
+        check_retention(saves, keep_last, keep_every)?;
     }
+}
+
+/// The cases recorded in `store_gc.proptest-regressions`, replayed by
+/// value so they keep running whatever the property's parameter list
+/// looks like.
+#[test]
+fn recorded_regressions_still_hold() {
+    check_retention(7, 0, 3).expect("ladder with a clamped window");
+    check_retention(1, 0, 0).expect("single save, everything off");
 }
 
 #[test]
@@ -143,8 +150,7 @@ fn gc_waits_for_the_drain_worker() {
     const SAVES: u64 = 6;
     let spec = ClusterSpec::tiny_test(NODES, GPUS);
     let shared = SharedPlane::new(Cluster::new(spec));
-    let mut ecc =
-        EcCheck::initialize(&spec, config(1, 0, SaveMode::Pipelined)).expect("config valid");
+    let mut ecc = EcCheck::initialize(&spec, config(1, 0)).expect("config valid");
     let drainer = Drainer::spawn(shared.clone(), 1, ecc.recorder().clone());
     ecc.set_drainer(drainer.handle());
 

@@ -4,7 +4,7 @@
 //! `keep-every-2nd` ladder, so tier 0 retains exactly {2, 4, 5} — is
 //! replayed across every cell of the matrix
 //!
-//!     {retained version} × {Sequential, Pipelined} × {data plane}
+//!     {retained version} × {data plane}
 //!
 //! where the data plane is the in-memory `Cluster`, a quiet
 //! `ChaosPlane` (fault machinery armed, zero injection rate), and a
@@ -19,7 +19,7 @@ use ecc_chaos::{ChaosConfig, ChaosPlane};
 use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, DataPlane};
 use ecc_net::{CheckpointServer, RemotePlane, ServerConfig};
-use eccheck::{EcCheck, EcCheckConfig, EcCheckError, SaveMode};
+use eccheck::{EcCheck, EcCheckConfig, EcCheckError};
 
 const NODES: usize = 4;
 const GPUS: usize = 2;
@@ -44,58 +44,54 @@ fn dicts(round: u64) -> Vec<StateDict> {
         .collect()
 }
 
-fn config(mode: SaveMode) -> EcCheckConfig {
+fn config() -> EcCheckConfig {
     EcCheckConfig::paper_defaults()
         .with_km(2, 2)
         .with_packet_size(256)
         .with_coding_threads(2)
-        .with_save_mode(mode)
         .with_retain_last(2)
         .with_retain_every(2)
 }
 
 /// Runs the save history on `plane` and checks every matrix cell for
-/// one (plane, mode) combination.
-fn run_matrix<P: DataPlane>(plane: &mut P, mode: SaveMode, plane_name: &str) {
+/// that plane.
+fn run_matrix<P: DataPlane>(plane: &mut P, plane_name: &str) {
     let spec = ClusterSpec::tiny_test(NODES, GPUS);
-    let mut ecc = EcCheck::initialize(&spec, config(mode)).expect("config valid");
+    let mut ecc = EcCheck::initialize(&spec, config()).expect("config valid");
 
     let mut saved = BTreeMap::new();
     for round in 1..=SAVES {
         let d = dicts(round);
         let report = ecc.save(plane, &d).expect("save");
-        assert_eq!(report.version, round, "{plane_name}/{mode:?}");
+        assert_eq!(report.version, round, "{plane_name}");
         saved.insert(round, d);
     }
-    assert_eq!(ecc.retained_versions(), RETAINED.to_vec(), "{plane_name}/{mode:?}");
+    assert_eq!(ecc.retained_versions(), RETAINED.to_vec(), "{plane_name}");
 
     for v in RETAINED {
         let (restored, report) = ecc
             .load_version(plane, v)
-            .unwrap_or_else(|e| panic!("{plane_name}/{mode:?}: v{v} must load: {e}"));
-        assert_eq!(restored, saved[&v], "{plane_name}/{mode:?}: v{v} bit-exact");
-        assert_eq!(report.version, v, "{plane_name}/{mode:?}: v{v} report stamp");
+            .unwrap_or_else(|e| panic!("{plane_name}: v{v} must load: {e}"));
+        assert_eq!(restored, saved[&v], "{plane_name}: v{v} bit-exact");
+        assert_eq!(report.version, v, "{plane_name}: v{v} report stamp");
     }
     for v in COLLECTED {
         match ecc.load_version(plane, v) {
             Err(EcCheckError::VersionGone { version }) => assert_eq!(version, v),
-            other => panic!("{plane_name}/{mode:?}: collected v{v} must refuse, got {other:?}"),
+            other => panic!("{plane_name}: collected v{v} must refuse, got {other:?}"),
         }
     }
 
     // The default entry point lands on the newest retained version.
     let (newest, report) = ecc.load(plane).expect("newest loads");
-    assert_eq!(newest, saved[&SAVES], "{plane_name}/{mode:?}");
-    assert_eq!(report.version, SAVES, "{plane_name}/{mode:?}");
+    assert_eq!(newest, saved[&SAVES], "{plane_name}");
+    assert_eq!(report.version, SAVES, "{plane_name}");
 }
 
 #[test]
 fn memory_plane_restores_every_retained_version() {
     let spec = ClusterSpec::tiny_test(NODES, GPUS);
-    for mode in [SaveMode::Sequential, SaveMode::Pipelined] {
-        let mut cluster = Cluster::new(spec);
-        run_matrix(&mut cluster, mode, "memory");
-    }
+    run_matrix(&mut Cluster::new(spec), "memory");
 }
 
 #[test]
@@ -104,10 +100,8 @@ fn quiet_chaos_plane_restores_every_retained_version() {
     // accounting, fetch provenance) runs, but no faults fire — the
     // matrix must be indistinguishable from the memory plane.
     let spec = ClusterSpec::tiny_test(NODES, GPUS);
-    for (i, mode) in [SaveMode::Sequential, SaveMode::Pipelined].into_iter().enumerate() {
-        let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(11 + i as u64));
-        run_matrix(&mut plane, mode, "chaos-quiet");
-    }
+    let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(11));
+    run_matrix(&mut plane, "chaos-quiet");
 }
 
 #[test]
@@ -115,14 +109,12 @@ fn remote_plane_loopback_restores_every_retained_version() {
     // The same matrix over the real TCP wire protocol: every blob of
     // every version round-trips through the loopback server.
     let spec = ClusterSpec::tiny_test(NODES, GPUS);
-    for mode in [SaveMode::Sequential, SaveMode::Pipelined] {
-        let server =
-            CheckpointServer::serve(Cluster::new(spec), "127.0.0.1:0", ServerConfig::default())
-                .expect("loopback server binds");
-        let addr = server.local_addr().to_string();
-        let mut plane = RemotePlane::connect(&addr).expect("client connects");
-        run_matrix(&mut plane, mode, "remote-loopback");
-        drop(plane);
-        server.shutdown();
-    }
+    let server =
+        CheckpointServer::serve(Cluster::new(spec), "127.0.0.1:0", ServerConfig::default())
+            .expect("loopback server binds");
+    let addr = server.local_addr().to_string();
+    let mut plane = RemotePlane::connect(&addr).expect("client connects");
+    run_matrix(&mut plane, "remote-loopback");
+    drop(plane);
+    server.shutdown();
 }
