@@ -65,7 +65,6 @@ fn print_report(snap: &Snapshot) {
     let phases = [
         ("decompose", "ecc.save.decompose_ns"),
         ("pack", "ecc.save.pack_ns"),
-        ("build chunks", "ecc.save.build_chunks_ns"),
         ("encode", "ecc.save.encode_ns"),
         ("place (P2P)", "ecc.save.place_ns"),
         ("total save", "ecc.save.ns"),

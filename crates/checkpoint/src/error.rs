@@ -24,11 +24,6 @@ pub enum CheckpointError {
         /// Human-readable description of the inconsistency.
         detail: String,
     },
-    /// A packet failed its CRC-32 integrity check.
-    ChecksumMismatch {
-        /// Index of the corrupt packet.
-        packet: usize,
-    },
     /// Unpacking referenced data outside the packed region.
     ExtentOutOfRange {
         /// Human-readable description of the bad extent.
@@ -45,9 +40,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadTensor { detail } => write!(f, "bad tensor: {detail}"),
             CheckpointError::Reassembly { detail } => {
                 write!(f, "cannot reassemble state_dict: {detail}")
-            }
-            CheckpointError::ChecksumMismatch { packet } => {
-                write!(f, "packet {packet} failed its integrity check")
             }
             CheckpointError::ExtentOutOfRange { detail } => {
                 write!(f, "extent out of range: {detail}")

@@ -12,9 +12,11 @@
 //! * [`Decomposition`] — the serialization-free protocol's first step
 //!   (paper §III-C): split a `state_dict` into non-tensor key-values,
 //!   tensor keys, and raw tensor data, and reassemble it bit-exactly.
-//! * [`Packer`] / [`Packet`] — fixed-size buffer packing that turns a
-//!   worker's variable-size tensors into the equal-size data packets the
-//!   erasure coder consumes, with CRC-32 integrity checks.
+//! * [`Packer`] — the fixed-size packet lay-out that turns a worker's
+//!   variable-size tensors into the equal-size data packets the erasure
+//!   coder consumes: the tensors head to tail, zero-padded.
+//! * [`checksum_frame`] / [`verify_checksum`] — the CRC-32 frame stored
+//!   beside every blob, computed once on write and verified once on read.
 //!
 //! # Examples
 //!
@@ -44,5 +46,5 @@ mod value;
 pub use checksum::{checksum_frame, crc32, crc32_combine, verify_checksum};
 pub use decompose::{decompose, Decomposition, TensorKey};
 pub use error::CheckpointError;
-pub use packer::{Packer, Packet, TensorExtent};
+pub use packer::{Packer, TensorExtent};
 pub use value::{DType, StateDict, Tensor, Value};

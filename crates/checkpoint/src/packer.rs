@@ -1,4 +1,4 @@
-//! Fixed-size packet packing for tensor data.
+//! Fixed-size packet lay-out for tensor data.
 //!
 //! ECCheck reserves fixed-size data and encoding buffers per worker
 //! (64 MB each in the paper's settings, §V-B) and streams tensor data
@@ -6,59 +6,17 @@
 //! into buffers, and a buffer that fills up becomes a *data packet* that
 //! enters the encode → XOR-reduce → P2P pipeline (§III-C step 3).
 //!
-//! Packing is strictly sequential and deterministic, so every node can
-//! derive the same layout from the tensor keys alone; the final packet is
-//! zero-padded. Each packet carries a CRC-32 so corruption in the
-//! (simulated) fabric is detected at unpack time.
+//! The lay-out is strictly sequential and deterministic — the tensors
+//! concatenated, zero-padded to a whole number of packets — so every
+//! node can derive it from the tensor keys alone, and the engine writes
+//! it straight into its data chunks. Packets carry no checksum of their
+//! own: integrity is the stored chunk's checksum frame (see
+//! [`crate::checksum_frame`]), computed once when the chunk is written
+//! and verified once when it is read. [`Packer::pack`] and
+//! [`Packer::unpack`] materialise the same lay-out packet by packet for
+//! the benchmark ledger and as the test-side reference.
 
-use crate::{crc32, CheckpointError};
-
-/// One fixed-size data packet plus its integrity checksum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
-    index: usize,
-    data: Vec<u8>,
-    crc: u32,
-}
-
-impl Packet {
-    /// Creates a packet and stamps its checksum.
-    pub fn new(index: usize, data: Vec<u8>) -> Self {
-        let crc = crc32(&data);
-        Self { index, data, crc }
-    }
-
-    /// Position of this packet in the worker's packet sequence.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The packet payload.
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Mutable payload access (used by tests to model corruption; real
-    /// transport never mutates packets).
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
-    /// The stored CRC-32.
-    pub fn crc(&self) -> u32 {
-        self.crc
-    }
-
-    /// `true` when the payload still matches the stored checksum.
-    pub fn verify(&self) -> bool {
-        crc32(&self.data) == self.crc
-    }
-
-    /// Consumes the packet, returning its payload.
-    pub fn into_data(self) -> Vec<u8> {
-        self.data
-    }
-}
+use crate::CheckpointError;
 
 /// Where a contiguous piece of one tensor landed in the packet stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +25,7 @@ pub struct TensorExtent {
     pub tensor: usize,
     /// Offset within the tensor where this piece starts.
     pub tensor_offset: usize,
-    /// Packet the piece landed in.
+    /// Index of the packet the piece landed in.
     pub packet: usize,
     /// Offset within the packet.
     pub packet_offset: usize,
@@ -123,7 +81,7 @@ impl Packer {
 
     /// Packs tensor buffers head-to-tail into fixed-size packets,
     /// zero-padding the last one. Returns the packets and the extent map.
-    pub fn pack(&self, tensors: &[Vec<u8>]) -> (Vec<Packet>, Vec<TensorExtent>) {
+    pub fn pack(&self, tensors: &[Vec<u8>]) -> (Vec<Vec<u8>>, Vec<TensorExtent>) {
         let total: usize = tensors.iter().map(Vec::len).sum();
         let n_packets = self.packet_count(total);
         let mut raw: Vec<Vec<u8>> =
@@ -152,74 +110,37 @@ impl Packer {
         for buf in &mut raw {
             buf.resize(self.packet_size, 0);
         }
-        let packets = raw.into_iter().enumerate().map(|(i, d)| Packet::new(i, d)).collect();
-        (packets, extents)
-    }
-
-    /// The extent map [`Packer::pack`] would produce for tensors of the
-    /// given lengths, without touching any data. Every node can compute
-    /// this from the broadcast tensor keys alone.
-    pub fn extents_for(&self, lens: &[usize]) -> Vec<TensorExtent> {
-        let mut extents = Vec::new();
-        let mut packet = 0usize;
-        let mut fill = 0usize;
-        for (t, &len) in lens.iter().enumerate() {
-            let mut offset = 0usize;
-            while offset < len {
-                if fill == self.packet_size {
-                    packet += 1;
-                    fill = 0;
-                }
-                let take = (self.packet_size - fill).min(len - offset);
-                extents.push(TensorExtent {
-                    tensor: t,
-                    tensor_offset: offset,
-                    packet,
-                    packet_offset: fill,
-                    len: take,
-                });
-                fill += take;
-                offset += take;
-            }
-        }
-        extents
+        (raw, extents)
     }
 
     /// Rebuilds tensor buffers from packets using the extent map.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::ChecksumMismatch`] for a corrupt packet
-    /// and [`CheckpointError::ExtentOutOfRange`] when an extent points
+    /// Returns [`CheckpointError::ExtentOutOfRange`] when an extent points
     /// outside the packets or tensors.
     pub fn unpack(
         &self,
-        packets: &[Packet],
+        packets: &[Vec<u8>],
         extents: &[TensorExtent],
         tensor_lens: &[usize],
     ) -> Result<Vec<Vec<u8>>, CheckpointError> {
-        for p in packets {
-            if !p.verify() {
-                return Err(CheckpointError::ChecksumMismatch { packet: p.index() });
-            }
-        }
         let mut tensors: Vec<Vec<u8>> = tensor_lens.iter().map(|&len| vec![0u8; len]).collect();
         for e in extents {
             let packet =
                 packets.get(e.packet).ok_or_else(|| CheckpointError::ExtentOutOfRange {
                     detail: format!("packet {} of {}", e.packet, packets.len()),
                 })?;
-            let src =
-                packet.data().get(e.packet_offset..e.packet_offset + e.len).ok_or_else(|| {
-                    CheckpointError::ExtentOutOfRange {
-                        detail: format!(
-                            "bytes {}..{} of packet {}",
-                            e.packet_offset,
-                            e.packet_offset + e.len,
-                            e.packet
-                        ),
-                    }
-                })?;
+            let src = packet.get(e.packet_offset..e.packet_offset + e.len).ok_or_else(|| {
+                CheckpointError::ExtentOutOfRange {
+                    detail: format!(
+                        "bytes {}..{} of packet {}",
+                        e.packet_offset,
+                        e.packet_offset + e.len,
+                        e.packet
+                    ),
+                }
+            })?;
             let tensor =
                 tensors.get_mut(e.tensor).ok_or_else(|| CheckpointError::ExtentOutOfRange {
                     detail: format!("tensor {} of {}", e.tensor, tensor_lens.len()),
@@ -257,7 +178,7 @@ mod tests {
         ];
         let lens: Vec<usize> = tensors.iter().map(Vec::len).collect();
         let (packets, extents) = packer.pack(&tensors);
-        assert!(packets.iter().all(|p| p.data().len() == 64));
+        assert!(packets.iter().all(|p| p.len() == 64));
         let back = packer.unpack(&packets, &extents, &lens).unwrap();
         assert_eq!(back, tensors);
     }
@@ -273,33 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn extents_for_matches_pack() {
-        let packer = Packer::new(24).unwrap();
-        let tensors = vec![vec![1u8; 10], vec![2u8; 50], vec![3u8; 7]];
-        let lens: Vec<usize> = tensors.iter().map(Vec::len).collect();
-        let (_, from_pack) = packer.pack(&tensors);
-        assert_eq!(packer.extents_for(&lens), from_pack);
-    }
-
-    #[test]
     fn empty_input_yields_one_padded_packet() {
         let packer = Packer::new(32).unwrap();
         let (packets, extents) = packer.pack(&[]);
         assert_eq!(packets.len(), 1);
         assert!(extents.is_empty());
-        assert!(packets[0].data().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let packer = Packer::new(16).unwrap();
-        let tensors = vec![vec![5u8; 30]];
-        let (mut packets, extents) = packer.pack(&tensors);
-        packets[1].data_mut()[0] ^= 0xFF;
-        assert!(matches!(
-            packer.unpack(&packets, &extents, &[30]),
-            Err(CheckpointError::ChecksumMismatch { packet: 1 })
-        ));
+        assert!(packets[0].iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -322,8 +222,11 @@ mod tests {
     }
 
     proptest! {
+        /// The fact the engine relies on when it lays tensors straight
+        /// into its data chunks: packing is concatenation plus zero
+        /// padding to a whole number of packets, nothing else.
         #[test]
-        fn prop_pack_round_trips(
+        fn prop_pack_is_concatenation_zero_padded_and_round_trips(
             lens in proptest::collection::vec(0usize..200, 0..8),
             packet_size_words in 1usize..16,
         ) {
@@ -334,7 +237,10 @@ mod tests {
                 .map(|(i, &len)| (0..len).map(|j| (i * 31 + j) as u8).collect())
                 .collect();
             let (packets, extents) = packer.pack(&tensors);
-            prop_assert!(packets.iter().all(|p| p.data().len() == packer.packet_size()));
+            let mut flat = tensors.concat();
+            flat.resize(packer.packet_count(flat.len()) * packer.packet_size(), 0);
+            prop_assert_eq!(packets.concat(), flat);
+            prop_assert!(packets.iter().all(|p| p.len() == packer.packet_size()));
             let back = packer.unpack(&packets, &extents, &lens).unwrap();
             prop_assert_eq!(back, tensors);
         }

@@ -152,7 +152,7 @@ impl EcCheckConfig {
         self.w
     }
 
-    /// Packet/buffer size in bytes.
+    /// The packet (buffer) size in bytes.
     pub fn packet_size(&self) -> usize {
         self.packet_size
     }

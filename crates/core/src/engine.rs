@@ -2,9 +2,10 @@
 //!
 //! `save` executes the paper's checkpoint protocol (§III, Fig. 5/6) on
 //! actual memory: decompose each worker's `state_dict`
-//! (serialization-free, §III-C), pack tensor data into fixed-size
-//! packets, build the `k` data chunks, encode `m` parity chunks with the
-//! Cauchy Reed–Solomon code, and place every chunk on its node. `load`
+//! (serialization-free, §III-C), lay its tensor data head to tail into
+//! its packet-aligned region of one of the `k` data chunks, encode `m`
+//! parity chunks with the Cauchy Reed–Solomon code, and place every
+//! chunk on its node. `load`
 //! executes the two recovery workflows (§III-B, Fig. 7) and reconstructs
 //! every worker's `state_dict` bit-exactly.
 //!
@@ -13,7 +14,9 @@
 
 use std::collections::BTreeMap;
 
-use ecc_checkpoint::{checksum_frame, decompose, Decomposition, Packer, Packet, StateDict};
+use ecc_checkpoint::{
+    checksum_frame, decompose, CheckpointError, Decomposition, Packer, StateDict, TensorKey,
+};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthConfig, HealthRegistry};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_obs::{ObsHub, ObsHubConfig, ObsServer, SloSpec};
@@ -53,7 +56,6 @@ pub struct EcCheck {
     /// — a stale engine writing through an outdated assignment would
     /// silently break the m-fault guarantee.
     placement_epoch: u64,
-    packets_per_worker: usize,
     recorder: Recorder,
     trace: Option<TraceHandles>,
     /// Profiled network-busy windows + wire bandwidth for idle-slot
@@ -125,7 +127,6 @@ impl EcCheck {
             packer,
             version: 0,
             placement_epoch: 0,
-            packets_per_worker: 0,
             recorder,
             trace: None,
             idle_profile: None,
@@ -422,24 +423,30 @@ impl EcCheck {
 
     /// Adopts a checkpoint this engine did not write, so a fresh
     /// process can [`EcCheck::load`] state saved by another one (e.g.
-    /// over a socket-backed plane). Reads `version`'s packet-layout
-    /// manifest from any alive node — falling back to the remote copy —
-    /// and fast-forwards the engine to that version. Use
+    /// over a socket-backed plane). Checks that `version` was sealed —
+    /// its manifest is on some alive node, or on the remote copy — and
+    /// fast-forwards the engine to that version. The manifest is only
+    /// the seal marker: restores derive the packet lay-out from the
+    /// checksum-verified chunks, never from the manifest's bytes. Use
     /// [`crate::keys::latest_manifest_version`] to discover the newest
     /// version on a plane.
     ///
     /// # Errors
     ///
     /// Returns [`EcCheckError::NoCheckpoint`] when no alive node (and
-    /// not remote storage either) holds a manifest for `version`, and
-    /// [`EcCheckError::Config`] when the manifest bytes are malformed.
+    /// not remote storage either) holds a manifest for `version`.
     pub fn adopt_version(
         &mut self,
         cluster: &impl DataPlane,
         version: u64,
     ) -> Result<(), EcCheckError> {
-        self.packets_per_worker =
-            read_manifest(cluster, version)?.ok_or(EcCheckError::NoCheckpoint)?;
+        let key = manifest_key(version);
+        let sealed = (0..cluster.nodes())
+            .any(|node| cluster.alive(node) && cluster.get_local(node, &key).is_some())
+            || cluster.get_remote(&remote_manifest_key(version)).is_some();
+        if !sealed {
+            return Err(EcCheckError::NoCheckpoint);
+        }
         self.version = version;
         // Rebuild the retention index from what the plane actually
         // holds — the adopting engine did not watch the saves happen.
@@ -505,40 +512,31 @@ impl EcCheck {
         drop(span);
         drop(phase);
 
-        // Step 3a: pack tensor data into fixed-size packets per worker.
+        // Step 3a: build the k data chunks. Chunk j holds the regions of
+        // data group j's workers in relative-worker order — the layout
+        // reduction groups operate on. A region is the worker's tensors
+        // head to tail, zero-padded to the common packet count.
         let phase = self.recorder.timer("ecc.save.pack_ns");
         let span = trace
             .as_ref()
             .map(|t| t.tracer.span(t.engine, "checkpoint.pack", format!("{world} workers")));
-        let mut worker_packets: Vec<Vec<Packet>> =
-            decomposed.iter().map(|d| self.packer.pack(d.tensor_data()).0).collect();
-        let max_packets = worker_packets.iter().map(Vec::len).max().expect("world size > 0");
-        for packets in &mut worker_packets {
-            while packets.len() < max_packets {
-                packets.push(Packet::new(packets.len(), vec![0u8; ps]));
-            }
-        }
-        drop(span);
-        drop(phase);
-
-        // Step 3b: build the k data chunks. Chunk j concatenates the
-        // packets of data group j ordered (relative worker index, packet
-        // index) — the layout reduction groups operate on.
-        let phase = self.recorder.timer("ecc.save.build_chunks_ns");
-        let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.build_chunks", ""));
+        let max_packets = decomposed
+            .iter()
+            .map(|d| self.packer.packet_count(d.tensor_bytes()))
+            .max()
+            .expect("world size > 0");
+        let region_len = max_packets * ps;
         let group_size = self.placement.group_size();
-        let chunk_len = group_size * max_packets * ps;
-        let mut data_chunks: Vec<Vec<u8>> = Vec::with_capacity(self.config.k());
-        for j in 0..self.config.k() {
-            let mut chunk = Vec::with_capacity(chunk_len);
-            for r in 0..group_size {
-                let w = j * group_size + r;
-                for packet in &worker_packets[w] {
-                    chunk.extend_from_slice(packet.data());
+        let data_chunks: Vec<Vec<u8>> = decomposed
+            .chunks(group_size)
+            .map(|group| {
+                let mut chunk = Vec::with_capacity(group_size * region_len);
+                for d in group {
+                    lay_region(&mut chunk, d, region_len);
                 }
-            }
-            data_chunks.push(chunk);
-        }
+                chunk
+            })
+            .collect();
         drop(span);
         drop(phase);
 
@@ -546,8 +544,8 @@ impl EcCheck {
         let (encoded_bytes, pipeline_stats) =
             self.encode_and_place(cluster, version, data_chunks, &trace)?;
 
-        // Headers and the packet-count manifest go everywhere (tiny,
-        // ungated), closing out the placement.
+        // Headers and the manifest (the seal marker) go everywhere
+        // (tiny, ungated), closing out the placement.
         let header_frames: Vec<Vec<u8>> =
             headers.iter().map(|h| checksum_frame(h.as_slice())).collect();
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.headers", ""));
@@ -567,15 +565,13 @@ impl EcCheck {
         // allows — never the version just sealed, never one still
         // pending a drain.
         self.version = version;
-        self.packets_per_worker = max_packets;
         self.index.record(version);
         if let Some(drain) = &self.drain {
             drain.enqueue(version, world);
         }
         self.collect_garbage(cluster, world);
 
-        let payload = (max_packets * ps) as u64;
-        let traffic = self.reduction.traffic(payload);
+        let traffic = self.reduction.traffic(region_len as u64);
         save_timer.stop();
         drop(root_span);
         self.recorder.counter("ecc.save.calls").incr();
@@ -710,16 +706,16 @@ impl EcCheck {
         if self.version == 0 {
             return Err(EcCheckError::NoCheckpoint);
         }
-        self.load_version_inner(cluster, self.version, self.packets_per_worker)
+        self.load_version_inner(cluster, self.version)
     }
 
     /// Restores a specific retained checkpoint version — any entry of
     /// [`EcCheck::retained_versions`], not just the newest — through
     /// the same two recovery workflows as [`EcCheck::load`] (falling
     /// back to the tier-1 remote copy when fewer than `k` chunks
-    /// survive in memory). The packet layout of an older version is
-    /// read back from its stored manifest, so restores work even after
-    /// later saves changed the layout.
+    /// survive in memory). The packet layout of a version is derived
+    /// from its own chunks, so restores work even after later saves
+    /// changed the layout.
     ///
     /// # Errors
     ///
@@ -738,18 +734,12 @@ impl EcCheck {
         if !self.index.contains(version) {
             return Err(EcCheckError::VersionGone { version });
         }
-        let ppw = if version == self.version {
-            self.packets_per_worker
-        } else {
-            read_manifest(cluster, version)?.ok_or(EcCheckError::VersionGone { version })?
-        };
-        self.load_version_inner(cluster, version, ppw)
+        self.load_version_inner(cluster, version)
     }
 
     /// Shared body of [`EcCheck::load`] and [`EcCheck::load_version`]:
     /// gather → pick the source tier → reconstruct → restore fault
-    /// tolerance → reassemble, all against an explicit `version` whose
-    /// packet layout is `ppw` packets per worker.
+    /// tolerance → reassemble, all against an explicit `version`.
     ///
     /// The source tier is picked once: tier 0 when at least `k` chunks
     /// verify in memory, otherwise *all* chunks and *all* headers come
@@ -760,7 +750,6 @@ impl EcCheck {
         &self,
         cluster: &mut impl DataPlane,
         version: u64,
-        ppw: usize,
     ) -> Result<(Vec<StateDict>, LoadReport), EcCheckError> {
         self.ensure_fresh_epoch(cluster)?;
         let (k, n) = (self.config.k(), self.spec.nodes());
@@ -774,17 +763,19 @@ impl EcCheck {
         // Which chunks survive? Chunk id: data j -> j, parity i -> k + i.
         // Every fetched blob is verified against its stored checksum: a
         // bit-flipped chunk must become an *erasure* the code corrects,
-        // never an input `reconstruct_all` decodes into garbage.
+        // never an input `reconstruct_all` decodes into garbage. The
+        // frame a blob verified against travels with it, to be stored
+        // again as it is when the chunk is re-seeded.
         let gather_span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.gather", ""));
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut shards: Vec<Option<Framed>> = vec![None; n];
         let mut failed_nodes = Vec::new();
         let mut corrupt_nodes = Vec::new();
         for node in 0..n {
             match self.fetch_chunk(cluster, node, version, &trace) {
-                Verified::Intact { blob, .. } => {
+                Verified::Intact { blob, crc } => {
                     let chunk_id = self.chunk_id_of_node(node);
                     trace_fetch(&trace, node, &format!("chunk {chunk_id}"));
-                    shards[chunk_id] = Some(blob);
+                    shards[chunk_id] = Some((blob, crc));
                     self.heartbeat(node);
                 }
                 Verified::Missing => failed_nodes.push(node),
@@ -824,7 +815,8 @@ impl EcCheck {
         );
 
         // Rebuild all chunks (decode if data lost, re-encode lost parity).
-        let shard_refs: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
+        let shard_refs: Vec<Option<&[u8]>> =
+            shards.iter().map(|s| s.as_ref().map(|(blob, _)| blob.as_slice())).collect();
         let rebuilt_count = n - survivors;
         let span = trace.as_ref().map(|t| {
             t.tracer.span(
@@ -835,6 +827,9 @@ impl EcCheck {
         });
         let all_chunks = self.code.reconstruct_all(&shard_refs)?;
         drop(span);
+        // The packet layout comes from the chunks just verified or
+        // rebuilt, never from a stored number nothing checksums.
+        let region_len = self.region_len(all_chunks[0].len())?;
 
         let headers = self.gather_headers(cluster, version, from_remote, survivors, &trace)?;
 
@@ -844,19 +839,22 @@ impl EcCheck {
         // is skipped, not fatal: the decoded state is already in hand,
         // and the skipped node is re-seeded by the next save/load.
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.restore", ""));
-        let header_frames: Vec<Vec<u8>> =
-            headers.iter().map(|h| checksum_frame(h.as_slice())).collect();
         let mut restore_skipped = Vec::new();
         'restore: for node in 0..n {
             let chunk_id = self.chunk_id_of_node(node);
+            // Only a chunk `reconstruct_all` rebuilt needs a new frame.
+            let frame = match shards[chunk_id].take() {
+                Some((_, frame)) => frame,
+                None => checksum_frame(&all_chunks[chunk_id]),
+            };
             let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(2 * headers.len() + 4);
             puts.push((chunk_key(version), all_chunks[chunk_id].clone()));
-            puts.push((chunk_crc_key(version), checksum_frame(&all_chunks[chunk_id])));
-            for (w, header) in headers.iter().enumerate() {
+            puts.push((chunk_crc_key(version), frame));
+            for (w, (header, frame)) in headers.iter().enumerate() {
                 puts.push((header_key(version, w), header.clone()));
-                puts.push((header_crc_key(version, w), header_frames[w].clone()));
+                puts.push((header_crc_key(version, w), frame.clone()));
             }
-            puts.push((manifest_key(version), manifest(ppw)));
+            puts.push((manifest_key(version), manifest(region_len / self.config.packet_size())));
             puts.push((epoch_key(version), encode_epoch(self.placement_epoch)));
             for (key, bytes) in puts {
                 match cluster.put_local(node, &key, bytes) {
@@ -882,7 +880,7 @@ impl EcCheck {
 
         // Reassemble every worker's state_dict from the data chunks.
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.reassemble", ""));
-        let dicts = self.reassemble_all(&all_chunks[..k], &headers, ppw)?;
+        let dicts = self.reassemble_all(&all_chunks[..k], &headers, region_len)?;
         let restored_bytes: u64 = dicts.iter().map(|d| d.tensor_bytes() as u64).sum();
         drop(span);
         load_timer.stop();
@@ -914,13 +912,15 @@ impl EcCheck {
         &self,
         cluster: &impl DataPlane,
         version: u64,
-        local_shards: &[Option<Vec<u8>>],
-    ) -> Result<Vec<Option<Vec<u8>>>, EcCheckError> {
+        local_shards: &[Option<Framed>],
+    ) -> Result<Vec<Option<Framed>>, EcCheckError> {
         let (k, n) = (self.config.k(), self.spec.nodes());
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut shards: Vec<Option<Framed>> = vec![None; n];
         for node in 0..n {
             match read_verified(cluster, Tier::Remote, &remote_chunk_key(version, node)) {
-                Verified::Intact { blob, .. } => shards[self.chunk_id_of_node(node)] = Some(blob),
+                Verified::Intact { blob, crc } => {
+                    shards[self.chunk_id_of_node(node)] = Some((blob, crc));
+                }
                 Verified::Missing => {}
                 Verified::Corrupt => {
                     self.recorder.counter("ecc.load.corrupt_chunks").incr();
@@ -1025,14 +1025,14 @@ impl EcCheck {
         from_remote: bool,
         survivors: usize,
         trace: &Option<TraceHandles>,
-    ) -> Result<Vec<Vec<u8>>, EcCheckError> {
+    ) -> Result<Vec<Framed>, EcCheckError> {
         let world = self.spec.world_size();
-        let mut headers: Vec<Vec<u8>> = Vec::with_capacity(world);
+        let mut headers: Vec<Framed> = Vec::with_capacity(world);
         let mut lost_workers = Vec::new();
         for w in 0..world {
             let found = if from_remote {
                 match read_verified(cluster, Tier::Remote, &remote_header_key(version, w)) {
-                    Verified::Intact { blob, .. } => Some(blob),
+                    Verified::Intact { blob, crc } => Some((blob, crc)),
                     Verified::Missing | Verified::Corrupt => None,
                 }
             } else {
@@ -1065,14 +1065,14 @@ impl EcCheck {
         version: u64,
         w: usize,
         trace: &Option<TraceHandles>,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<Framed> {
         let n = self.spec.nodes();
         let retries = self.config.fetch_retries();
         let primary = (0..n).find(|&node| cluster.alive(node));
         for attempt in 0..=retries {
             for node in (0..n).filter(|&node| cluster.alive(node)) {
                 match read_verified(cluster, Tier::Local(node), &header_key(version, w)) {
-                    Verified::Intact { blob, .. } => {
+                    Verified::Intact { blob, crc } => {
                         if primary != Some(node) {
                             self.recorder.counter("ecc.load.header_fallbacks").incr();
                             if let Some(t) = trace {
@@ -1083,7 +1083,7 @@ impl EcCheck {
                                 );
                             }
                         }
-                        return Some(blob);
+                        return Some((blob, crc));
                     }
                     Verified::Missing => {}
                     Verified::Corrupt if attempt == 0 => {
@@ -1148,7 +1148,7 @@ impl EcCheck {
     ///
     /// Returns [`EcCheckError::NoCheckpoint`] before the first save,
     /// [`EcCheckError::Config`] when a worker id is out of range,
-    /// appears twice in `dirty`, or its shard's packet count grew,
+    /// appears twice in `dirty`, or its shard outgrew its sealed region,
     /// [`EcCheckError::Cluster`] (`NodeDown`) when any node is dead
     /// (all nodes must be alive to patch chunks in place — run
     /// [`EcCheck::load`] first to restore fault tolerance), and
@@ -1224,59 +1224,21 @@ impl EcCheck {
 
         let version = self.version;
         let workers: Vec<usize> = sorted.iter().map(|d| d.worker).collect();
-        let ps = self.config.packet_size();
-        let max_packets = self.packets_per_worker;
         let timer = self.recorder.timer("ecc.delta.ns");
         let trace = self.trace.clone();
         let root_span = trace.as_ref().map(|t| {
             t.tracer.span(t.engine, "ecc.delta", format!("version={version} workers={workers:?}"))
         });
 
-        // Re-pack each dirty worker into its (fixed) packet count and
-        // bucket the regions by data column.
-        struct DirtyRegion {
-            worker: usize,
-            base: usize,
-            region: Vec<u8>,
-            header: Vec<u8>,
-        }
-        let group_size = self.placement.group_size();
-        let mut by_col: BTreeMap<usize, Vec<DirtyRegion>> = BTreeMap::new();
-        for d in &sorted {
-            let dec = decompose(d.state);
-            let header = dec.header_to_bytes();
-            let (mut packets, _) = self.packer.pack(dec.tensor_data());
-            if packets.len() > max_packets {
-                return Err(EcCheckError::Config {
-                    detail: format!(
-                        "worker {} now needs {} packets (> {max_packets}); run a full save",
-                        d.worker,
-                        packets.len()
-                    ),
-                });
-            }
-            while packets.len() < max_packets {
-                packets.push(Packet::new(packets.len(), vec![0u8; ps]));
-            }
-            let mut region = Vec::with_capacity(max_packets * ps);
-            for p in &packets {
-                region.extend_from_slice(p.data());
-            }
-            let base = (d.worker % group_size) * max_packets * ps;
-            by_col.entry(d.worker / group_size).or_default().push(DirtyRegion {
-                worker: d.worker,
-                base,
-                region,
-                header,
-            });
-        }
-
         // Verify *every* chunk the patch will touch before mutating any
         // of them: failing halfway through would leave a data chunk
         // updated but its parity stale (a torn update no checksum can
         // catch later).
-        let mut cols: Vec<(usize, Vec<u8>)> = Vec::with_capacity(by_col.len());
-        for &j in by_col.keys() {
+        let group_size = self.placement.group_size();
+        let mut touched: Vec<usize> = workers.iter().map(|w| w / group_size).collect();
+        touched.dedup();
+        let mut cols: Vec<(usize, Vec<u8>)> = Vec::with_capacity(touched.len());
+        for j in touched {
             let node = self.placement.data_nodes()[j];
             cols.push((j, self.get_verified_for_patch(cluster, node, version)?));
         }
@@ -1286,6 +1248,39 @@ impl EcCheck {
             .iter()
             .map(|&node| self.get_verified_for_patch(cluster, node, version))
             .collect::<Result<_, _>>()?;
+
+        // Re-lay each dirty worker into its (fixed) region and bucket
+        // the regions by data column. The sealed region size is read off
+        // a verified chunk about to be patched.
+        struct DirtyRegion {
+            worker: usize,
+            base: usize,
+            region: Vec<u8>,
+            header: Vec<u8>,
+        }
+        let region_len = self.region_len(cols[0].1.len())?;
+        let mut by_col: BTreeMap<usize, Vec<DirtyRegion>> = BTreeMap::new();
+        for d in &sorted {
+            let dec = decompose(d.state);
+            if dec.tensor_bytes() > region_len {
+                return Err(EcCheckError::Config {
+                    detail: format!(
+                        "worker {} now needs {} packets (> {}); run a full save",
+                        d.worker,
+                        self.packer.packet_count(dec.tensor_bytes()),
+                        region_len / self.config.packet_size()
+                    ),
+                });
+            }
+            let mut region = Vec::with_capacity(region_len);
+            lay_region(&mut region, &dec, region_len);
+            by_col.entry(d.worker / group_size).or_default().push(DirtyRegion {
+                worker: d.worker,
+                base: (d.worker % group_size) * region_len,
+                region,
+                header: dec.header_to_bytes(),
+            });
+        }
 
         // Whole-chunk deltas, zero outside the dirty slices (the
         // bit-plane layout spans the full chunk, so the delta must
@@ -1355,39 +1350,57 @@ impl EcCheck {
         })
     }
 
-    /// Splits the data chunks back into per-worker packets and
-    /// reassembles each worker's `state_dict` through its header —
+    /// Slices every worker's tensors back out of its region of its data
+    /// chunk and reassembles the `state_dict` through its header —
     /// deriving the whole layout from the broadcast header alone,
     /// exactly as a recovering replacement node must.
     fn reassemble_all(
         &self,
         data_chunks: &[Vec<u8>],
-        headers: &[Vec<u8>],
-        ppw: usize,
+        headers: &[Framed],
+        region_len: usize,
     ) -> Result<Vec<StateDict>, EcCheckError> {
-        let ps = self.config.packet_size();
         let group_size = self.placement.group_size();
-        let max_packets = ppw;
         let mut dicts = Vec::with_capacity(self.spec.world_size());
-        for (w, header) in headers.iter().enumerate() {
-            let j = w / group_size;
-            let r = w % group_size;
-            let base = r * max_packets * ps;
+        for (w, (header, _)) in headers.iter().enumerate() {
+            let base = (w % group_size) * region_len;
+            let mut region = &data_chunks[w / group_size][base..base + region_len];
             let mut d = Decomposition::from_header(header)?;
-            let lens: Vec<usize> =
-                d.tensor_keys().iter().map(ecc_checkpoint::TensorKey::byte_len).collect();
-            let total: usize = lens.iter().sum();
-            // Real (pre-padding) packet count for this worker.
-            let pw = self.packer.packet_count(total);
-            let extents = self.packer.extents_for(&lens);
-            let region = &data_chunks[j][base..base + pw * ps];
-            let packets: Vec<Packet> =
-                (0..pw).map(|b| Packet::new(b, region[b * ps..(b + 1) * ps].to_vec())).collect();
-            let tensors = self.packer.unpack(&packets, &extents, &lens)?;
+            let total: usize = d.tensor_keys().iter().map(TensorKey::byte_len).sum();
+            if total > region_len {
+                return Err(CheckpointError::ExtentOutOfRange {
+                    detail: format!(
+                        "worker {w}'s header names {total} tensor bytes, its region holds {region_len}"
+                    ),
+                }
+                .into());
+            }
+            let mut tensors = Vec::with_capacity(d.tensor_keys().len());
+            for key in d.tensor_keys() {
+                let (tensor, rest) = region.split_at(key.byte_len());
+                tensors.push(tensor.to_vec());
+                region = rest;
+            }
             d.set_tensor_data(tensors)?;
             dicts.push(d.reassemble()?);
         }
         Ok(dicts)
+    }
+
+    /// Bytes in one worker's region of a `chunk_len`-byte chunk: the
+    /// packet layout is a property of the (verified or rebuilt) chunk
+    /// itself, so nothing needs to store it on the side.
+    fn region_len(&self, chunk_len: usize) -> Result<usize, EcCheckError> {
+        let group_size = self.placement.group_size();
+        if chunk_len == 0 || !chunk_len.is_multiple_of(group_size * self.config.packet_size()) {
+            return Err(EcCheckError::Config {
+                detail: format!(
+                    "a {chunk_len}-byte chunk is not {group_size} regions of whole {}-byte packets",
+                    self.config.packet_size()
+                ),
+            });
+        }
+        Ok(chunk_len / group_size)
     }
 
     fn chunk_id_of_node(&self, node: usize) -> usize {
@@ -1424,27 +1437,26 @@ fn trace_fetch(trace: &Option<TraceHandles>, node: usize, what: &str) {
     }
 }
 
+/// The seal marker stored as `ecc/v{v}/manifest`: the packet count per
+/// worker, kept for planes and tools that already read it. Restores do
+/// not — they derive the count from the chunks.
 fn manifest(packets_per_worker: usize) -> Vec<u8> {
     (packets_per_worker as u64).to_le_bytes().to_vec()
 }
 
-/// Reads `version`'s packet-layout manifest (packets per worker) from
-/// any alive node, falling back to the tier-1 copy. `None` when neither
-/// tier holds one.
-fn read_manifest(cluster: &impl DataPlane, version: u64) -> Result<Option<usize>, EcCheckError> {
-    let key = manifest_key(version);
-    let Some(blob) = (0..cluster.nodes())
-        .filter(|&node| cluster.alive(node))
-        .find_map(|node| cluster.get_local(node, &key))
-        .or_else(|| cluster.get_remote(&remote_manifest_key(version)))
-    else {
-        return Ok(None);
-    };
-    let bytes: [u8; 8] = blob.as_slice().try_into().map_err(|_| EcCheckError::Config {
-        detail: format!("manifest for v{version} is {} bytes, expected 8", blob.len()),
-    })?;
-    Ok(Some(u64::from_le_bytes(bytes) as usize))
+/// Appends one worker's region to `out`: its tensors head to tail,
+/// zero-padded to `region_len` bytes (which must hold them).
+fn lay_region(out: &mut Vec<u8>, worker: &Decomposition, region_len: usize) {
+    let end = out.len() + region_len;
+    for tensor in worker.tensor_data() {
+        out.extend_from_slice(tensor);
+    }
+    out.resize(end, 0);
 }
+
+/// A blob read intact together with the checksum frame it verified
+/// against (see [`Verified::Intact`]).
+type Framed = (Vec<u8>, Vec<u8>);
 
 #[cfg(test)]
 mod tests {
@@ -1882,6 +1894,35 @@ mod tests {
         }
     }
 
+    /// Blobs that verify but describe a layout the chunks cannot hold
+    /// must be refused with an error, never sliced out of range.
+    #[test]
+    fn layouts_the_chunks_cannot_hold_are_refused_not_sliced() {
+        use ecc_checkpoint::{DType, Tensor};
+        let (_, mut cluster, mut ecc, dicts) = setup();
+        ecc.save(&mut cluster, &dicts).unwrap();
+        // Worker 0's header, validly framed, names a 1 MiB tensor.
+        let mut big = StateDict::new();
+        big.insert("w", Value::Tensor(Tensor::zeros(DType::U8, &[1 << 20])));
+        let header = decompose(&big).header_to_bytes();
+        for node in 0..4 {
+            cluster.put_local(node, &header_crc_key(1, 0), checksum_frame(&header)).unwrap();
+            cluster.put_local(node, &header_key(1, 0), header.clone()).unwrap();
+        }
+        assert!(matches!(
+            ecc.load(&mut cluster),
+            Err(EcCheckError::Checkpoint(CheckpointError::ExtentOutOfRange { .. }))
+        ));
+        // Chunks, validly framed, that are no whole number of packets
+        // per worker (192 bytes satisfies the code's own alignment).
+        let runt = vec![0u8; 192];
+        for node in 0..4 {
+            cluster.put_local(node, &chunk_crc_key(1), checksum_frame(&runt)).unwrap();
+            cluster.put_local(node, &chunk_key(1), runt.clone()).unwrap();
+        }
+        assert!(matches!(ecc.load(&mut cluster), Err(EcCheckError::Config { .. })));
+    }
+
     #[test]
     fn heterogeneous_shard_sizes_are_padded() {
         // Stage-0 workers carry embeddings and are bigger; padding must
@@ -2304,6 +2345,61 @@ mod store_tests {
             assert_eq!(restored, saved[&v], "version {v}");
             assert_eq!(report.version, v);
         }
+    }
+
+    /// The manifest has no checksum, so its bytes must not steer a
+    /// restore: with every copy rewritten to a larger or a smaller
+    /// packet count, the version still restores bit-exactly, on the
+    /// engine that wrote it and on a fresh one adopting it.
+    #[test]
+    fn restores_do_not_trust_the_manifest_bytes() {
+        for forged in [9u64, 1] {
+            let spec = ClusterSpec::tiny_test(4, 2);
+            let mut cluster = Cluster::new(spec);
+            let mut ecc = EcCheck::initialize(&spec, cfg().with_retain_last(2)).unwrap();
+            let d1 = dicts(8, 1);
+            assert_eq!(ecc.save(&mut cluster, &d1).unwrap().packets_per_worker, 2);
+            ecc.save(&mut cluster, &dicts(8, 2)).unwrap();
+            let forge = |cluster: &mut Cluster| {
+                for node in 0..4 {
+                    let bytes = forged.to_le_bytes().to_vec();
+                    cluster.put_local(node, &manifest_key(1), bytes).unwrap();
+                }
+            };
+            forge(&mut cluster);
+            assert_eq!(ecc.load_version(&mut cluster, 1).unwrap().0, d1, "forged {forged}");
+            // The restore re-seeded the true count; forge it again.
+            assert_eq!(cluster.get_local(0, &manifest_key(1)), Some(manifest(2)));
+            forge(&mut cluster);
+            let mut fresh = EcCheck::initialize(&spec, cfg().with_retain_last(2)).unwrap();
+            fresh.adopt_version(&cluster, 1).unwrap();
+            assert_eq!(fresh.load(&mut cluster).unwrap().0, d1, "adopted, forged {forged}");
+        }
+    }
+
+    /// A restore re-seeds every node with exactly the blobs a save left
+    /// there — frames read intact are stored again as they are — and a
+    /// chunk whose frame alone is damaged is rebuilt as an erasure and
+    /// framed afresh, to the same bytes.
+    #[test]
+    fn load_reseeds_byte_identical_blobs() {
+        let spec = ClusterSpec::tiny_test(4, 2);
+        let mut cluster = Cluster::new(spec);
+        let mut ecc = EcCheck::initialize(&spec, cfg()).unwrap();
+        let d = dicts(8, 3);
+        ecc.save(&mut cluster, &d).unwrap();
+        let saved = version_blobs(&cluster, 1, 8);
+        assert_eq!(ecc.load(&mut cluster).unwrap().0, d);
+        assert_eq!(version_blobs(&cluster, 1, 8), saved, "intact restore");
+
+        let mut frame = cluster.get_local(0, &chunk_crc_key(1)).unwrap();
+        frame[0] ^= 0x01;
+        cluster.put_local(0, &chunk_crc_key(1), frame).unwrap();
+        let (restored, report) = ecc.load(&mut cluster).unwrap();
+        assert_eq!(restored, d);
+        assert_eq!(report.corrupt_nodes, vec![0]);
+        assert_eq!(report.rebuilt_chunks, 1);
+        assert_eq!(version_blobs(&cluster, 1, 8), saved, "rebuilt chunk and its new frame");
     }
 
     #[test]

@@ -32,7 +32,10 @@ pub fn header_crc_key(version: u64, worker: usize) -> String {
     crc_key(&header_key(version, worker))
 }
 
-/// Key of the packet-layout manifest for `version`.
+/// Key of the manifest for `version`: the marker that the version was
+/// sealed. Its 8 bytes (the packet count per worker) have no checksum
+/// sibling and steer nothing — a restore derives the layout from the
+/// chunks it verified.
 pub fn manifest_key(version: u64) -> String {
     format!("ecc/v{version}/manifest")
 }

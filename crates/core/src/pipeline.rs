@@ -321,7 +321,7 @@ struct Geometry {
     m: usize,
     w: usize,
     chunk_len: usize,
-    /// Packet-dimension length: `chunk_len / w` bytes per sub-packet.
+    /// Length of the packet dimension: `chunk_len / w` bytes per sub-packet.
     ps_total: usize,
     /// Rows of a full stripe (multiple of 8, so every stripe region
     /// stays coding-aligned).

@@ -941,93 +941,22 @@ impl ErasureCode {
         Ok(run_fused_on(&self.columns_fused[chunk], &[delta], ps))
     }
 
-    /// Computes the contribution of data chunk `chunk` (with contents
-    /// `region`) to all `m` parity chunks, writing into `out` — a flat
-    /// buffer holding the `m` contiguous contribution chunks back to
-    /// back, so `out.len()` must be `m * region.len()`.
-    ///
-    /// This is [`ErasureCode::parity_delta`] restricted to a caller-owned
-    /// output buffer: the pipelined save executor calls it per stripe
-    /// from its worker threads, recycling `out` through a bounded ring so
-    /// steady-state encoding allocates nothing. XORing the `k` column
-    /// contributions together is bit-identical to [`ErasureCode::encode`]
-    /// (GF(2) linearity), and because XOR schedules act column-wise the
-    /// identity also holds stripe by stripe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErasureError::InvalidParams`] for an out-of-range chunk
-    /// index or a mis-sized `out`, and [`ErasureError::BadChunkLength`]
-    /// for a misaligned `region`.
-    pub fn encode_column_into(
-        &self,
-        chunk: usize,
-        region: &[u8],
-        out: &mut [u8],
-    ) -> Result<(), ErasureError> {
-        self.encode_column_impl(chunk, region, out, true)
-    }
-
-    /// [`ErasureCode::encode_column_into`] through the *unfused*
-    /// executor — the reference path for the fused differential suite.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ErasureCode::encode_column_into`].
-    pub fn encode_column_into_unfused(
-        &self,
-        chunk: usize,
-        region: &[u8],
-        out: &mut [u8],
-    ) -> Result<(), ErasureError> {
-        self.encode_column_impl(chunk, region, out, false)
-    }
-
-    fn encode_column_impl(
-        &self,
-        chunk: usize,
-        region: &[u8],
-        out: &mut [u8],
-        fused: bool,
-    ) -> Result<(), ErasureError> {
-        self.validate_column_region(chunk, region)?;
-        let m = self.params.m();
-        if out.len() != m * region.len() {
-            return Err(ErasureError::InvalidParams {
-                detail: format!(
-                    "column output must be m * region = {} bytes, got {}",
-                    m * region.len(),
-                    out.len()
-                ),
-            });
-        }
-        let ps = region.len() / self.params.w() as usize;
-        if fused {
-            run_fused_strided(&self.columns_fused[chunk], region, ps, 0, out, ps);
-        } else {
-            run_schedule_flat(&self.columns[chunk], region, out, ps);
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.column_calls.incr();
-            metrics.column_bytes.add(region.len() as u64);
-            metrics.encode_xor_ops.add(self.columns[chunk].xor_count() as u64);
-            metrics.kernel_bytes.add(region.len() as u64);
-        }
-        Ok(())
-    }
-
-    /// [`ErasureCode::encode_column_into`] for one *stripe* of a full
-    /// data chunk, reading the stripe in place: with the chunk holding
-    /// `w` sub-packets of `ps_total = chunk.len() / w` bytes each,
-    /// sub-packet `r` of the stripe is `chunk[r * ps_total + lo ..][..
-    /// rows]`. This saves the caller the gather copy a contiguous
-    /// region would require — the save pipeline's encode stage reads
-    /// every stripe straight out of the original chunk.
+    /// [`ErasureCode::parity_delta`] for one *stripe* of a full data
+    /// chunk, reading the stripe in place and writing into a
+    /// caller-owned flat buffer: with the chunk holding `w` sub-packets
+    /// of `ps_total = chunk.len() / w` bytes each, sub-packet `r` of the
+    /// stripe is `chunk[r * ps_total + lo ..][..rows]`. This saves the
+    /// caller the gather copy a contiguous region would require — the
+    /// save pipeline's encode stage reads every stripe straight out of
+    /// the original chunk, recycling `out` through a bounded ring so
+    /// steady-state encoding allocates nothing.
     ///
     /// Bit-identical to gathering the stripe and calling
-    /// [`ErasureCode::encode_column_into`] on it; `out` uses the same
-    /// flat layout (`m * w * rows` bytes, output chunk `i` sub-packet
-    /// `r` at `out[(i*w + r) * rows ..]`).
+    /// [`ErasureCode::parity_delta`] on it, with the `m` contribution
+    /// chunks back to back in `out` (`m * w * rows` bytes, output chunk
+    /// `i` sub-packet `r` at `out[(i*w + r) * rows ..]`). XORing the `k`
+    /// column contributions together is bit-identical to
+    /// [`ErasureCode::encode`] (GF(2) linearity), stripe by stripe.
     ///
     /// # Errors
     ///
@@ -1109,63 +1038,13 @@ impl ErasureCode {
     }
 }
 
-/// Executes a single-source (`k = 1`) schedule with the `m` output chunks
-/// laid out back to back in one flat buffer: output chunk `i`, sub-packet
-/// `r` lives at `out[(i*w + r) * ps ..][..ps]`.
-///
-/// Op-for-op identical to [`run_schedule_on`] modulo buffer layout; the
-/// flat shape is what lets the save pipeline recycle one allocation per
-/// in-flight stripe.
-pub(crate) fn run_schedule_flat(schedule: &XorSchedule, source: &[u8], out: &mut [u8], ps: usize) {
-    run_schedule_strided(schedule, source, ps, 0, out, ps);
-}
-
-/// [`run_schedule_flat`] with the source sub-packets read through a
-/// stride: sub-packet `r` is `source[r * src_stride + src_offset ..][..
-/// ps]`. With `src_stride == ps` and `src_offset == 0` this is exactly
-/// the flat layout; a larger stride reads one stripe of a full chunk in
-/// place.
-pub(crate) fn run_schedule_strided(
-    schedule: &XorSchedule,
-    source: &[u8],
-    src_stride: usize,
-    src_offset: usize,
-    out: &mut [u8],
-    ps: usize,
-) {
-    let w = schedule.w();
-    debug_assert_eq!(schedule.k(), 1);
-    debug_assert!(ps <= src_stride && src_offset + ps <= src_stride);
-    debug_assert_eq!(source.len(), w * src_stride);
-    debug_assert_eq!(out.len(), schedule.m() * w * ps);
-    let parity_base = w; // k = 1, so source sub-packets occupy [0, w).
-    for op in schedule.ops() {
-        let dst = op.dst() - parity_base;
-        let src = op.src();
-        if src < parity_base {
-            let src_slice = &source[src * src_stride + src_offset..][..ps];
-            let dst_slice = &mut out[dst * ps..(dst + 1) * ps];
-            match op {
-                XorOp::Copy { .. } => region::copy_into(dst_slice, src_slice),
-                XorOp::Xor { .. } => region::xor_into(dst_slice, src_slice),
-            }
-        } else {
-            let src_idx = src - parity_base;
-            debug_assert_ne!(src_idx, dst, "schedule must not read its own destination");
-            let [s, d] = out
-                .get_disjoint_mut([src_idx * ps..(src_idx + 1) * ps, dst * ps..(dst + 1) * ps])
-                .expect("schedule ranges are distinct and in bounds");
-            match op {
-                XorOp::Copy { .. } => region::copy_into(d, s),
-                XorOp::Xor { .. } => region::xor_into(d, s),
-            }
-        }
-    }
-}
-
-/// [`run_schedule_strided`] for a fused schedule: every chain runs as a
-/// single [`ecc_gf::Kernel::xor_chain`] sweep over its stripe, writing
-/// straight into the caller's flat output buffer.
+/// Executes a fused single-source (`k = 1`) schedule with the `m`
+/// output chunks laid out back to back in one flat buffer: output chunk
+/// `i`, sub-packet `r` lives at `out[(i*w + r) * ps ..][..ps]`. The
+/// source sub-packets are read through a stride — sub-packet `r` is
+/// `source[r * src_stride + src_offset ..][..ps]` — so one stripe of a
+/// full chunk is read in place. Every chain runs as a single
+/// [`ecc_gf::Kernel::xor_chain`] sweep over its stripe.
 pub(crate) fn run_fused_strided(
     fused: &FusedSchedule,
     source: &[u8],
@@ -1256,10 +1135,6 @@ mod delta_tests {
         assert!(code.parity_delta(2, &[0u8; 64]).is_err());
         assert!(code.parity_delta(0, &[0u8; 63]).is_err());
         assert!(code.parity_delta(0, &[]).is_err());
-        let mut out = vec![0u8; 64];
-        assert!(code.encode_column_into(0, &[0u8; 64], &mut out).is_err()); // out != m * region
-        assert!(code.encode_column_into(2, &[0u8; 64], &mut [0u8; 128]).is_err());
-        assert!(code.encode_column_into(0, &[0u8; 63], &mut [0u8; 126]).is_err());
     }
 
     /// XORing the per-column flat contributions together reproduces the
@@ -1277,7 +1152,8 @@ mod delta_tests {
             let mut acc = vec![0u8; m * len];
             let mut contrib = vec![0u8; m * len];
             for (j, chunk) in data.iter().enumerate() {
-                code.encode_column_into(j, chunk, &mut contrib).unwrap();
+                code.encode_column_stripe_into(j, chunk, 0, len / w as usize, &mut contrib)
+                    .unwrap();
                 xor_into(&mut acc, &contrib);
             }
             for (i, parity) in expected.iter().enumerate() {
@@ -1302,8 +1178,7 @@ mod delta_tests {
         let len = 6 * params.alignment();
         let ps = len / w;
         let chunk = filled(len, 9);
-        let mut full = vec![0u8; m * len];
-        code.encode_column_into(1, &chunk, &mut full).unwrap();
+        let full = code.parity_delta(1, &chunk).unwrap().concat();
         // Uneven stripe split of the packet dimension (multiples of 8).
         for rows in [8usize, 16, 24] {
             let mut lo = 0usize;
@@ -1315,8 +1190,7 @@ mod delta_tests {
                 for c in 0..w {
                     view.extend_from_slice(&chunk[c * ps + lo..c * ps + hi]);
                 }
-                let mut out = vec![0u8; m * w * stripe_rows];
-                code.encode_column_into(1, &view, &mut out).unwrap();
+                let out = code.parity_delta(1, &view).unwrap().concat();
                 for i in 0..m {
                     for c in 0..w {
                         let got = &out[(i * w + c) * stripe_rows..][..stripe_rows];
@@ -1351,8 +1225,7 @@ mod delta_tests {
                         for c in 0..w {
                             gathered.extend_from_slice(&chunk[c * ps + lo..c * ps + hi]);
                         }
-                        let mut want = vec![0u8; m * w * stripe_rows];
-                        code.encode_column_into(col, &gathered, &mut want).unwrap();
+                        let want = code.parity_delta(col, &gathered).unwrap().concat();
                         let mut got = vec![0u8; m * w * stripe_rows];
                         code.encode_column_stripe_into(col, &chunk, lo, stripe_rows, &mut got)
                             .unwrap();
@@ -1386,7 +1259,7 @@ mod delta_tests {
             let delta = filled(len, j as u8);
             let chunked = code.parity_delta(j, &delta).unwrap();
             let mut flat = vec![0xFFu8; 3 * len];
-            code.encode_column_into(j, &delta, &mut flat).unwrap();
+            code.encode_column_stripe_into(j, &delta, 0, len / 8, &mut flat).unwrap();
             for (i, chunk) in chunked.iter().enumerate() {
                 assert_eq!(&flat[i * len..(i + 1) * len], chunk.as_slice(), "j={j} parity {i}");
             }

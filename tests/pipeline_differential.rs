@@ -59,7 +59,7 @@ fn oracle_chunks(
         .map(|workers| {
             let mut chunk = Vec::with_capacity(group * max_packets * PACKET);
             for packets in workers {
-                packets.iter().for_each(|p| chunk.extend_from_slice(p.data()));
+                packets.iter().for_each(|p| chunk.extend_from_slice(p));
                 chunk.resize(chunk.len() + (max_packets - packets.len()) * PACKET, 0);
             }
             chunk

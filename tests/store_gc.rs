@@ -187,11 +187,16 @@ fn gc_waits_for_the_drain_worker() {
         }
     }
 
-    // Tier 0 kept only the newest, and it still restores.
-    assert_eq!(ecc.retained_versions(), vec![SAVES]);
-    let (restored, report) = ecc.load(&mut plane).expect("newest loads");
-    assert_eq!(restored, saved[&SAVES]);
-    assert_eq!(report.version, SAVES);
+    // Tier 0 kept the newest — and, legitimately, a predecessor whose
+    // drain was still running when the last save ran its GC: how many
+    // is up to the scheduler. Whatever it kept restores.
+    let retained = ecc.retained_versions();
+    assert_eq!(retained.last(), Some(&SAVES), "retained {retained:?}");
+    for v in retained {
+        let (restored, report) = ecc.load_version(&mut plane, v).expect("retained loads");
+        assert_eq!(restored, saved[&v], "v{v}");
+        assert_eq!(report.version, v);
+    }
 
     drainer.shutdown();
 }
