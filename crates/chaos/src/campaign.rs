@@ -6,7 +6,8 @@
 //! * **At most `m` chunk-class faults** (node crashes, lost or
 //!   corrupted chunks) → `load` must return the checkpoint
 //!   **bit-exactly**.
-//! * **More than `m`**, or a worker's header lost from *every* node →
+//! * **More than `m`**, or a worker's header — or the version's
+//!   manifest — lost from *every* node →
 //!   `load` must fail with a clean
 //!   [`eccheck::EcCheckError::Unrecoverable`] naming what was lost.
 //! * **Never garbage**: whatever the fault mix — including faults that
@@ -130,7 +131,8 @@ pub struct RoundOutcome {
     /// Nodes whose chunk was destroyed or tainted before the load
     /// (crashes, at-rest corruption, dropped/corrupted chunk puts).
     pub chunk_casualties: Vec<NodeId>,
-    /// Whether some worker's header was damaged on every node.
+    /// Whether some worker's header, or the version's manifest, was
+    /// damaged on every node.
     pub header_catastrophe: bool,
     /// Whether a crash was scheduled to strike mid-load. Ambiguous
     /// rounds only assert the never-garbage half of the contract.
@@ -395,9 +397,11 @@ pub fn run_campaign_on_plane<P: DataPlane>(
         let version = report.version;
 
         // Fault accounting: which chunks are destroyed or tainted, and
-        // which nodes' copy of each worker's header is damaged.
+        // which nodes' copy of each worker's header, and of the
+        // manifest, is damaged.
         let mut casualties: BTreeSet<NodeId> = BTreeSet::new();
         let mut header_damage: BTreeMap<usize, BTreeSet<NodeId>> = BTreeMap::new();
+        let mut manifest_damage: BTreeSet<NodeId> = BTreeSet::new();
         for fault in &plane.fault_log()[log_before_save..] {
             if !matches!(fault.kind, FaultKind::DropPut | FaultKind::CorruptPut) {
                 continue;
@@ -409,6 +413,8 @@ pub fn run_campaign_on_plane<P: DataPlane>(
                 casualties.insert(fault.node);
             } else if let Some(worker) = keys::header_worker(&fault.key) {
                 header_damage.entry(worker).or_default().insert(fault.node);
+            } else if fault.key == keys::manifest_key(version) {
+                manifest_damage.insert(fault.node);
             }
         }
 
@@ -448,14 +454,13 @@ pub fn run_campaign_on_plane<P: DataPlane>(
                 }
             }
         }
-        // A crashed node loses its copy of every worker's header.
-        let header_catastrophe = (0..world).any(|w| {
-            let mut damaged = crashed.clone();
-            if let Some(extra) = header_damage.get(&w) {
-                damaged.extend(extra.iter().copied());
-            }
-            damaged.len() == cfg.nodes
-        });
+        // A crashed node loses its copy of every worker's header and
+        // of the manifest; with no intact manifest on any alive node
+        // nothing in tier 0 can be verified.
+        let lost_everywhere =
+            |damaged: &BTreeSet<NodeId>| damaged.union(&crashed).count() == cfg.nodes;
+        let header_catastrophe =
+            lost_everywhere(&manifest_damage) || header_damage.values().any(lost_everywhere);
 
         let faults = casualties.len();
         let result = match ecc.load(&mut plane) {

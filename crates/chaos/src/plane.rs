@@ -162,12 +162,6 @@ impl ChaosConfig {
         self.transient_get_failures = failures;
         self
     }
-
-    /// Overrides the per-event bit-flip budget.
-    pub fn with_max_bit_flips(mut self, flips: usize) -> Self {
-        self.max_bit_flips = flips.max(1);
-        self
-    }
 }
 
 /// Interior-mutable chaos state. `get_local` takes `&self` in the

@@ -154,17 +154,6 @@ impl Tensor {
     pub fn bytes(&self) -> &[u8] {
         &self.data
     }
-
-    /// Mutable access to the contiguous data (used by workload generators
-    /// to fill synthetic parameter values).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
-    /// Consumes the tensor, returning its raw bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data
-    }
 }
 
 /// A checkpoint value: scalar metadata, nested containers, or tensors.

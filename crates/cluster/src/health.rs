@@ -284,19 +284,6 @@ impl HealthRegistry {
         self.lock().nodes.iter().map(|n| n.health).collect()
     }
 
-    /// The nodes currently written off as [`NodeHealth::Dead`], in node
-    /// order — the set a membership controller must replace before the
-    /// cluster regains its full m-fault budget.
-    pub fn dead_nodes(&self) -> Vec<NodeId> {
-        self.lock()
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.health == NodeHealth::Dead)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Last heartbeat timestamp of one node.
     ///
     /// # Panics

@@ -14,9 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use ecc_checkpoint::{
-    checksum_frame, decompose, CheckpointError, Decomposition, Packer, StateDict, TensorKey,
-};
+use ecc_checkpoint::{crc32, decompose, CheckpointError, Decomposition, StateDict, TensorKey};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthConfig, HealthRegistry};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_obs::{ObsHub, ObsHubConfig, ObsServer, SloSpec};
@@ -25,12 +23,13 @@ use ecc_telemetry::Recorder;
 use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 
 use crate::keys::{
-    chunk_crc_key, chunk_key, committed_epoch, encode_epoch, epoch_key, header_crc_key, header_key,
-    manifest_key, remote_chunk_key, remote_header_key, remote_manifest_key,
+    chunk_key, committed_epoch, header_key, manifest_key, remote_chunk_key, remote_header_key,
+    remote_manifest_key,
 };
-use crate::pipeline::{self, PipelineJob, PipelineStats};
+use crate::pipeline::{self, PipelineJob, PipelineOutcome};
 use crate::store::{
-    read_verified, DrainHandle, RetentionPolicy, Tier, Verified, VersionIndex, WorkerDirtySet,
+    read_manifest, read_verified, DrainHandle, Manifest, RetentionPolicy, Tier, Verified,
+    VersionIndex, WorkerDirtySet,
 };
 use crate::{
     select_data_parity_nodes, DeltaReport, EcCheckConfig, EcCheckError, LoadReport, Placement,
@@ -47,7 +46,6 @@ pub struct EcCheck {
     code: ErasureCode,
     placement: Placement,
     reduction: ReductionPlan,
-    packer: Packer,
     version: u64,
     /// The placement epoch this engine operates under. 0 until a
     /// membership controller commits a rebalance; strictly monotone
@@ -117,14 +115,12 @@ impl EcCheck {
         code.set_recorder(&recorder);
         let placement = select_data_parity_nodes(&spec.origin_group(), config.k())?;
         let reduction = ReductionPlan::build(spec, &placement, config.m())?;
-        let packer = Packer::new(config.packet_size())?;
         Ok(Self {
             config,
             spec: *spec,
             code,
             placement,
             reduction,
-            packer,
             version: 0,
             placement_epoch: 0,
             recorder,
@@ -414,20 +410,14 @@ impl EcCheck {
         self.drain = Some(drain);
     }
 
-    /// Detaches the drain worker handle, returning it; subsequent saves
-    /// stay tier-0 only until something calls
-    /// [`crate::store::drain_version`].
-    pub fn clear_drainer(&mut self) -> Option<DrainHandle> {
-        self.drain.take()
-    }
-
     /// Adopts a checkpoint this engine did not write, so a fresh
     /// process can [`EcCheck::load`] state saved by another one (e.g.
     /// over a socket-backed plane). Checks that `version` was sealed —
     /// its manifest is on some alive node, or on the remote copy — and
-    /// fast-forwards the engine to that version. The manifest is only
-    /// the seal marker: restores derive the packet lay-out from the
-    /// checksum-verified chunks, never from the manifest's bytes. Use
+    /// fast-forwards the engine to that version. Presence is all that
+    /// is checked here: the restore that follows verifies the record
+    /// and every blob against it, and derives the packet lay-out from
+    /// the verified chunks. Use
     /// [`crate::keys::latest_manifest_version`] to discover the newest
     /// version on a plane.
     ///
@@ -522,7 +512,7 @@ impl EcCheck {
             .map(|t| t.tracer.span(t.engine, "checkpoint.pack", format!("{world} workers")));
         let max_packets = decomposed
             .iter()
-            .map(|d| self.packer.packet_count(d.tensor_bytes()))
+            .map(|d| d.tensor_bytes().div_ceil(ps).max(1))
             .max()
             .expect("world size > 0");
         let region_len = max_packets * ps;
@@ -541,21 +531,21 @@ impl EcCheck {
         drop(phase);
 
         // Steps 3c + 3d: encode parity and place every chunk.
-        let (encoded_bytes, pipeline_stats) =
+        let PipelineOutcome { encoded_bytes, stats: pipeline_stats, chunk_crcs, .. } =
             self.encode_and_place(cluster, version, data_chunks, &trace)?;
 
-        // Headers and the manifest (the seal marker) go everywhere
-        // (tiny, ungated), closing out the placement.
-        let header_frames: Vec<Vec<u8>> =
-            headers.iter().map(|h| checksum_frame(h.as_slice())).collect();
+        // Headers go everywhere (tiny, ungated), then the manifest that
+        // holds every chunk's and header's CRC — last on each node, so
+        // its presence seals what it names.
+        let manifest =
+            Manifest { chunks: chunk_crcs, headers: headers.iter().map(|h| crc32(h)).collect() }
+                .encode();
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.headers", ""));
         for node in 0..self.spec.nodes() {
             for (w, header) in headers.iter().enumerate() {
                 cluster.put_local(node, &header_key(version, w), header.clone())?;
-                cluster.put_local(node, &header_crc_key(version, w), header_frames[w].clone())?;
             }
-            cluster.put_local(node, &manifest_key(version), manifest(max_packets))?;
-            cluster.put_local(node, &epoch_key(version), encode_epoch(self.placement_epoch))?;
+            cluster.put_local(node, &manifest_key(version), manifest.clone())?;
         }
         drop(span);
 
@@ -607,13 +597,10 @@ impl EcCheck {
         let pinned = self.drain.as_ref().map(DrainHandle::pending).unwrap_or_default();
         for old in self.index.collectible(&policy, &pinned) {
             for node in 0..self.spec.nodes() {
-                cluster.delete_local(node, &chunk_key(old));
-                cluster.delete_local(node, &chunk_crc_key(old));
                 cluster.delete_local(node, &manifest_key(old));
-                cluster.delete_local(node, &epoch_key(old));
+                cluster.delete_local(node, &chunk_key(old));
                 for w in 0..world {
                     cluster.delete_local(node, &header_key(old, w));
-                    cluster.delete_local(node, &header_crc_key(old, w));
                 }
             }
             self.index.remove(old);
@@ -632,7 +619,7 @@ impl EcCheck {
         version: u64,
         data_chunks: Vec<Vec<u8>>,
         trace: &Option<TraceHandles>,
-    ) -> Result<(u64, PipelineStats), EcCheckError> {
+    ) -> Result<PipelineOutcome, EcCheckError> {
         // A fresh gate per save: the profile describes one training
         // iteration, and determinism wants every save to schedule
         // against the same virtual timeline.
@@ -686,8 +673,7 @@ impl EcCheck {
             t.tracer.begin_at(t.engine, "save.place", "", outcome.place_begin_ns);
             t.tracer.end_at(t.engine, outcome.place_end_ns);
         }
-        let outcome = result?;
-        Ok((outcome.encoded_bytes, outcome.stats))
+        result
     }
 
     /// `eccheck.load`: reconstructs every worker's `state_dict` from the
@@ -738,14 +724,18 @@ impl EcCheck {
     }
 
     /// Shared body of [`EcCheck::load`] and [`EcCheck::load_version`]:
-    /// gather → pick the source tier → reconstruct → restore fault
+    /// pick the source tier → gather → reconstruct → restore fault
     /// tolerance → reassemble, all against an explicit `version`.
     ///
-    /// The source tier is picked once: tier 0 when at least `k` chunks
-    /// verify in memory, otherwise *all* chunks and *all* headers come
-    /// from tier 1. The two are never mixed — after a `save_delta`
-    /// tier 0 is newer than the drained copy, and decoding across the
-    /// two would splice different checkpoints into one.
+    /// Every read is judged by one manifest copy. Tier 0 serves when at
+    /// least `k` chunks and every header verify under an alive node's
+    /// copy; a copy under which they do not (a delta's manifest put
+    /// dropped on that node leaves it stale) gives way to the next
+    /// *distinct* copy before the tier is given up. Otherwise *all*
+    /// chunks and *all* headers come from tier 1, under tier 1's
+    /// manifest. The two are never mixed — after a `save_delta` tier 0
+    /// is newer than the drained copy, and decoding across the two
+    /// would splice different checkpoints into one.
     fn load_version_inner(
         &self,
         cluster: &mut impl DataPlane,
@@ -760,47 +750,29 @@ impl EcCheck {
             .as_ref()
             .map(|t| t.tracer.span(t.engine, "ecc.load", format!("version={version}")));
 
-        // Which chunks survive? Chunk id: data j -> j, parity i -> k + i.
-        // Every fetched blob is verified against its stored checksum: a
-        // bit-flipped chunk must become an *erasure* the code corrects,
-        // never an input `reconstruct_all` decodes into garbage. The
-        // frame a blob verified against travels with it, to be stored
-        // again as it is when the chunk is re-seeded.
         let gather_span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.gather", ""));
-        let mut shards: Vec<Option<Framed>> = vec![None; n];
-        let mut failed_nodes = Vec::new();
-        let mut corrupt_nodes = Vec::new();
-        for node in 0..n {
-            match self.fetch_chunk(cluster, node, version, &trace) {
-                Verified::Intact { blob, crc } => {
-                    let chunk_id = self.chunk_id_of_node(node);
-                    trace_fetch(&trace, node, &format!("chunk {chunk_id}"));
-                    shards[chunk_id] = Some((blob, crc));
-                    self.heartbeat(node);
-                }
-                Verified::Missing => failed_nodes.push(node),
-                Verified::Corrupt => {
-                    self.recorder.counter("ecc.load.corrupt_chunks").incr();
-                    self.recorder
-                        .event("ecc.load.corrupt", format!("node {node} chunk failed checksum"));
-                    if let Some(t) = &trace {
-                        t.tracer.instant(t.engine, "load.corrupt", format!("node {node}"));
+        let local = self.gather_tier(cluster, version, false, &trace);
+        drop(gather_span);
+        let (Ok((_, found)) | Err(found)) = &local;
+        self.recorder.counter("ecc.load.survivors").add(found.survivors() as u64);
+
+        let (from_remote, manifest, local) = match local {
+            Ok((manifest, local)) => (false, manifest, local),
+            // Catastrophic: more than m chunks are gone from memory.
+            Err(local) if local.lost_headers.is_empty() => {
+                match self.gather_tier(cluster, version, true, &trace) {
+                    Ok((manifest, remote)) => {
+                        let Gathered { failed_nodes, corrupt_nodes, .. } = local;
+                        (true, manifest, Gathered { failed_nodes, corrupt_nodes, ..remote })
                     }
-                    corrupt_nodes.push(node);
-                    failed_nodes.push(node);
+                    Err(remote) => return Err(self.unrecoverable(&local, &remote)),
                 }
             }
-        }
-        drop(gather_span);
-        let mut survivors = shards.iter().filter(|s| s.is_some()).count();
-        self.recorder.counter("ecc.load.survivors").add(survivors as u64);
-
-        let from_remote = survivors < k;
-        if from_remote {
-            // Catastrophic: more than m chunks are gone from memory.
-            shards = self.gather_remote_chunks(cluster, version, &shards)?;
-            survivors = shards.iter().filter(|s| s.is_some()).count();
-        }
+            // Enough chunks, but a header is gone from every copy.
+            Err(local) => return Err(self.unrecoverable(&local, &local)),
+        };
+        let Gathered { shards, headers, failed_nodes, corrupt_nodes, .. } = local;
+        let survivors = shards.iter().flatten().count();
         let (workflow, counter) = if from_remote {
             (RecoveryWorkflow::Remote, "ecc.load.workflow.remote")
         } else if (0..k).any(|j| shards[j].is_none()) {
@@ -815,8 +787,7 @@ impl EcCheck {
         );
 
         // Rebuild all chunks (decode if data lost, re-encode lost parity).
-        let shard_refs: Vec<Option<&[u8]>> =
-            shards.iter().map(|s| s.as_ref().map(|(blob, _)| blob.as_slice())).collect();
+        let shard_refs: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
         let rebuilt_count = n - survivors;
         let span = trace.as_ref().map(|t| {
             t.tracer.span(
@@ -826,36 +797,39 @@ impl EcCheck {
             )
         });
         let all_chunks = self.code.reconstruct_all(&shard_refs)?;
+        // A rebuilt chunk is held to its save-time CRC like a fetched
+        // one: the decode is checked, not trusted.
+        for node in 0..n {
+            let chunk_id = self.chunk_id_of_node(node);
+            if shards[chunk_id].is_none() && crc32(&all_chunks[chunk_id]) != manifest.chunks[node] {
+                return Err(EcCheckError::CorruptChunk { node });
+            }
+        }
+        // The fetched copies are done with: free them before the
+        // re-seed clones every chunk again.
+        drop(shards);
         drop(span);
         // The packet layout comes from the chunks just verified or
-        // rebuilt, never from a stored number nothing checksums.
+        // rebuilt; no stored number steers the slicing.
         let region_len = self.region_len(all_chunks[0].len())?;
 
-        let headers = self.gather_headers(cluster, version, from_remote, survivors, &trace)?;
-
         // Restore fault tolerance: every node stores its chunk again,
-        // and every node regains the headers, manifest and epoch
-        // provenance. A node that is dead, or dies *during* this phase,
-        // is skipped, not fatal: the decoded state is already in hand,
-        // and the skipped node is re-seeded by the next save/load.
+        // and every node regains the headers and, last, the manifest
+        // they were verified against. A node that is dead, or dies
+        // *during* this phase, is skipped, not fatal: the decoded state
+        // is already in hand, and the skipped node is re-seeded by the
+        // next save/load.
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.restore", ""));
+        let record = manifest.encode();
         let mut restore_skipped = Vec::new();
         'restore: for node in 0..n {
             let chunk_id = self.chunk_id_of_node(node);
-            // Only a chunk `reconstruct_all` rebuilt needs a new frame.
-            let frame = match shards[chunk_id].take() {
-                Some((_, frame)) => frame,
-                None => checksum_frame(&all_chunks[chunk_id]),
-            };
-            let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(2 * headers.len() + 4);
+            let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(headers.len() + 2);
             puts.push((chunk_key(version), all_chunks[chunk_id].clone()));
-            puts.push((chunk_crc_key(version), frame));
-            for (w, (header, frame)) in headers.iter().enumerate() {
+            for (w, header) in headers.iter().enumerate() {
                 puts.push((header_key(version, w), header.clone()));
-                puts.push((header_crc_key(version, w), frame.clone()));
             }
-            puts.push((manifest_key(version), manifest(region_len / self.config.packet_size())));
-            puts.push((epoch_key(version), encode_epoch(self.placement_epoch)));
+            puts.push((manifest_key(version), record.clone()));
             for (key, bytes) in puts {
                 match cluster.put_local(node, &key, bytes) {
                     Ok(()) => {}
@@ -901,58 +875,126 @@ impl EcCheck {
         ))
     }
 
-    /// The catastrophic-failure gather: every chunk of `version` that
-    /// verifies in tier 1, indexed by chunk id.
-    ///
-    /// `local_shards` is the (insufficient) set of intact chunks the
-    /// in-memory gather produced. It is never decoded from here — only
-    /// used to name exactly which workers' states are lost when tier 1
-    /// cannot reach `k` chunks either.
-    fn gather_remote_chunks(
+    /// One tier's chunks and headers under the first manifest copy that
+    /// *serves* — at least `k` chunks and every header verify under it —
+    /// with the bounded retry budget while tier 0 shows no copy at all.
+    /// `Err` is what the first copy came to (no copy: zero survivors).
+    fn gather_tier(
         &self,
         cluster: &impl DataPlane,
         version: u64,
-        local_shards: &[Option<Framed>],
-    ) -> Result<Vec<Option<Framed>>, EcCheckError> {
-        let (k, n) = (self.config.k(), self.spec.nodes());
-        let mut shards: Vec<Option<Framed>> = vec![None; n];
-        for node in 0..n {
-            match read_verified(cluster, Tier::Remote, &remote_chunk_key(version, node)) {
-                Verified::Intact { blob, crc } => {
-                    shards[self.chunk_id_of_node(node)] = Some((blob, crc));
+        from_remote: bool,
+        trace: &Option<TraceHandles>,
+    ) -> Result<(Manifest, Gathered), Gathered> {
+        let (n, world) = (self.spec.nodes(), self.spec.world_size());
+        let primary = (0..n).find(|&node| cluster.alive(node));
+        let retries = if from_remote { 0 } else { self.config.fetch_retries() };
+        for attempt in 0..=retries {
+            let judged = read_manifest(cluster, from_remote, version, world, |node, manifest| {
+                if !from_remote && primary != Some(node) {
+                    self.recorder.counter("ecc.load.manifest_fallbacks").incr();
                 }
-                Verified::Missing => {}
+                let mut found = self.gather_chunks(cluster, version, manifest, from_remote, trace);
+                if found.survivors() < self.config.k() {
+                    return Err(found);
+                }
+                self.gather_headers(cluster, version, manifest, from_remote, &mut found, trace);
+                if found.lost_headers.is_empty() {
+                    Ok(found)
+                } else {
+                    Err(found)
+                }
+            });
+            if let Some(judged) = judged {
+                return judged;
+            }
+            if attempt < retries {
+                self.recorder.counter("ecc.load.fetch_retries").incr();
+                self.backoff_wait(attempt);
+            }
+        }
+        Err(Gathered {
+            shards: vec![None; n],
+            failed_nodes: (0..n).collect(),
+            ..Gathered::default()
+        })
+    }
+
+    /// One tier's chunks as `manifest` judges them, by chunk id: every
+    /// fetched blob is compared with its entry, so a bit-flipped (or
+    /// newer, or older) chunk becomes an *erasure* the code corrects,
+    /// never an input `reconstruct_all` decodes into garbage.
+    fn gather_chunks(
+        &self,
+        cluster: &impl DataPlane,
+        version: u64,
+        manifest: &Manifest,
+        from_remote: bool,
+        trace: &Option<TraceHandles>,
+    ) -> Gathered {
+        let n = self.spec.nodes();
+        let mut out = Gathered { shards: vec![None; n], ..Gathered::default() };
+        for node in 0..n {
+            let crc = manifest.chunks[node];
+            let fetched = if from_remote {
+                read_verified(cluster, Tier::Remote, &remote_chunk_key(version, node), crc)
+            } else {
+                self.fetch_chunk(cluster, node, version, crc, trace)
+            };
+            match fetched {
+                Verified::Intact(blob) => {
+                    let chunk_id = self.chunk_id_of_node(node);
+                    out.shards[chunk_id] = Some(blob);
+                    if !from_remote {
+                        trace_fetch(trace, node, &format!("chunk {chunk_id}"));
+                        self.heartbeat(node);
+                    }
+                }
+                Verified::Missing => out.failed_nodes.push(node),
                 Verified::Corrupt => {
+                    let tier = if from_remote { "remote" } else { "memory" };
                     self.recorder.counter("ecc.load.corrupt_chunks").incr();
                     self.recorder.event(
                         "ecc.load.corrupt",
-                        format!("remote chunk of node {node} failed checksum"),
+                        format!("{tier} chunk of node {node} failed checksum"),
                     );
+                    if let Some(t) = trace {
+                        t.tracer.instant(t.engine, "load.corrupt", format!("{tier} node {node}"));
+                    }
+                    out.corrupt_nodes.push(node);
+                    out.failed_nodes.push(node);
                 }
             }
         }
-        if shards.iter().filter(|s| s.is_some()).count() >= k {
-            return Ok(shards);
-        }
-        // A data group's state is gone when neither tier holds its
-        // chunk intact (with fewer than k chunks nothing can be decoded
-        // around it). `survivors` in the error counts intact chunks
-        // available *anywhere* — memory or remote.
-        let intact = |id: usize| local_shards[id].is_some() || shards[id].is_some();
+        out
+    }
+
+    /// The refusal when no tier serves. `local` (the in-memory gather)
+    /// and `remote` (the last tier tried; `local` again when that was
+    /// tier 0) are never decoded together — only used to name exactly
+    /// which workers' states are lost: those whose header is gone from
+    /// every copy, or else every data group whose chunk neither tier
+    /// holds intact. `survivors` counts intact chunks available
+    /// *anywhere*.
+    fn unrecoverable(&self, local: &Gathered, remote: &Gathered) -> EcCheckError {
+        let (k, n) = (self.config.k(), self.spec.nodes());
+        let intact = |id: usize| local.shards[id].is_some() || remote.shards[id].is_some();
         let group_size = self.placement.group_size();
-        let lost_workers: Vec<usize> = (0..k)
-            .filter(|&j| !intact(j))
-            .flat_map(|j| j * group_size..(j + 1) * group_size)
-            .collect();
+        let (what, lost_workers) = if remote.lost_headers.is_empty() {
+            let groups = (0..k).filter(|&j| !intact(j));
+            ("chunks", groups.flat_map(|j| j * group_size..(j + 1) * group_size).collect())
+        } else {
+            ("headers", remote.lost_headers.clone())
+        };
         self.recorder.event(
             "ecc.load.lost_workers",
-            format!("chunks unrecoverable; lost workers {lost_workers:?}"),
+            format!("{what} unrecoverable; lost workers {lost_workers:?}"),
         );
-        Err(EcCheckError::Unrecoverable {
+        EcCheckError::Unrecoverable {
             survivors: (0..n).filter(|&id| intact(id)).count(),
             needed: k,
             lost_workers,
-        })
+        }
     }
 
     /// Sleeps the bounded exponential backoff before retry `attempt + 1`
@@ -974,14 +1016,15 @@ impl EcCheck {
         std::thread::sleep(std::time::Duration::from_nanos(delay));
     }
 
-    /// Fetches and checksum-verifies one node's chunk, retrying a
-    /// transiently missing blob up to `fetch_retries` times before
+    /// Fetches one node's chunk and verifies it against `crc`, retrying
+    /// a transiently missing blob up to `fetch_retries` times before
     /// declaring the node's chunk lost.
     fn fetch_chunk(
         &self,
         cluster: &impl DataPlane,
         node: usize,
         version: u64,
+        crc: u32,
         trace: &Option<TraceHandles>,
     ) -> Verified {
         let retries = self.config.fetch_retries();
@@ -989,7 +1032,7 @@ impl EcCheck {
             if !cluster.alive(node) {
                 break;
             }
-            match read_verified(cluster, Tier::Local(node), &chunk_key(version)) {
+            match read_verified(cluster, Tier::Local(node), &chunk_key(version), crc) {
                 Verified::Missing => {}
                 found => return found,
             }
@@ -1008,71 +1051,53 @@ impl EcCheck {
         Verified::Missing
     }
 
-    /// Gathers every worker's header from the tier the chunks came
-    /// from. In tier 0 each header independently falls back across
-    /// *all* alive nodes (with the bounded retry budget) — one node
-    /// having lost one header must not doom the recovery while another
-    /// survivor still holds it. In tier 1 there is one copy to read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EcCheckError::Unrecoverable`] naming the workers whose
-    /// header is gone from every copy the source tier holds.
+    /// Gathers every worker's header from the tier `found`'s chunks came
+    /// from, each verified against its entry in `manifest`. In tier 0
+    /// each header independently falls back across *all* alive nodes
+    /// (with the bounded retry budget) — one node having lost one
+    /// header must not doom the recovery while another survivor still
+    /// holds it. In tier 1 there is one copy to read. A header gone
+    /// from every copy the tier holds is named in `found.lost_headers`.
     fn gather_headers(
         &self,
         cluster: &impl DataPlane,
         version: u64,
+        manifest: &Manifest,
         from_remote: bool,
-        survivors: usize,
+        found: &mut Gathered,
         trace: &Option<TraceHandles>,
-    ) -> Result<Vec<Framed>, EcCheckError> {
-        let world = self.spec.world_size();
-        let mut headers: Vec<Framed> = Vec::with_capacity(world);
-        let mut lost_workers = Vec::new();
-        for w in 0..world {
-            let found = if from_remote {
-                match read_verified(cluster, Tier::Remote, &remote_header_key(version, w)) {
-                    Verified::Intact { blob, crc } => Some((blob, crc)),
-                    Verified::Missing | Verified::Corrupt => None,
-                }
+    ) {
+        for (w, &crc) in manifest.headers.iter().enumerate() {
+            let header = if from_remote {
+                read_verified(cluster, Tier::Remote, &remote_header_key(version, w), crc).intact()
             } else {
-                self.fetch_header(cluster, version, w, trace)
+                self.fetch_header(cluster, version, w, crc, trace)
             };
-            match found {
-                Some(h) => headers.push(h),
-                None => lost_workers.push(w),
+            match header {
+                Some(h) => found.headers.push(h),
+                None => found.lost_headers.push(w),
             }
         }
-        if !lost_workers.is_empty() {
-            self.recorder.event(
-                "ecc.load.lost_workers",
-                format!("headers unrecoverable for workers {lost_workers:?}"),
-            );
-            return Err(EcCheckError::Unrecoverable {
-                survivors,
-                needed: self.config.k(),
-                lost_workers,
-            });
-        }
-        Ok(headers)
     }
 
-    /// Worker `w`'s header from the first alive node holding an intact
-    /// copy, retrying the whole sweep up to `fetch_retries` times.
+    /// Worker `w`'s header from the first alive node holding a copy that
+    /// matches `crc`, retrying the whole sweep up to `fetch_retries`
+    /// times.
     fn fetch_header(
         &self,
         cluster: &impl DataPlane,
         version: u64,
         w: usize,
+        crc: u32,
         trace: &Option<TraceHandles>,
-    ) -> Option<Framed> {
+    ) -> Option<Vec<u8>> {
         let n = self.spec.nodes();
         let retries = self.config.fetch_retries();
         let primary = (0..n).find(|&node| cluster.alive(node));
         for attempt in 0..=retries {
             for node in (0..n).filter(|&node| cluster.alive(node)) {
-                match read_verified(cluster, Tier::Local(node), &header_key(version, w)) {
-                    Verified::Intact { blob, crc } => {
+                match read_verified(cluster, Tier::Local(node), &header_key(version, w), crc) {
+                    Verified::Intact(blob) => {
                         if primary != Some(node) {
                             self.recorder.counter("ecc.load.header_fallbacks").incr();
                             if let Some(t) = trace {
@@ -1083,7 +1108,7 @@ impl EcCheck {
                                 );
                             }
                         }
-                        return Some((blob, crc));
+                        return Some(blob);
                     }
                     Verified::Missing => {}
                     Verified::Corrupt if attempt == 0 => {
@@ -1102,27 +1127,6 @@ impl EcCheck {
             }
         }
         None
-    }
-
-    /// Reads a chunk that is about to be patched in place, verifying
-    /// its checksum first: patching corrupt bytes and re-framing them
-    /// would launder the corruption into a "valid" blob.
-    fn get_verified_for_patch(
-        &self,
-        cluster: &impl DataPlane,
-        node: usize,
-        version: u64,
-    ) -> Result<Vec<u8>, EcCheckError> {
-        match read_verified(cluster, Tier::Local(node), &chunk_key(version)) {
-            Verified::Intact { blob, .. } => Ok(blob),
-            Verified::Missing => Err(EcCheckError::NoCheckpoint),
-            Verified::Corrupt => {
-                self.recorder.counter("ecc.delta.corrupt_chunks").incr();
-                self.recorder
-                    .event("ecc.delta.corrupt", format!("node {node} chunk failed checksum"));
-                Err(EcCheckError::CorruptChunk { node })
-            }
-        }
     }
 
     /// Incrementally checkpoints an arbitrary *dirty set* of workers
@@ -1193,10 +1197,12 @@ impl EcCheck {
     /// patch touches, build whole-chunk deltas (zero outside the dirty
     /// regions), then patch the data chunks and XOR the encoded parity
     /// deltas onto the stored parity. The plane-op sequence is all reads
-    /// up front, then data columns ascending, then parity, then headers
-    /// — in-place patches lack the full save's version-rotation safety
-    /// net, so no store may happen until everything that could fail has
-    /// succeeded.
+    /// up front (the manifest, then each chunk against its entry), then
+    /// data columns ascending, then parity, then headers, then the
+    /// updated manifest to every node. The manifest is the commit
+    /// point: a patch cut short at any put leaves chunks that do not
+    /// match the manifest a reader takes, which it treats as erasures
+    /// (or refuses) — never decodes into a mix of old and new.
     fn delta_inner(
         &mut self,
         cluster: &mut impl DataPlane,
@@ -1231,23 +1237,37 @@ impl EcCheck {
         });
 
         // Verify *every* chunk the patch will touch before mutating any
-        // of them: failing halfway through would leave a data chunk
-        // updated but its parity stale (a torn update no checksum can
-        // catch later).
+        // of them, all against one manifest copy — the first under which
+        // they all verify (a stale copy gives way to a newer one):
+        // patching corrupt bytes and recording their CRC would launder
+        // the corruption into a "valid" blob.
         let group_size = self.placement.group_size();
         let mut touched: Vec<usize> = workers.iter().map(|w| w / group_size).collect();
         touched.dedup();
-        let mut cols: Vec<(usize, Vec<u8>)> = Vec::with_capacity(touched.len());
-        for j in touched {
-            let node = self.placement.data_nodes()[j];
-            cols.push((j, self.get_verified_for_patch(cluster, node, version)?));
-        }
-        let mut parities: Vec<Vec<u8>> = self
-            .placement
-            .parity_nodes()
-            .iter()
-            .map(|&node| self.get_verified_for_patch(cluster, node, version))
-            .collect::<Result<_, _>>()?;
+        let data_nodes = touched.iter().map(|&j| self.placement.data_nodes()[j]);
+        let patched: Vec<usize> =
+            data_nodes.chain(self.placement.parity_nodes().iter().copied()).collect();
+        let judged = read_manifest(cluster, false, version, world, |_, manifest| {
+            let chunks = patched.iter().map(|&node| {
+                let crc = manifest.chunks[node];
+                match read_verified(cluster, Tier::Local(node), &chunk_key(version), crc) {
+                    Verified::Intact(blob) => Ok(blob),
+                    Verified::Missing => Err(EcCheckError::NoCheckpoint),
+                    Verified::Corrupt => Err(EcCheckError::CorruptChunk { node }),
+                }
+            });
+            chunks.collect::<Result<Vec<_>, _>>()
+        });
+        let (mut manifest, mut chunks) =
+            judged.ok_or(EcCheckError::NoCheckpoint)?.inspect_err(|refusal| {
+                if let EcCheckError::CorruptChunk { node } = refusal {
+                    self.recorder.counter("ecc.delta.corrupt_chunks").incr();
+                    self.recorder
+                        .event("ecc.delta.corrupt", format!("node {node} chunk failed checksum"));
+                }
+            })?;
+        let mut parities = chunks.split_off(touched.len());
+        let mut cols: Vec<(usize, Vec<u8>)> = touched.into_iter().zip(chunks).collect();
 
         // Re-lay each dirty worker into its (fixed) region and bucket
         // the regions by data column. The sealed region size is read off
@@ -1267,7 +1287,7 @@ impl EcCheck {
                     detail: format!(
                         "worker {} now needs {} packets (> {}); run a full save",
                         d.worker,
-                        self.packer.packet_count(dec.tensor_bytes()),
+                        dec.tensor_bytes().div_ceil(self.config.packet_size()),
                         region_len / self.config.packet_size()
                     ),
                 });
@@ -1309,33 +1329,32 @@ impl EcCheck {
                 ecc_erasure::region::xor_into(&mut parities[i], pd);
             }
         }
-        // Canonical store order: data columns ascending, then parity —
-        // each chunk before its checksum frame.
+        // Canonical store order: data columns ascending, then parity,
+        // the CRC of each patched chunk going into the manifest.
         for (j, chunk) in &cols {
             let node = self.placement.data_nodes()[*j];
-            let frame = checksum_frame(chunk);
+            manifest.chunks[node] = crc32(chunk);
             cluster.put_local(node, &chunk_key(version), chunk.clone())?;
-            cluster.put_local(node, &chunk_crc_key(version), frame)?;
             trace_store(&trace, node, &format!("data chunk {j}"));
         }
         for (i, parity) in parities.iter().enumerate() {
             let node = self.placement.parity_nodes()[i];
-            let frame = checksum_frame(parity);
+            manifest.chunks[node] = crc32(parity);
             cluster.put_local(node, &chunk_key(version), parity.clone())?;
-            cluster.put_local(node, &chunk_crc_key(version), frame)?;
             trace_store(&trace, node, &format!("parity chunk {i}"));
         }
 
         // Re-broadcast each dirty worker's (possibly changed) header,
-        // ascending worker order.
-        for regions in by_col.values() {
-            for dr in regions {
-                let frame = checksum_frame(&dr.header);
-                for node in 0..self.spec.nodes() {
-                    cluster.put_local(node, &header_key(version, dr.worker), dr.header.clone())?;
-                    cluster.put_local(node, &header_crc_key(version, dr.worker), frame.clone())?;
-                }
+        // ascending worker order, then commit: the manifest, last.
+        for dr in by_col.values().flatten() {
+            manifest.headers[dr.worker] = crc32(&dr.header);
+            for node in 0..self.spec.nodes() {
+                cluster.put_local(node, &header_key(version, dr.worker), dr.header.clone())?;
             }
+        }
+        let record = manifest.encode();
+        for node in 0..self.spec.nodes() {
+            cluster.put_local(node, &manifest_key(version), record.clone())?;
         }
         timer.stop();
         drop(root_span);
@@ -1357,12 +1376,12 @@ impl EcCheck {
     fn reassemble_all(
         &self,
         data_chunks: &[Vec<u8>],
-        headers: &[Framed],
+        headers: &[Vec<u8>],
         region_len: usize,
     ) -> Result<Vec<StateDict>, EcCheckError> {
         let group_size = self.placement.group_size();
         let mut dicts = Vec::with_capacity(self.spec.world_size());
-        for (w, (header, _)) in headers.iter().enumerate() {
+        for (w, header) in headers.iter().enumerate() {
             let base = (w % group_size) * region_len;
             let mut region = &data_chunks[w / group_size][base..base + region_len];
             let mut d = Decomposition::from_header(header)?;
@@ -1437,13 +1456,6 @@ fn trace_fetch(trace: &Option<TraceHandles>, node: usize, what: &str) {
     }
 }
 
-/// The seal marker stored as `ecc/v{v}/manifest`: the packet count per
-/// worker, kept for planes and tools that already read it. Restores do
-/// not — they derive the count from the chunks.
-fn manifest(packets_per_worker: usize) -> Vec<u8> {
-    (packets_per_worker as u64).to_le_bytes().to_vec()
-}
-
 /// Appends one worker's region to `out`: its tensors head to tail,
 /// zero-padded to `region_len` bytes (which must hold them).
 fn lay_region(out: &mut Vec<u8>, worker: &Decomposition, region_len: usize) {
@@ -1454,9 +1466,26 @@ fn lay_region(out: &mut Vec<u8>, worker: &Decomposition, region_len: usize) {
     out.resize(end, 0);
 }
 
-/// A blob read intact together with the checksum frame it verified
-/// against (see [`Verified::Intact`]).
-type Framed = (Vec<u8>, Vec<u8>);
+/// What one tier's chunks and headers came to under one manifest copy.
+#[derive(Default)]
+struct Gathered {
+    /// The chunks that verified, by chunk id.
+    shards: Vec<Option<Vec<u8>>>,
+    /// Every worker's header that verified, once `k` chunks did.
+    headers: Vec<Vec<u8>>,
+    /// Workers whose header is gone from every copy the tier holds.
+    lost_headers: Vec<usize>,
+    /// Nodes whose chunk was absent or failed verification.
+    failed_nodes: Vec<usize>,
+    /// The subset of `failed_nodes` whose chunk was present but wrong.
+    corrupt_nodes: Vec<usize>,
+}
+
+impl Gathered {
+    fn survivors(&self) -> usize {
+        self.shards.iter().flatten().count()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1586,22 +1615,30 @@ mod tests {
         assert_eq!(restored, dicts);
     }
 
+    /// The fence reads every survivor's marker: a commit whose put was
+    /// dropped on node 0 must not let an engine at the old epoch
+    /// through, and a damaged copy says nothing at all.
     #[test]
-    fn save_stamps_epoch_provenance_per_version() {
-        let (spec, mut cluster, mut ecc, dicts) = setup();
-        ecc.save(&mut cluster, &dicts).unwrap();
-        for node in 0..spec.nodes() {
-            let blob = cluster.get_local(node, &crate::keys::epoch_key(1)).unwrap();
-            assert_eq!(crate::keys::decode_epoch(&blob), Some(0));
+    fn epoch_fence_takes_the_newest_marker_that_verifies() {
+        let (_, mut cluster, mut ecc, dicts) = setup();
+        let placement = ecc.placement().clone();
+        ecc.apply_placement(2, placement).unwrap();
+        let key = crate::keys::placement_epoch_key();
+        for (node, epoch) in [2u64, 3, 3, 3].into_iter().enumerate() {
+            cluster.put_local(node, &key, crate::keys::encode_epoch(epoch)).unwrap();
         }
+        assert!(matches!(
+            ecc.save(&mut cluster, &dicts),
+            Err(EcCheckError::StaleEpoch { engine: 2, committed: 3 })
+        ));
+        // Node 0's copy bit-flipped upward: skipped, not obeyed.
+        let mut forged = crate::keys::encode_epoch(2);
+        forged[7] ^= 0x80;
+        cluster.put_local(0, &key, forged).unwrap();
+        assert_eq!(committed_epoch(&cluster), Some(3));
+        let placement = ecc.placement().clone();
+        ecc.apply_placement(3, placement).unwrap();
         ecc.save(&mut cluster, &dicts).unwrap();
-        for node in 0..spec.nodes() {
-            assert!(
-                cluster.get_local(node, &crate::keys::epoch_key(1)).is_none(),
-                "old version swept"
-            );
-            assert!(cluster.get_local(node, &crate::keys::epoch_key(2)).is_some());
-        }
     }
 
     #[test]
@@ -1699,9 +1736,9 @@ mod tests {
 
     /// Total cluster loss: every node fails and is replaced, so the
     /// restore comes from tier 1 — and must leave tier 0 as complete
-    /// as a save does. Re-seeded nodes without `manifest`/`epoch` would
-    /// make the restored version invisible to the next drain and to an
-    /// adopting engine.
+    /// as a save does. Re-seeded nodes without `manifest` would make the
+    /// restored version invisible to the next drain and to an adopting
+    /// engine.
     #[test]
     fn total_loss_restores_from_tier_one_and_reseeds_every_node() {
         let (spec, mut cluster, mut ecc, dicts) = setup();
@@ -1717,7 +1754,6 @@ mod tests {
         assert_eq!(load.rebuilt_chunks, 0, "tier 1 held every chunk");
         for node in 0..4 {
             assert!(cluster.get_local(node, &manifest_key(1)).is_some(), "node {node} manifest");
-            assert!(cluster.get_local(node, &epoch_key(1)).is_some(), "node {node} epoch");
         }
         let redrain = crate::store::drain_version(&mut cluster, 1, 8, ecc.recorder()).unwrap();
         assert_eq!(redrain.chunks_copied, 4);
@@ -1778,7 +1814,7 @@ mod tests {
     }
 
     /// Flips one byte of a node's stored chunk in place, leaving the
-    /// stored checksum frame untouched (simulating at-rest bit rot).
+    /// manifest untouched (simulating at-rest bit rot).
     fn corrupt_chunk(cluster: &mut Cluster, node: usize, version: u64) {
         let key = crate::keys::chunk_key(version);
         let mut blob = cluster.get_local(node, &key).unwrap().to_vec();
@@ -1788,7 +1824,7 @@ mod tests {
     }
 
     /// The silent-corruption regression: a bit-flipped chunk must be
-    /// detected via its checksum and treated as an erasure, decoding
+    /// detected via its manifest entry and treated as an erasure, decoding
     /// the true bytes from the survivors — the pre-fix engine fed the
     /// garbage straight into `reconstruct_all` and returned corrupted
     /// weights with a successful report.
@@ -1894,6 +1930,63 @@ mod tests {
         }
     }
 
+    /// Rewrites every node's manifest of `version` through `edit`,
+    /// validly closed — what only a writer of the format could forge.
+    fn forge_manifest(cluster: &mut Cluster, version: u64, edit: impl Fn(&mut Manifest)) {
+        let record = cluster.get_local(0, &manifest_key(version)).unwrap();
+        let mut manifest = Manifest::decode(&record, 4, 8).unwrap();
+        edit(&mut manifest);
+        for node in 0..4 {
+            cluster.put_local(node, &manifest_key(version), manifest.encode()).unwrap();
+        }
+    }
+
+    /// The manifest twins of the header tests: node 0's copy lost, then
+    /// corrupt, is served by node 1 and re-seeded.
+    #[test]
+    fn manifest_restore_falls_back_across_survivors() {
+        let (_, mut cluster, mut ecc, dicts) = setup();
+        ecc.save(&mut cluster, &dicts).unwrap();
+        let saved = cluster.get_local(0, &manifest_key(1)).unwrap();
+        cluster.delete_local(0, &manifest_key(1));
+        assert_eq!(ecc.load(&mut cluster).unwrap().0, dicts);
+        assert_eq!(cluster.get_local(0, &manifest_key(1)), Some(saved.clone()), "re-seeded");
+        let mut forged = saved.clone();
+        forged[3] ^= 0x10;
+        cluster.put_local(0, &manifest_key(1), forged).unwrap();
+        assert_eq!(ecc.load(&mut cluster).unwrap().0, dicts);
+        assert_eq!(cluster.get_local(0, &manifest_key(1)), Some(saved), "re-seeded");
+        assert_eq!(ecc.recorder().snapshot().counter("ecc.load.manifest_fallbacks"), 2);
+    }
+
+    #[test]
+    fn manifest_lost_everywhere_leaves_tier_zero_no_survivors() {
+        let (_, mut cluster, mut ecc, dicts) = setup();
+        ecc.save(&mut cluster, &dicts).unwrap();
+        let saved = cluster.get_local(0, &manifest_key(1)).unwrap();
+        for node in 0..4 {
+            cluster.delete_local(node, &manifest_key(1));
+        }
+        match ecc.load(&mut cluster) {
+            Err(EcCheckError::Unrecoverable { survivors: 0, lost_workers, .. }) => {
+                assert_eq!(lost_workers, (0..8).collect::<Vec<_>>());
+            }
+            other => panic!("expected Unrecoverable naming every worker, got {other:?}"),
+        }
+        // With a drained copy the same loss is served by tier 1.
+        for node in 0..4 {
+            cluster.put_local(node, &manifest_key(1), saved.clone()).unwrap();
+        }
+        crate::store::drain_version(&mut cluster, 1, 8, ecc.recorder()).unwrap();
+        for node in 0..4 {
+            cluster.delete_local(node, &manifest_key(1));
+        }
+        let (restored, report) = ecc.load(&mut cluster).unwrap();
+        assert_eq!(restored, dicts);
+        assert_eq!(report.workflow, RecoveryWorkflow::Remote);
+        assert_eq!(cluster.get_local(2, &manifest_key(1)), Some(saved));
+    }
+
     /// Blobs that verify but describe a layout the chunks cannot hold
     /// must be refused with an error, never sliced out of range.
     #[test]
@@ -1901,25 +1994,25 @@ mod tests {
         use ecc_checkpoint::{DType, Tensor};
         let (_, mut cluster, mut ecc, dicts) = setup();
         ecc.save(&mut cluster, &dicts).unwrap();
-        // Worker 0's header, validly framed, names a 1 MiB tensor.
+        // Worker 0's header, validly entered, names a 1 MiB tensor.
         let mut big = StateDict::new();
         big.insert("w", Value::Tensor(Tensor::zeros(DType::U8, &[1 << 20])));
         let header = decompose(&big).header_to_bytes();
         for node in 0..4 {
-            cluster.put_local(node, &header_crc_key(1, 0), checksum_frame(&header)).unwrap();
             cluster.put_local(node, &header_key(1, 0), header.clone()).unwrap();
         }
+        forge_manifest(&mut cluster, 1, |m| m.headers[0] = crc32(&header));
         assert!(matches!(
             ecc.load(&mut cluster),
             Err(EcCheckError::Checkpoint(CheckpointError::ExtentOutOfRange { .. }))
         ));
-        // Chunks, validly framed, that are no whole number of packets
+        // Chunks, validly entered, that are no whole number of packets
         // per worker (192 bytes satisfies the code's own alignment).
         let runt = vec![0u8; 192];
         for node in 0..4 {
-            cluster.put_local(node, &chunk_crc_key(1), checksum_frame(&runt)).unwrap();
             cluster.put_local(node, &chunk_key(1), runt.clone()).unwrap();
         }
+        forge_manifest(&mut cluster, 1, |m| m.chunks.fill(crc32(&runt)));
         assert!(matches!(ecc.load(&mut cluster), Err(EcCheckError::Config { .. })));
     }
 
@@ -2247,16 +2340,8 @@ mod store_tests {
         version: u64,
         world: usize,
     ) -> BTreeMap<(usize, String), Option<Vec<u8>>> {
-        let mut keys = vec![
-            chunk_key(version),
-            chunk_crc_key(version),
-            manifest_key(version),
-            crate::keys::epoch_key(version),
-        ];
-        for w in 0..world {
-            keys.push(header_key(version, w));
-            keys.push(header_crc_key(version, w));
-        }
+        let mut keys = vec![chunk_key(version), manifest_key(version)];
+        keys.extend((0..world).map(|w| header_key(version, w)));
         let mut out = BTreeMap::new();
         for node in 0..cluster.nodes() {
             for key in &keys {
@@ -2298,6 +2383,23 @@ mod store_tests {
         let (restored, report) = ecc.load(&mut cluster).unwrap();
         assert_eq!(report.version, 7);
         assert_eq!(restored, saved[&7]);
+    }
+
+    /// Three kinds of blob per version and nothing else: a node holds
+    /// its chunk, every worker's header and the manifest.
+    #[test]
+    fn a_save_leaves_chunk_headers_and_manifest_on_every_node() {
+        let spec = ClusterSpec::tiny_test(4, 2);
+        let mut cluster = Cluster::new(spec);
+        let mut ecc = EcCheck::initialize(&spec, cfg()).unwrap();
+        ecc.save(&mut cluster, &dicts(8, 1)).unwrap();
+        ecc.save(&mut cluster, &dicts(8, 2)).unwrap();
+        let mut want = vec![chunk_key(2), manifest_key(2)];
+        want.extend((0..8).map(|w| header_key(2, w)));
+        want.sort();
+        for node in 0..4 {
+            assert_eq!(cluster.local_keys(node), want, "node {node}");
+        }
     }
 
     #[test]
@@ -2347,40 +2449,79 @@ mod store_tests {
         }
     }
 
-    /// The manifest has no checksum, so its bytes must not steer a
-    /// restore: with every copy rewritten to a larger or a smaller
-    /// packet count, the version still restores bit-exactly, on the
-    /// engine that wrote it and on a fresh one adopting it.
+    /// A manifest is believed only as far as it checks out: a copy
+    /// without a valid self-check is skipped, and a validly closed one
+    /// with a wrong chunk entry makes that chunk an erasure — whose
+    /// rebuilt bytes are then held to the same entry, so the restore
+    /// refuses rather than return what the record does not vouch for.
     #[test]
     fn restores_do_not_trust_the_manifest_bytes() {
-        for forged in [9u64, 1] {
-            let spec = ClusterSpec::tiny_test(4, 2);
-            let mut cluster = Cluster::new(spec);
-            let mut ecc = EcCheck::initialize(&spec, cfg().with_retain_last(2)).unwrap();
-            let d1 = dicts(8, 1);
-            assert_eq!(ecc.save(&mut cluster, &d1).unwrap().packets_per_worker, 2);
-            ecc.save(&mut cluster, &dicts(8, 2)).unwrap();
-            let forge = |cluster: &mut Cluster| {
-                for node in 0..4 {
-                    let bytes = forged.to_le_bytes().to_vec();
-                    cluster.put_local(node, &manifest_key(1), bytes).unwrap();
-                }
-            };
-            forge(&mut cluster);
-            assert_eq!(ecc.load_version(&mut cluster, 1).unwrap().0, d1, "forged {forged}");
-            // The restore re-seeded the true count; forge it again.
-            assert_eq!(cluster.get_local(0, &manifest_key(1)), Some(manifest(2)));
-            forge(&mut cluster);
-            let mut fresh = EcCheck::initialize(&spec, cfg().with_retain_last(2)).unwrap();
-            fresh.adopt_version(&cluster, 1).unwrap();
-            assert_eq!(fresh.load(&mut cluster).unwrap().0, d1, "adopted, forged {forged}");
+        let spec = ClusterSpec::tiny_test(4, 2);
+        let mut cluster = Cluster::new(spec);
+        let mut ecc = EcCheck::initialize(&spec, cfg()).unwrap();
+        let d = dicts(8, 1);
+        ecc.save(&mut cluster, &d).unwrap();
+        // What the manifest held before it had a checksum.
+        cluster.put_local(0, &manifest_key(1), 9u64.to_le_bytes().to_vec()).unwrap();
+        assert_eq!(ecc.load(&mut cluster).unwrap().0, d);
+        assert_eq!(ecc.recorder().snapshot().counter("ecc.load.manifest_fallbacks"), 1);
+        let mut fresh = EcCheck::initialize(&spec, cfg()).unwrap();
+        fresh.adopt_version(&cluster, 1).unwrap();
+        assert_eq!(fresh.load(&mut cluster).unwrap().0, d, "adopted");
+
+        let record = cluster.get_local(1, &manifest_key(1)).unwrap();
+        let mut forged = Manifest::decode(&record, 4, 8).unwrap();
+        forged.chunks[0] ^= 1;
+        for node in 0..4 {
+            cluster.put_local(node, &manifest_key(1), forged.encode()).unwrap();
         }
+        assert!(matches!(ecc.load(&mut cluster), Err(EcCheckError::CorruptChunk { node: 0 })));
+        assert_eq!(ecc.recorder().snapshot().counter("ecc.load.corrupt_chunks"), 1);
+    }
+
+    /// A stale copy that verifies — a delta's manifest and header puts
+    /// silently dropped on node 0 — must not beat the newer one on
+    /// nodes 1..3, under which node 0's header copy is simply corrupt.
+    #[test]
+    fn stale_manifest_and_header_copies_do_not_beat_newer_ones() {
+        let spec = ClusterSpec::tiny_test(4, 2);
+        let mut cluster = Cluster::new(spec);
+        let mut ecc = EcCheck::initialize(&spec, cfg()).unwrap();
+        let mut d = dicts(8, 0);
+        ecc.save(&mut cluster, &d).unwrap();
+        let stale = [manifest_key(1), header_key(1, 3)].map(|key| {
+            let blob = cluster.get_local(0, &key).unwrap();
+            (key, blob)
+        });
+        let stale_manifest = stale[0].1.clone();
+        d[3] = dicts(8, 9).swap_remove(3);
+        ecc.save_delta(&mut cluster, &[WorkerDirtySet { worker: 3, state: &d[3] }]).unwrap();
+        for (key, blob) in stale {
+            cluster.put_local(0, &key, blob).unwrap();
+        }
+        // The drain and the next delta judge by the newer copy too.
+        let drained = crate::store::drain_version(&mut cluster, 1, 8, ecc.recorder()).unwrap();
+        assert_eq!((drained.chunks_copied, drained.skipped_corrupt), (4, 0));
+        assert_eq!(
+            cluster.get_remote(&remote_manifest_key(1)),
+            cluster.get_local(1, &manifest_key(1))
+        );
+        d[5] = dicts(8, 9).swap_remove(5);
+        ecc.save_delta(&mut cluster, &[WorkerDirtySet { worker: 5, state: &d[5] }]).unwrap();
+        assert_eq!(ecc.recorder().snapshot().counter("ecc.delta.corrupt_chunks"), 0);
+        // That delta overwrote node 0's manifest; make it stale again.
+        cluster.put_local(0, &manifest_key(1), stale_manifest).unwrap();
+        assert_eq!(ecc.load(&mut cluster).unwrap().0, d);
+        let snap = ecc.recorder().snapshot();
+        assert_eq!(snap.counter("ecc.load.manifest_fallbacks"), 1);
+        assert_eq!(snap.counter("ecc.load.corrupt_headers"), 1);
+        // Re-seeded: the next restore is served by node 0 alone.
+        assert_eq!(ecc.load(&mut cluster).unwrap().0, d);
+        assert_eq!(ecc.recorder().snapshot().counter("ecc.load.manifest_fallbacks"), 1);
     }
 
     /// A restore re-seeds every node with exactly the blobs a save left
-    /// there — frames read intact are stored again as they are — and a
-    /// chunk whose frame alone is damaged is rebuilt as an erasure and
-    /// framed afresh, to the same bytes.
+    /// there, also where a chunk and a manifest copy had to be rebuilt.
     #[test]
     fn load_reseeds_byte_identical_blobs() {
         let spec = ClusterSpec::tiny_test(4, 2);
@@ -2392,14 +2533,16 @@ mod store_tests {
         assert_eq!(ecc.load(&mut cluster).unwrap().0, d);
         assert_eq!(version_blobs(&cluster, 1, 8), saved, "intact restore");
 
-        let mut frame = cluster.get_local(0, &chunk_crc_key(1)).unwrap();
-        frame[0] ^= 0x01;
-        cluster.put_local(0, &chunk_crc_key(1), frame).unwrap();
+        for key in [chunk_key(1), manifest_key(1)] {
+            let mut blob = cluster.get_local(0, &key).unwrap();
+            blob[0] ^= 0x01;
+            cluster.put_local(0, &key, blob).unwrap();
+        }
         let (restored, report) = ecc.load(&mut cluster).unwrap();
         assert_eq!(restored, d);
         assert_eq!(report.corrupt_nodes, vec![0]);
         assert_eq!(report.rebuilt_chunks, 1);
-        assert_eq!(version_blobs(&cluster, 1, 8), saved, "rebuilt chunk and its new frame");
+        assert_eq!(version_blobs(&cluster, 1, 8), saved, "rebuilt chunk and manifest copy");
     }
 
     #[test]
@@ -2486,6 +2629,7 @@ mod store_tests {
             Err(EcCheckError::CorruptChunk { node: 1 })
         ));
         assert_eq!(version_blobs(&cluster, 1, 8), snapshot, "refusal must not write");
+        assert_eq!(ecc.recorder().snapshot().counter("ecc.delta.corrupt_chunks"), 1);
 
         // load() repairs the corruption; the delta then applies and the
         // new state survives failures.

@@ -27,12 +27,15 @@ pub enum EcCheckError {
     },
     /// No checkpoint has been saved yet.
     NoCheckpoint,
-    /// A stored chunk failed its checksum during an in-place patch
-    /// ([`crate::EcCheck::save_delta`]). Run [`crate::EcCheck::load`]
-    /// first: it treats the corruption as an erasure and repairs the
-    /// chunk from the surviving ones.
+    /// A chunk does not match its manifest entry where that cannot be
+    /// treated as an erasure. From [`crate::EcCheck::save_delta`]: a
+    /// stored chunk about to be patched in place — run
+    /// [`crate::EcCheck::load`] first, which repairs it from the
+    /// surviving ones. From a restore: a chunk the decoder *rebuilt*
+    /// differs from what the save recorded, so the chunks that verified
+    /// do not belong to one checkpoint and nothing is returned.
     CorruptChunk {
-        /// Node holding the corrupt chunk.
+        /// Node holding (or due to hold) the chunk.
         node: usize,
     },
     /// A save-executor stage thread died mid-save (e.g. a worker
@@ -86,7 +89,7 @@ impl fmt::Display for EcCheckError {
             }
             EcCheckError::NoCheckpoint => write!(f, "no checkpoint has been saved"),
             EcCheckError::CorruptChunk { node } => {
-                write!(f, "chunk on node {node} failed its checksum; run load() to repair it")
+                write!(f, "the chunk of node {node} does not match its manifest checksum")
             }
             EcCheckError::StageFailed { detail } => {
                 write!(f, "save executor stage failed: {detail}")

@@ -1,25 +1,18 @@
 //! The engine's blob-key namespace.
 //!
 //! Every blob the engine stores on the data plane lives under a
-//! versioned key built here. The helpers are public so fault-injection
-//! layers (e.g. `ecc-chaos`) and targeted tests can address a specific
-//! stored blob — a node's chunk, one worker's header, or the checksum
-//! frames guarding them — without duplicating format strings.
+//! versioned key built here: per version a node holds its one `chunk`,
+//! every worker's `hdr/{w}` and the `manifest` that carries the CRC-32
+//! of all of them (see [`crate::store::Manifest`]). The helpers are
+//! public so fault-injection layers (e.g. `ecc-chaos`) and targeted
+//! tests can address a specific stored blob without duplicating format
+//! strings.
+
+use crate::store::{open_record, seal_record};
 
 /// Key of the (single) erasure-code chunk a node holds for `version`.
 pub fn chunk_key(version: u64) -> String {
     format!("ecc/v{version}/chunk")
-}
-
-/// Key of the checksum frame guarding the blob stored under `key`, in
-/// either tier — the one place the sibling-key format is spelled out.
-pub(crate) fn crc_key(key: &str) -> String {
-    format!("{key}.crc")
-}
-
-/// Key of the checksum frame guarding [`chunk_key`].
-pub fn chunk_crc_key(version: u64) -> String {
-    crc_key(&chunk_key(version))
 }
 
 /// Key of `worker`'s broadcast decomposition header for `version`.
@@ -27,15 +20,9 @@ pub fn header_key(version: u64, worker: usize) -> String {
     format!("ecc/v{version}/hdr/{worker}")
 }
 
-/// Key of the checksum frame guarding [`header_key`].
-pub fn header_crc_key(version: u64, worker: usize) -> String {
-    crc_key(&header_key(version, worker))
-}
-
-/// Key of the manifest for `version`: the marker that the version was
-/// sealed. Its 8 bytes (the packet count per worker) have no checksum
-/// sibling and steer nothing — a restore derives the layout from the
-/// chunks it verified.
+/// Key of the manifest for `version`: the self-checked record of every
+/// chunk's and every header's CRC-32, identical on every node and
+/// written after everything it names — its presence seals the version.
 pub fn manifest_key(version: u64) -> String {
     format!("ecc/v{version}/manifest")
 }
@@ -45,21 +32,9 @@ pub fn remote_chunk_key(version: u64, node: usize) -> String {
     format!("remote/ecc/v{version}/chunk/{node}")
 }
 
-/// Remote-storage key of the checksum frame guarding
-/// [`remote_chunk_key`].
-pub fn remote_chunk_crc_key(version: u64, node: usize) -> String {
-    crc_key(&remote_chunk_key(version, node))
-}
-
 /// Remote-storage key of `worker`'s header for `version`.
 pub fn remote_header_key(version: u64, worker: usize) -> String {
     format!("remote/ecc/v{version}/hdr/{worker}")
-}
-
-/// Remote-storage key of the checksum frame guarding
-/// [`remote_header_key`].
-pub fn remote_header_crc_key(version: u64, worker: usize) -> String {
-    crc_key(&remote_header_key(version, worker))
 }
 
 /// Remote-storage key of the manifest for `version`.
@@ -76,46 +51,37 @@ pub fn placement_epoch_key() -> String {
     "ecc/placement/epoch".to_string()
 }
 
-/// Key of the provenance marker recording the placement epoch a
-/// checkpoint `version` was saved (or last migrated) under.
-pub fn epoch_key(version: u64) -> String {
-    format!("ecc/v{version}/epoch")
-}
-
 /// Serializes a placement epoch for storage under
-/// [`placement_epoch_key`] / [`epoch_key`].
+/// [`placement_epoch_key`]: the epoch closed by its own checksum.
 pub fn encode_epoch(epoch: u64) -> Vec<u8> {
-    epoch.to_le_bytes().to_vec()
+    seal_record(epoch.to_le_bytes().to_vec())
 }
 
 /// Parses an epoch blob written by [`encode_epoch`]. `None` for blobs
-/// of the wrong width (treat as "no epoch committed").
+/// of the wrong width or failing their self-check (treat as "this copy
+/// says nothing").
 pub fn decode_epoch(bytes: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+    Some(u64::from_le_bytes(open_record(bytes)?.try_into().ok()?))
 }
 
-/// Reads the committed placement epoch from the first alive node that
-/// holds the marker. `None` means no membership controller has ever
-/// committed a rebalance on this plane (implicit epoch 0).
+/// Reads the committed placement epoch: the maximum over the alive
+/// nodes' markers that pass their self-check, so losing or damaging up
+/// to `m` copies never rolls the fence backwards. `None` means no
+/// membership controller has ever committed a rebalance on this plane
+/// (implicit epoch 0).
 pub fn committed_epoch(plane: &impl ecc_cluster::DataPlane) -> Option<u64> {
     let key = placement_epoch_key();
     (0..plane.nodes())
         .filter(|&node| plane.alive(node))
-        .find_map(|node| plane.get_local(node, &key))
-        .and_then(|blob| decode_epoch(&blob))
+        .filter_map(|node| decode_epoch(&plane.get_local(node, &key)?))
+        .max()
 }
 
-/// `true` when `key` addresses a chunk blob or its checksum frame —
-/// the blobs whose loss or corruption consumes one unit of the code's
-/// `m`-failure budget. Used by fault-injection accounting.
+/// `true` when `key` addresses a chunk blob — the blobs whose loss or
+/// corruption consumes one unit of the code's `m`-failure budget. Used
+/// by fault-injection accounting.
 pub fn is_chunk_class(key: &str) -> bool {
     key.contains("/chunk")
-}
-
-/// `true` when `key` addresses a header blob or its checksum frame
-/// (replicated on every node, so a single loss is survivable).
-pub fn is_header_class(key: &str) -> bool {
-    key.contains("/hdr/")
 }
 
 /// Extracts the worker a header-class key addresses, if any.
@@ -124,12 +90,10 @@ pub fn is_header_class(key: &str) -> bool {
 ///
 /// ```
 /// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::header_key(2, 5)), Some(5));
-/// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::header_crc_key(2, 5)), Some(5));
 /// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::chunk_key(2)), None);
 /// ```
 pub fn header_worker(key: &str) -> Option<usize> {
-    let (_, tail) = key.split_once("/hdr/")?;
-    tail.strip_suffix(".crc").unwrap_or(tail).parse().ok()
+    key.split_once("/hdr/")?.1.parse().ok()
 }
 
 /// Extracts the version a key addresses, if it is an engine key.
@@ -147,27 +111,13 @@ pub fn key_version(key: &str) -> Option<u64> {
     tail[..end].parse().ok()
 }
 
-/// Scans a data plane for the newest checkpoint version that has a
-/// manifest on some alive node, so a fresh process can adopt a
-/// checkpoint it did not write (see `EcCheck::adopt_version`). Returns
-/// `None` when no alive node holds a manifest. Remote storage is not
-/// probed: it has no key listing and only holds drained versions, so
-/// its newest manifest may lag the cluster's.
+/// The newest checkpoint version that has a manifest on some alive
+/// node, so a fresh process can adopt a checkpoint it did not write
+/// (see `EcCheck::adopt_version`). Remote storage is not probed: it has
+/// no key listing and only holds drained versions, so its newest
+/// manifest may lag the cluster's.
 pub fn latest_manifest_version(plane: &impl ecc_cluster::DataPlane) -> Option<u64> {
-    let mut latest = None;
-    for node in 0..plane.nodes() {
-        if !plane.alive(node) {
-            continue;
-        }
-        for key in plane.local_keys(node) {
-            if let Some(rest) = key.strip_prefix("ecc/v") {
-                if let Some(v) = rest.strip_suffix("/manifest").and_then(|v| v.parse().ok()) {
-                    latest = latest.max(Some(v));
-                }
-            }
-        }
-    }
-    latest
+    manifest_versions(plane).last().copied()
 }
 
 /// Scans a data plane for every checkpoint version that has a manifest
@@ -176,22 +126,13 @@ pub fn latest_manifest_version(plane: &impl ecc_cluster::DataPlane) -> Option<u6
 /// blob a save seals, so a version with a manifest is restorable (up to
 /// the usual `m`-failure budget).
 pub fn manifest_versions(plane: &impl ecc_cluster::DataPlane) -> Vec<u64> {
-    let mut versions = Vec::new();
-    for node in 0..plane.nodes() {
-        if !plane.alive(node) {
-            continue;
-        }
-        for key in plane.local_keys(node) {
-            if let Some(rest) = key.strip_prefix("ecc/v") {
-                if let Some(v) = rest.strip_suffix("/manifest").and_then(|v| v.parse().ok()) {
-                    if !versions.contains(&v) {
-                        versions.push(v);
-                    }
-                }
-            }
-        }
-    }
+    let mut versions: Vec<u64> = (0..plane.nodes())
+        .filter(|&node| plane.alive(node))
+        .flat_map(|node| plane.local_keys(node))
+        .filter_map(|key| key.strip_prefix("ecc/v")?.strip_suffix("/manifest")?.parse().ok())
+        .collect();
     versions.sort_unstable();
+    versions.dedup();
     versions
 }
 
@@ -203,16 +144,11 @@ mod tests {
     fn keys_are_distinct_and_versioned() {
         let keys = [
             chunk_key(3),
-            chunk_crc_key(3),
             header_key(3, 0),
-            header_crc_key(3, 0),
             manifest_key(3),
             remote_chunk_key(3, 1),
-            remote_chunk_crc_key(3, 1),
             remote_header_key(3, 0),
-            remote_header_crc_key(3, 0),
             remote_manifest_key(3),
-            epoch_key(3),
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
@@ -225,19 +161,14 @@ mod tests {
     #[test]
     fn classification() {
         assert!(is_chunk_class(&chunk_key(1)));
-        assert!(is_chunk_class(&chunk_crc_key(1)));
         assert!(is_chunk_class(&remote_chunk_key(1, 0)));
         assert!(!is_chunk_class(&header_key(1, 0)));
         assert!(!is_chunk_class(&manifest_key(1)));
-        assert!(is_header_class(&header_key(1, 2)));
-        assert!(is_header_class(&header_crc_key(1, 2)));
-        assert!(!is_header_class(&chunk_key(1)));
     }
 
     #[test]
     fn header_worker_extraction() {
         assert_eq!(header_worker(&header_key(4, 11)), Some(11));
-        assert_eq!(header_worker(&header_crc_key(4, 11)), Some(11));
         assert_eq!(header_worker(&remote_header_key(4, 3)), Some(3));
         assert_eq!(header_worker(&chunk_key(4)), None);
         assert_eq!(header_worker("ecc/v1/hdr/notanumber"), None);
@@ -249,11 +180,11 @@ mod tests {
         assert_eq!(decode_epoch(&encode_epoch(u64::MAX)), Some(u64::MAX));
         assert_eq!(decode_epoch(&[1, 2, 3]), None);
         assert_eq!(decode_epoch(&[]), None);
+        assert_eq!(decode_epoch(&7u64.to_le_bytes()), None, "a bare epoch has no self-check");
         // The cluster-wide marker is outside any version namespace, so
         // per-version cleanup can never reap it.
         assert_eq!(key_version(&placement_epoch_key()), None);
         assert!(!is_chunk_class(&placement_epoch_key()));
-        assert_eq!(key_version(&epoch_key(9)), Some(9));
     }
 
     #[test]

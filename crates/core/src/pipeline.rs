@@ -25,7 +25,8 @@
 //!   accumulator to the transfer stage.
 //! * **Stage 3 — transfer.** The driver scatters finished stripes into
 //!   the parity chunks, stitches piece CRCs with
-//!   [`ecc_checkpoint::crc32_combine`], and issues every store in one
+//!   [`ecc_checkpoint::crc32_combine`] into the chunk CRCs the engine
+//!   writes into the manifest, and issues every store in one
 //!   canonical order (data chunks by index, then parity), gating each
 //!   transfer through the profiled idle-slot [`SlotGate`] when one is
 //!   attached.
@@ -72,7 +73,7 @@ use ecc_telemetry::Recorder;
 use ecc_trace::{TrackId, CODING_PID, DRIVER_PID};
 
 use crate::engine::TraceHandles;
-use crate::keys::{chunk_crc_key, chunk_key};
+use crate::keys::chunk_key;
 use crate::{EcCheckError, Placement, ReductionPlan};
 
 /// Stage accounting for one pipelined save, reported on
@@ -171,6 +172,10 @@ pub(crate) struct PipelineJob<'a> {
 pub(crate) struct PipelineOutcome {
     pub encoded_bytes: u64,
     pub stats: PipelineStats,
+    /// CRC-32 of every stored chunk, stitched from the piece CRCs the
+    /// stages computed, indexed by the node the chunk was stored on —
+    /// the chunk entries of the version's manifest.
+    pub chunk_crcs: Vec<u32>,
     /// First/last instants of encode-stage activity, for the engine's
     /// `save.encode` summary span.
     pub encode_begin_ns: u64,
@@ -380,8 +385,9 @@ fn make_tracks(trace: Option<&TraceHandles>) -> Option<PipelineTracks> {
 /// `version`, leaving the cluster byte-identical to a one-pass encode
 /// of the same chunks (the oracle in `tests/pipeline_differential.rs`).
 ///
-/// Headers, manifests and version rotation stay with the engine — this
-/// function owns exactly the chunk dataflow.
+/// Headers, the manifest (built from the chunk CRCs returned here) and
+/// version rotation stay with the engine — this function owns exactly
+/// the chunk dataflow.
 pub(crate) fn run(
     job: PipelineJob<'_>,
     cluster: &mut impl DataPlane,
@@ -446,6 +452,7 @@ pub(crate) fn run(
         data_crcs: vec![vec![None; geo.crc_pieces]; geo.k],
         parity: (0..geo.m).map(|_| vec![0u8; geo.chunk_len]).collect(),
         parity_crcs: vec![vec![vec![0u32; geo.stripes]; geo.w]; geo.m],
+        chunk_crcs: vec![0u32; geo.k + geo.m],
         stripes_done: 0,
         reduce_spans: Vec::with_capacity(geo.stripes),
         busy_ns: 0,
@@ -546,6 +553,7 @@ pub(crate) fn run(
     Ok(PipelineOutcome {
         encoded_bytes: (geo.m * geo.chunk_len) as u64,
         stats,
+        chunk_crcs: driver.chunk_crcs,
         encode_begin_ns: encode_begin,
         encode_end_ns: encode_end,
         place_begin_ns: place_begin,
@@ -890,6 +898,8 @@ struct Driver<'a> {
     data_crcs: Vec<Vec<Option<u32>>>,
     parity: Vec<Vec<u8>>,
     parity_crcs: Vec<Vec<Vec<u32>>>,
+    /// Stitched CRC of each chunk stored so far, by node.
+    chunk_crcs: Vec<u32>,
     stripes_done: usize,
     reduce_spans: Vec<(usize, u64, u64)>,
     busy_ns: u64,
@@ -1003,8 +1013,8 @@ impl Driver<'_> {
         self.store(node, bytes, crc, &format!("parity chunk {i}"), cluster);
     }
 
-    /// One gated store: chunk blob plus its CRC frame, byte-identical to
-    /// `checksum_frame`'s output.
+    /// One gated store of a chunk blob; its stitched CRC is kept for
+    /// the manifest.
     fn store(
         &mut self,
         node: usize,
@@ -1032,9 +1042,8 @@ impl Driver<'_> {
         });
         let begin = self.recorder.now_ns();
         self.place_begin_ns = self.place_begin_ns.min(begin);
-        let result = cluster.put_local(node, &chunk_key(self.version), bytes).and_then(|()| {
-            cluster.put_local(node, &chunk_crc_key(self.version), crc.to_le_bytes().to_vec())
-        });
+        self.chunk_crcs[node] = crc;
+        let result = cluster.put_local(node, &chunk_key(self.version), bytes);
         self.place_end_ns = self.place_end_ns.max(self.recorder.now_ns());
         match result {
             // The `p2p.store` flow leaves from the executor's transfer
@@ -1059,16 +1068,6 @@ impl Driver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecc_checkpoint::checksum_frame;
-
-    // `checksum_frame` is what every other writer (and the test-side
-    // oracle) stores; keep the equivalence pinned where the pipelined
-    // frame bytes are produced.
-    #[test]
-    fn le_bytes_equal_checksum_frame() {
-        let data = b"pipelined frame bytes";
-        assert_eq!(crc32(data).to_le_bytes().to_vec(), checksum_frame(data));
-    }
 
     #[test]
     fn geometry_covers_every_row_exactly_once() {

@@ -24,11 +24,22 @@
 //!   waits on the training thread, while the training thread blocks
 //!   (at most) on the bounded queue that the drain thread is actively
 //!   emptying.
+//! * [`Manifest`] — the one verified record per version, and the only
+//!   place its byte format is spelled: the CRC-32 of every node's chunk
+//!   and of every worker's header, closed by a CRC-32 of the record
+//!   itself. Every node holds the same copy, written after everything
+//!   it names, so it is at once the checksum of each blob
+//!   ([`read_verified`] compares against its entries) and the commit
+//!   record of the version: every reader takes one copy through
+//!   [`read_manifest`] and judges every chunk and header by it, so a
+//!   save or delta cut short is seen as erasures under the old record
+//!   or as the new state under the new one, never as a mix.
 //! * [`drain_version`] — the synchronous tier-0 → tier-1 copy itself
-//!   and the only code in this crate that writes tier 1,
-//!   checksum-verified blob by blob, re-reading the committed
-//!   placement epoch at copy time so node churn between enqueue and
-//!   drain is observed rather than raced. Remote keys are per-node
+//!   and the only code in this crate that writes tier 1. It settles on
+//!   one manifest copy, copies only blobs that verify against it and
+//!   writes *that* manifest last, re-reading the committed placement
+//!   epoch at copy time so node churn between enqueue and drain is
+//!   observed rather than raced. Remote keys are per-node
 //!   (`remote/ecc/v{v}/chunk/{node}`), so the copy stays correct
 //!   whatever incarnation currently owns a slot.
 //! * [`WorkerDirtySet`] — one worker's dirty shard for
@@ -40,13 +51,13 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use ecc_checkpoint::{verify_checksum, StateDict};
+use ecc_checkpoint::{checksum_frame, crc32, verify_checksum, StateDict};
 use ecc_cluster::DataPlane;
 use ecc_telemetry::Recorder;
 
 use crate::keys::{
-    chunk_key, committed_epoch, crc_key, header_key, manifest_key, remote_chunk_key,
-    remote_header_key, remote_manifest_key,
+    chunk_key, committed_epoch, header_key, manifest_key, remote_chunk_key, remote_header_key,
+    remote_manifest_key,
 };
 use crate::{EcCheckConfig, EcCheckError};
 
@@ -161,17 +172,22 @@ pub struct DrainOutcome {
 }
 
 /// Synchronously copies one sealed version from tier 0 (peer memory) to
-/// tier 1 (the remote store), verifying every blob's checksum on the
-/// way. Corrupt chunks are skipped (and counted), headers fall back
-/// across all survivors exactly like recovery, and the committed
-/// placement epoch is re-read at copy time. This is the drain worker's
-/// unit of work, public so tests (and synchronous callers) can drain
-/// deterministically without a thread.
+/// tier 1 (the remote store). The version is judged by one manifest
+/// copy — the one under which the most chunks verify, so a stale copy
+/// on the first node does not beat a newer one; only chunks and headers
+/// that verify against it are copied (corrupt chunks are skipped and
+/// counted, headers fall back across all survivors exactly like
+/// recovery), and that manifest is written last — so a drain racing a
+/// delta leaves a consistent or an incomplete copy, never a spliced
+/// one. The committed placement epoch is re-read at copy time.
+/// This is the drain worker's unit of work, public so tests (and
+/// synchronous callers) can drain deterministically without a thread.
 ///
 /// # Errors
 ///
 /// Returns [`EcCheckError::VersionGone`] when no alive node holds a
-/// manifest for `version` — there is nothing sealed to drain.
+/// manifest of `version` that verifies — there is nothing sealed to
+/// drain.
 pub fn drain_version<P: DataPlane>(
     plane: &mut P,
     version: u64,
@@ -179,22 +195,31 @@ pub fn drain_version<P: DataPlane>(
     recorder: &Recorder,
 ) -> Result<DrainOutcome, EcCheckError> {
     let n = plane.nodes();
-    let manifest = (0..n)
-        .filter(|&node| plane.alive(node))
-        .find_map(|node| plane.get_local(node, &manifest_key(version)))
-        .ok_or(EcCheckError::VersionGone { version })?;
+    // The copy under which the most chunks verify; one that faults
+    // none of them ends the search.
+    let mut best: Option<(usize, Manifest, Vec<Verified>)> = None;
+    read_manifest(plane, false, version, world, |_, manifest| {
+        let chunks: Vec<Verified> = (0..n)
+            .map(|node| {
+                read_verified(plane, Tier::Local(node), &chunk_key(version), manifest.chunks[node])
+            })
+            .collect();
+        let intact = chunks.iter().filter(|c| matches!(c, Verified::Intact(_))).count();
+        let clean = !chunks.iter().any(|c| matches!(c, Verified::Corrupt));
+        if best.as_ref().is_none_or(|(most, ..)| intact > *most) {
+            best = Some((intact, manifest.clone(), chunks));
+        }
+        clean.then_some(()).ok_or(())
+    });
+    let (chunks_copied, manifest, chunks) = best.ok_or(EcCheckError::VersionGone { version })?;
     let epoch = committed_epoch(plane);
-    let mut chunks_copied = 0usize;
     let mut bytes_copied = 0u64;
     let mut skipped_corrupt = 0usize;
-    for node in 0..n {
-        match read_verified(plane, Tier::Local(node), &chunk_key(version)) {
-            Verified::Intact { blob, crc } => {
-                bytes_copied += (blob.len() + crc.len()) as u64;
-                let key = remote_chunk_key(version, node);
-                plane.put_remote(&key, blob);
-                plane.put_remote(&crc_key(&key), crc);
-                chunks_copied += 1;
+    for (node, chunk) in chunks.into_iter().enumerate() {
+        match chunk {
+            Verified::Intact(blob) => {
+                bytes_copied += blob.len() as u64;
+                plane.put_remote(&remote_chunk_key(version, node), blob);
             }
             Verified::Missing => {}
             Verified::Corrupt => {
@@ -205,22 +230,18 @@ pub fn drain_version<P: DataPlane>(
             }
         }
     }
-    for w in 0..world {
+    for (w, &crc) in manifest.headers.iter().enumerate() {
         let copy = (0..n).filter(|&node| plane.alive(node)).find_map(|node| {
-            match read_verified(plane, Tier::Local(node), &header_key(version, w)) {
-                Verified::Intact { blob, crc } => Some((blob, crc)),
-                Verified::Missing | Verified::Corrupt => None,
-            }
+            read_verified(plane, Tier::Local(node), &header_key(version, w), crc).intact()
         });
-        if let Some((h, crc)) = copy {
-            bytes_copied += (h.len() + crc.len()) as u64;
-            let key = remote_header_key(version, w);
-            plane.put_remote(&key, h);
-            plane.put_remote(&crc_key(&key), crc);
+        if let Some(header) = copy {
+            bytes_copied += header.len() as u64;
+            plane.put_remote(&remote_header_key(version, w), header);
         }
     }
-    bytes_copied += manifest.len() as u64;
-    plane.put_remote(&remote_manifest_key(version), manifest);
+    let record = manifest.encode();
+    bytes_copied += record.len() as u64;
+    plane.put_remote(&remote_manifest_key(version), record);
     recorder.counter("ecc.drain.versions").incr();
     recorder.counter("ecc.drain.bytes").add(bytes_copied);
     recorder.event(
@@ -228,6 +249,48 @@ pub fn drain_version<P: DataPlane>(
         format!("v{version} -> tier1: {chunks_copied} chunks, epoch {epoch:?}"),
     );
     Ok(DrainOutcome { version, epoch, chunks_copied, bytes_copied, skipped_corrupt })
+}
+
+/// The verified record of one checkpoint version: the CRC-32 of every
+/// stored chunk and header. Stored under `ecc/v{v}/manifest` on every
+/// node (and `remote/ecc/v{v}/manifest` in tier 1) as the entries in
+/// little-endian order closed by a CRC-32 of the record itself.
+///
+/// Chunk entries are indexed by the node holding the chunk — the same
+/// index the per-node chunk keys of both tiers use, so the drain and
+/// the membership controller can verify a chunk without a placement.
+/// No entry steers slicing: a restore still derives the lay-out from
+/// the length of the chunks it verified.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Manifest {
+    /// CRC-32 of each node's chunk, by node.
+    pub chunks: Vec<u32>,
+    /// CRC-32 of each worker's header, by worker.
+    pub headers: Vec<u32>,
+}
+
+impl Manifest {
+    /// The stored record.
+    pub fn encode(&self) -> Vec<u8> {
+        let entries = self.chunks.iter().chain(&self.headers);
+        seal_record(entries.flat_map(|crc| crc.to_le_bytes()).collect())
+    }
+
+    /// Parses a stored record for a cluster of `nodes` nodes and
+    /// `world` workers. `None` when the record fails its self-check or
+    /// holds any other number of entries — damaged bytes are never
+    /// sliced, let alone trusted.
+    pub fn decode(record: &[u8], nodes: usize, world: usize) -> Option<Self> {
+        let payload = open_record(record)?;
+        if payload.len() != 4 * (nodes + world) {
+            return None;
+        }
+        let mut entries = payload
+            .chunks_exact(4)
+            .map(|crc| u32::from_le_bytes(crc.try_into().expect("chunks_exact yields 4 bytes")));
+        let chunks = entries.by_ref().take(nodes).collect();
+        Some(Self { chunks, headers: entries.collect() })
+    }
 }
 
 /// Where a blob is read from: a node's memory (tier 0) or the remote
@@ -240,35 +303,95 @@ pub enum Tier {
     Remote,
 }
 
-/// Outcome of one checksum-verified blob read.
+/// Outcome of one checksum-verified read.
 pub enum Verified {
-    /// The blob is present and matches its stored checksum frame.
-    Intact {
-        /// The verified blob.
-        blob: Vec<u8>,
-        /// The checksum frame stored beside it.
-        crc: Vec<u8>,
-    },
-    /// The blob or its checksum frame is absent (or the node is dead).
+    /// Present and matching its checksum.
+    Intact(Vec<u8>),
+    /// Absent (or the node is dead).
     Missing,
-    /// The blob is present but fails its checksum: silent corruption,
-    /// which every caller treats as an erasure and never as data.
+    /// Present but failing its checksum: silent corruption, which every
+    /// caller treats as an erasure and never as data.
     Corrupt,
 }
 
-/// Reads the blob under `key` and the checksum frame beside it from
-/// `tier`, and verifies one against the other. Callers keep their own
+impl Verified {
+    /// The verified blob, if there is one.
+    pub fn intact(self) -> Option<Vec<u8>> {
+        match self {
+            Verified::Intact(blob) => Some(blob),
+            Verified::Missing | Verified::Corrupt => None,
+        }
+    }
+}
+
+/// Reads the blob under `key` from `tier` and verifies it against
+/// `crc`, its entry in the version's manifest. Callers keep their own
 /// counters and events.
-pub fn read_verified(plane: &impl DataPlane, tier: Tier, key: &str) -> Verified {
-    let get = |key: &str| match tier {
+pub fn read_verified(plane: &impl DataPlane, tier: Tier, key: &str, crc: u32) -> Verified {
+    let blob = match tier {
         Tier::Local(node) => plane.get_local(node, key),
         Tier::Remote => plane.get_remote(key),
     };
-    match (get(key), get(&crc_key(key))) {
-        (Some(blob), Some(crc)) if verify_checksum(&blob, &crc) => Verified::Intact { blob, crc },
-        (Some(_), Some(_)) => Verified::Corrupt,
-        _ => Verified::Missing,
+    match blob {
+        Some(blob) if crc32(&blob) == crc => Verified::Intact(blob),
+        Some(_) => Verified::Corrupt,
+        None => Verified::Missing,
     }
+}
+
+/// The one reader of a version's manifest. Offers `serves` each
+/// distinct copy that verifies — tier 0's in alive-node order, with the
+/// node that held it; tier 1's one copy — and returns the first copy it
+/// accepts with what it made of it. A copy that verifies can still be
+/// stale (a delta's manifest put dropped on that node), so a copy that
+/// does not serve gives way to the next before the version is given
+/// up: `Some(Err(_))` is the first copy's refusal, `None` means no copy
+/// verifies for this plane's node count and `world` workers.
+pub fn read_manifest<T, E>(
+    plane: &impl DataPlane,
+    from_remote: bool,
+    version: u64,
+    world: usize,
+    mut serves: impl FnMut(usize, &Manifest) -> Result<T, E>,
+) -> Option<Result<(Manifest, T), E>> {
+    let nodes = plane.nodes();
+    let mut refused: Vec<Manifest> = Vec::new();
+    let mut refusal = None;
+    for node in 0..if from_remote { 1 } else { nodes } {
+        let record = match from_remote {
+            true => plane.get_remote(&remote_manifest_key(version)),
+            false if plane.alive(node) => plane.get_local(node, &manifest_key(version)),
+            false => None,
+        };
+        let Some(copy) = record.and_then(|r| Manifest::decode(&r, nodes, world)) else { continue };
+        if refused.contains(&copy) {
+            continue;
+        }
+        match serves(node, &copy) {
+            Ok(found) => return Some(Ok((copy, found))),
+            Err(err) => {
+                refusal.get_or_insert(err);
+                refused.push(copy);
+            }
+        }
+    }
+    refusal.map(Err)
+}
+
+/// Closes `payload` into a self-checked record: the payload followed by
+/// its own [`checksum_frame`] — for the two small blobs no other record
+/// vouches for, a version's manifest and the placement epoch marker.
+pub(crate) fn seal_record(mut payload: Vec<u8>) -> Vec<u8> {
+    let frame = checksum_frame(&payload);
+    payload.extend_from_slice(&frame);
+    payload
+}
+
+/// The payload of a record closed by [`seal_record`]; `None` when it is
+/// too short to hold a frame or fails its self-check.
+pub(crate) fn open_record(record: &[u8]) -> Option<&[u8]> {
+    let (payload, frame) = record.split_at_checked(record.len().checked_sub(4)?)?;
+    verify_checksum(payload, frame).then_some(payload)
 }
 
 enum DrainMsg {
@@ -471,6 +594,39 @@ mod tests {
         idx.remove(2);
         assert_eq!(idx.versions(), &[1, 3]);
         assert!(!idx.contains(2));
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, and every truncation and single-bit flip of
+        /// a valid record, never panic and never decode.
+        #[test]
+        fn damaged_manifests_never_decode(
+            noise in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..80),
+            entries in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..12),
+            nodes in 0usize..12,
+        ) {
+            let nodes = nodes.min(entries.len());
+            let world = entries.len() - nodes;
+            // 2^-32 of all noise is a valid record; none that short is.
+            if noise.len() != 4 * (nodes + world) + 4 {
+                proptest::prop_assert_eq!(Manifest::decode(&noise, nodes, world), None);
+            }
+            let manifest =
+                Manifest { chunks: entries[..nodes].to_vec(), headers: entries[nodes..].to_vec() };
+            let record = manifest.encode();
+            proptest::prop_assert_eq!(record.len(), 4 * entries.len() + 4);
+            proptest::prop_assert_eq!(Manifest::decode(&record, nodes, world), Some(manifest));
+            // The same valid record read by an engine of another shape.
+            proptest::prop_assert_eq!(Manifest::decode(&record, nodes + 1, world), None);
+            for cut in 0..record.len() {
+                proptest::prop_assert_eq!(Manifest::decode(&record[..cut], nodes, world), None);
+            }
+            for bit in 0..record.len() * 8 {
+                let mut flipped = record.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                proptest::prop_assert_eq!(Manifest::decode(&flipped, nodes, world), None);
+            }
+        }
     }
 
     #[test]

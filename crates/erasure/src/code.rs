@@ -469,12 +469,6 @@ impl ErasureCode {
         Ok(self.generator.mul(&inv, &self.gf)?)
     }
 
-    /// Exhaustively verifies the MDS property (every `k`-row submatrix of
-    /// the generator invertible). Exponential; use in tests only.
-    pub fn verify_mds(&self) -> bool {
-        self.generator.is_mds_generator(&self.gf)
-    }
-
     fn validate_chunks(&self, chunks: &[&[u8]], expect: usize) -> Result<usize, ErasureError> {
         if chunks.len() != expect {
             return Err(ErasureError::BadChunkLength {

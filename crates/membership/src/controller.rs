@@ -10,16 +10,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ecc_checkpoint::checksum_frame;
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthRegistry, NodeHealth, NodeId};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_telemetry::Recorder;
 use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 use eccheck::keys::{
-    chunk_crc_key, chunk_key, encode_epoch, epoch_key, header_crc_key, header_key, key_version,
-    manifest_key, placement_epoch_key,
+    chunk_key, encode_epoch, header_key, is_chunk_class, key_version, manifest_key,
+    manifest_versions, placement_epoch_key,
 };
-use eccheck::store::{read_verified, Tier, Verified};
+use eccheck::store::{read_manifest, read_verified, Manifest, Tier, Verified};
 use eccheck::{select_data_parity_nodes, EcCheckConfig, EcCheckError, Placement};
 
 use crate::{MemberState, MembershipError, MembershipTable, ShardMap};
@@ -94,8 +93,8 @@ pub struct RebalanceReport {
     pub migrated_bytes: u64,
     /// The chunk-payload subset of `migrated_bytes` that only the
     /// migration scheme decides: erasure-code chunk bytes read from
-    /// survivors and written to targets. Excludes checksum frames,
-    /// replicated metadata, and graceful-drain evacuation reads — all
+    /// survivors and written to targets. Excludes
+    /// replicated metadata and graceful-drain evacuation reads — all
     /// of which move under any scheme. This is the number compared to
     /// `bound_bytes`; the invariant `chunk_bytes <= bound_bytes` holds
     /// for every committed rebalance.
@@ -376,7 +375,7 @@ impl PlacementController {
             tracer.span(*track, "membership.rebalance", format!("{} moves", plan.moves.len()))
         });
 
-        let versions = discover_versions(plane);
+        let versions = manifest_versions(plane);
 
         // Read-side traffic of the graceful drains this plan consumes:
         // the bytes staged off each leaving slot crossed a node
@@ -401,7 +400,7 @@ impl PlacementController {
             migrated_bytes: staged_total,
             chunk_bytes: 0,
             bound_bytes: 0,
-            versions: versions.iter().copied().collect(),
+            versions: versions.clone(),
         };
         for &version in &versions {
             self.migrate_version(plane, version, &plan, &mut report)?;
@@ -417,9 +416,6 @@ impl PlacementController {
         for slot in 0..self.table.universe() {
             if plane.alive(slot) {
                 plane.put_local(slot, &placement_epoch_key(), marker.clone())?;
-                for &version in &versions {
-                    plane.put_local(slot, &epoch_key(version), marker.clone())?;
-                }
             }
         }
         let joining: Vec<NodeId> = self
@@ -481,7 +477,7 @@ impl PlacementController {
             for (key, blob) in staged {
                 if key_version(&key) == Some(version) {
                     report.migrated_bytes += blob.len() as u64;
-                    if is_chunk_payload(&key) {
+                    if is_chunk_class(&key) {
                         report.chunk_bytes += blob.len() as u64;
                     }
                     plane.put_local(slot, &key, blob)?;
@@ -502,34 +498,46 @@ impl PlacementController {
             return Ok(());
         }
 
-        // Gather intact survivor chunks (checksum-verified; a corrupt
-        // survivor counts as an erasure, exactly like the load path).
-        let n = self.table.universe();
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-        let mut intact = 0usize;
-        let mut read_bytes = 0u64;
-        for entry in self.map.entries() {
-            if intact == self.k {
-                break;
-            }
-            if targets.contains(&entry.slot) || !plane.alive(entry.slot) {
-                continue;
-            }
-            let blob = match read_verified(plane, Tier::Local(entry.slot), &chunk_key(version)) {
-                Verified::Intact { blob, .. } => blob,
-                Verified::Missing => continue,
-                Verified::Corrupt => {
-                    self.recorder.counter("membership.migration.corrupt_survivors").incr();
+        // Gather intact survivor chunks (verified against the first of
+        // the version's manifest copies under which k of them verify; a
+        // corrupt survivor counts as an erasure, exactly like the load
+        // path).
+        let (n, world) = (self.table.universe(), self.spec.world_size());
+        let gathered = read_manifest(plane, false, version, world, |_, manifest| {
+            let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+            let mut intact = 0usize;
+            let mut read_bytes = 0u64;
+            for entry in self.map.entries() {
+                if intact == self.k {
+                    break;
+                }
+                if targets.contains(&entry.slot) || !plane.alive(entry.slot) {
                     continue;
                 }
-            };
-            read_bytes += blob.len() as u64;
-            intact += 1;
-            shards[entry.chunk] = Some(blob);
-        }
-        if intact < self.k {
-            return Err(MembershipError::NotEnoughSurvivors { survivors: intact, needed: self.k });
-        }
+                let crc = manifest.chunks[entry.slot];
+                let blob =
+                    match read_verified(plane, Tier::Local(entry.slot), &chunk_key(version), crc) {
+                        Verified::Intact(blob) => blob,
+                        Verified::Missing => continue,
+                        Verified::Corrupt => {
+                            self.recorder.counter("membership.migration.corrupt_survivors").incr();
+                            continue;
+                        }
+                    };
+                read_bytes += blob.len() as u64;
+                intact += 1;
+                shards[entry.chunk] = Some(blob);
+            }
+            if intact < self.k {
+                return Err(MembershipError::NotEnoughSurvivors {
+                    survivors: intact,
+                    needed: self.k,
+                });
+            }
+            Ok((shards, read_bytes))
+        });
+        let (manifest, (shards, read_bytes)) = gathered
+            .unwrap_or(Err(MembershipError::NotEnoughSurvivors { survivors: 0, needed: self.k }))?;
         let chunk_len = shards.iter().flatten().next().map_or(0, Vec::len);
         report.bound_bytes += naive_factor * chunk_len as u64;
         report.migrated_bytes += read_bytes;
@@ -555,42 +563,44 @@ impl PlacementController {
         let mut rebuilt_slots = Vec::new();
         for (mv, (chunk, blob)) in lost.iter().zip(rebuilt) {
             debug_assert_eq!(mv.chunk(), chunk);
-            let frame = checksum_frame(&blob);
-            report.migrated_bytes += (blob.len() + frame.len()) as u64;
+            report.migrated_bytes += blob.len() as u64;
             report.chunk_bytes += blob.len() as u64;
             plane.put_local(mv.slot(), &chunk_key(version), blob)?;
-            plane.put_local(mv.slot(), &chunk_crc_key(version), frame)?;
             report.moves_rebuilt += 1;
             rebuilt_slots.push(mv.slot());
         }
 
         // A rebuilt slot also needs the replicated metadata (headers,
-        // manifest, provenance) every node carries. Tiny next to the
-        // chunks, but part of the restore contract — and counted.
-        self.replicate_metadata(plane, version, &targets, &rebuilt_slots, report)?;
-        Ok(())
+        // manifest) every node carries. Tiny next to the chunks, but
+        // part of the restore contract — and counted.
+        self.replicate_metadata(plane, version, &manifest, &targets, &rebuilt_slots, report)
     }
 
-    /// Copies the per-version replicated metadata from a survivor to
-    /// each rebuilt slot.
+    /// Copies the per-version replicated metadata to each rebuilt slot:
+    /// every header from a survivor's copy that verifies, then the
+    /// manifest they were verified against.
     fn replicate_metadata(
         &self,
         plane: &mut impl DataPlane,
         version: u64,
+        manifest: &Manifest,
         targets: &BTreeSet<NodeId>,
         rebuilt_slots: &[NodeId],
         report: &mut RebalanceReport,
     ) -> Result<(), MembershipError> {
-        let n = self.table.universe();
-        let source = (0..n).find(|slot| !targets.contains(slot) && plane.alive(*slot));
-        let Some(source) = source else { return Ok(()) };
-        let mut meta_keys = vec![manifest_key(version), epoch_key(version)];
-        for w in 0..self.spec.world_size() {
-            meta_keys.push(header_key(version, w));
-            meta_keys.push(header_crc_key(version, w));
-        }
-        for key in meta_keys {
-            let Some(blob) = plane.get_local(source, &key) else { continue };
+        let sources: Vec<NodeId> = (0..self.table.universe())
+            .filter(|slot| !targets.contains(slot) && plane.alive(*slot))
+            .collect();
+        let headers = manifest.headers.iter().enumerate().filter_map(|(w, &crc)| {
+            let key = header_key(version, w);
+            let copy = sources
+                .iter()
+                .find_map(|&slot| read_verified(plane, Tier::Local(slot), &key, crc).intact())?;
+            Some((key, copy))
+        });
+        let meta: Vec<(String, Vec<u8>)> =
+            headers.chain([(manifest_key(version), manifest.encode())]).collect();
+        for (key, blob) in meta {
             for &slot in rebuilt_slots {
                 report.migrated_bytes += blob.len() as u64;
                 plane.put_local(slot, &key, blob.clone())?;
@@ -616,56 +626,35 @@ impl PlacementController {
     }
 
     /// The acceptance gate for an epoch commit: every chunk of
-    /// `version` present and checksum-valid on its own alive slot
-    /// under the candidate placement — i.e. the cluster tolerates any
-    /// `m` further faults from this instant on.
+    /// `version` present on its own alive slot and matching the
+    /// version's manifest under the candidate placement — i.e. the
+    /// cluster tolerates any `m` further faults from this instant on.
     fn verify_m_fault(
         &self,
         plane: &impl DataPlane,
         version: u64,
         plan: &RebalancePlan,
     ) -> Result<(), MembershipError> {
-        let slots = plan.placement.data_nodes().iter().chain(plan.placement.parity_nodes());
-        for (chunk, &slot) in slots.enumerate() {
-            if !plane.alive(slot) {
-                return Err(MembershipError::GuaranteeViolated {
-                    version,
-                    detail: format!("slot {slot} (chunk {chunk}) is not alive"),
-                });
-            }
-            let detail = match read_verified(plane, Tier::Local(slot), &chunk_key(version)) {
-                Verified::Intact { .. } => continue,
-                Verified::Missing => format!("chunk {chunk} absent on slot {slot}"),
-                Verified::Corrupt => format!("chunk {chunk} on slot {slot} fails its checksum"),
-            };
-            return Err(MembershipError::GuaranteeViolated { version, detail });
-        }
-        Ok(())
-    }
-}
-
-/// `true` when `key` holds erasure-code chunk *payload* — the traffic
-/// class the `m·s·W` bound covers. Checksum frames ride alongside the
-/// chunks but are integrity metadata, so they count toward
-/// `migrated_bytes` only.
-fn is_chunk_payload(key: &str) -> bool {
-    eccheck::keys::is_chunk_class(key) && !key.ends_with(".crc")
-}
-
-/// Every checkpoint version with a manifest on some alive node.
-fn discover_versions(plane: &impl DataPlane) -> BTreeSet<u64> {
-    let mut versions = BTreeSet::new();
-    for node in 0..plane.nodes() {
-        if !plane.alive(node) {
-            continue;
-        }
-        for key in plane.local_keys(node) {
-            if let Some(rest) = key.strip_prefix("ecc/v") {
-                if let Some(v) = rest.strip_suffix("/manifest").and_then(|v| v.parse().ok()) {
-                    versions.insert(v);
+        let violated = |detail: String| MembershipError::GuaranteeViolated { version, detail };
+        let world = self.spec.world_size();
+        let judged = read_manifest(plane, false, version, world, |_, manifest| {
+            let slots = plan.placement.data_nodes().iter().chain(plan.placement.parity_nodes());
+            for (chunk, &slot) in slots.enumerate() {
+                if !plane.alive(slot) {
+                    return Err(violated(format!("slot {slot} (chunk {chunk}) is not alive")));
                 }
+                let crc = manifest.chunks[slot];
+                let detail = match read_verified(plane, Tier::Local(slot), &chunk_key(version), crc)
+                {
+                    Verified::Intact(_) => continue,
+                    Verified::Missing => format!("chunk {chunk} absent on slot {slot}"),
+                    Verified::Corrupt => format!("chunk {chunk} on slot {slot} fails its checksum"),
+                };
+                return Err(violated(detail));
             }
-        }
+            Ok(())
+        });
+        let none = || Err(violated("no alive slot holds a manifest that verifies".to_string()));
+        judged.unwrap_or_else(none).map(|_| ())
     }
-    versions
 }

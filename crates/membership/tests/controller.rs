@@ -5,7 +5,7 @@ use ecc_checkpoint::StateDict;
 use ecc_cluster::{Cluster, ClusterSpec, HealthConfig, HealthRegistry};
 use ecc_dnn::{build_worker_state_dict, ModelConfig, ParallelismSpec, StateDictSpec};
 use ecc_membership::{MemberState, MembershipError, PlacementController};
-use eccheck::{EcCheck, EcCheckConfig, EcCheckError};
+use eccheck::{EcCheck, EcCheckConfig, EcCheckError, WorkerDirtySet};
 
 fn config() -> EcCheckConfig {
     EcCheckConfig::paper_defaults().with_packet_size(256).with_coding_threads(2)
@@ -137,6 +137,33 @@ fn lost_parity_is_patched_not_re_encoded() {
     refresh(&mut ecc, &ctl);
     let (restored, _) = ecc.load(&mut cluster).unwrap();
     assert_eq!(restored, dicts);
+}
+
+/// A delta whose manifest put was dropped on node 0 leaves a copy there
+/// that verifies but is stale: the rebalance must judge the survivors
+/// by the newer copy the other nodes hold.
+#[test]
+fn rebalance_is_not_misled_by_a_stale_manifest_copy() {
+    let (_, mut cluster, mut ecc, mut ctl, mut dicts) = setup();
+    ecc.save(&mut cluster, &dicts).unwrap();
+    let key = eccheck::keys::manifest_key(1);
+    let stale = cluster.get_local(0, &key).unwrap();
+    let model = ModelConfig::gpt2(64, 4, 4).with_vocab(512).with_seq_len(32);
+    let reseeded = StateDictSpec {
+        seed: 9,
+        ..StateDictSpec::new(model, ParallelismSpec::new(2, 2, 2).unwrap())
+    };
+    dicts[2] = build_worker_state_dict(&reseeded, 2).unwrap();
+    ecc.save_delta(&mut cluster, &[WorkerDirtySet { worker: 2, state: &dicts[2] }]).unwrap();
+    cluster.put_local(0, &key, stale).unwrap();
+
+    cluster.fail_node(2);
+    ctl.force_dead(2);
+    cluster.replace_node(2);
+    ctl.join(2).unwrap();
+    assert_eq!(ctl.rebalance(&mut cluster).unwrap().moves_rebuilt, 1);
+    refresh(&mut ecc, &ctl);
+    assert_eq!(ecc.load(&mut cluster).unwrap().0, dicts);
 }
 
 #[test]

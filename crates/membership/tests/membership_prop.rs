@@ -6,34 +6,32 @@
 use ecc_cluster::{Cluster, ClusterSpec};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_membership::{MemberState, PlacementController};
-use eccheck::keys::{chunk_crc_key, chunk_key, manifest_key};
+use eccheck::keys::{chunk_key, manifest_key};
+use eccheck::store::Manifest;
 use eccheck::EcCheckConfig;
 use proptest::prelude::*;
 
 const K: usize = 2;
 const M: usize = 2;
 
-/// Plants a valid 4-chunk codeword (version 1) on the cluster, so
-/// rebalances exercise the real decode/patch paths instead of running
-/// over an empty plane. 64-byte chunks: tiny but w-aligned.
+/// Plants a valid 4-chunk codeword (version 1) and its manifest on the
+/// cluster, so rebalances exercise the real decode/patch paths instead
+/// of running over an empty plane. 64-byte chunks: tiny but w-aligned.
 fn seed_checkpoint(cluster: &mut Cluster, ctl: &PlacementController) {
     let code = ErasureCode::cauchy_good(CodeParams::new(K, M, 8).unwrap()).unwrap();
     let data: Vec<Vec<u8>> = (0..K).map(|j| vec![j as u8 + 1; 64]).collect();
     let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
     let parity = code.encode(&refs).unwrap();
     let placement = ctl.placement();
-    for (j, chunk) in data.iter().enumerate() {
-        put_chunk(cluster, placement.data_nodes()[j], chunk);
+    let slots = placement.data_nodes().iter().chain(placement.parity_nodes());
+    let mut manifest = Manifest { chunks: vec![0; K + M], headers: vec![0; 8] };
+    for (&slot, chunk) in slots.zip(data.iter().chain(&parity)) {
+        manifest.chunks[slot] = ecc_checkpoint::crc32(chunk);
+        cluster.put_local(slot, &chunk_key(1), chunk.clone()).unwrap();
     }
-    for (i, chunk) in parity.iter().enumerate() {
-        put_chunk(cluster, placement.parity_nodes()[i], chunk);
+    for slot in 0..K + M {
+        cluster.put_local(slot, &manifest_key(1), manifest.encode()).unwrap();
     }
-}
-
-fn put_chunk(cluster: &mut Cluster, slot: usize, chunk: &[u8]) {
-    cluster.put_local(slot, &chunk_key(1), chunk.to_vec()).unwrap();
-    cluster.put_local(slot, &chunk_crc_key(1), ecc_checkpoint::checksum_frame(chunk)).unwrap();
-    cluster.put_local(slot, &manifest_key(1), vec![0u8; 8]).unwrap();
 }
 
 #[derive(Debug, Clone, Copy)]

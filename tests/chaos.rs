@@ -114,11 +114,12 @@ fn crash_between_gather_and_restore_is_survivable() {
     let current = dicts(1);
     ecc.save(&mut plane, &current).unwrap();
 
-    // The gather phase reads two blobs per node plus two per worker
-    // header (8 + 16 ops on this testbed); 30 storage ops into the
-    // load, the engine has gathered everything and is re-seeding
-    // node 0 — the fault-tolerant-restore window.
-    plane.schedule_crash_at_op(0, plane.op() + 30);
+    // The gather phase reads the epoch marker and the chunk of each
+    // node, one manifest and one header per worker (4 + 4 + 1 + 8 ops
+    // on this testbed); 20 storage ops into the load, the engine has
+    // gathered everything and is re-seeding node 0 — the
+    // fault-tolerant-restore window.
+    plane.schedule_crash_at_op(0, plane.op() + 20);
     let (restored, report) = ecc.load(&mut plane).unwrap();
     assert_eq!(restored, current, "mid-load crash corrupted the restored state");
     assert_eq!(report.restore_skipped, vec![0]);

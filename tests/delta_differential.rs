@@ -7,16 +7,19 @@
 //! linearity argument is only as good as its bits, so these tests hold
 //! the delta path to the strongest possible oracle: after a delta save,
 //! **every node must hold byte-identical blobs to a full save of the
-//! mutated state** — same chunks, same checksum frames, same headers,
-//! same manifest — for arbitrary (k, m) shapes, arbitrary dirty sets,
-//! and every available GF kernel. (The full save on the other side of
-//! the comparison streams through the pipeline, so thread counts and
-//! stripe buffers stay in the sweep.)
+//! mutated state** — same chunks, same headers, same manifest — for
+//! arbitrary (k, m) shapes, arbitrary dirty sets, and every available
+//! GF kernel. (The full save on the other side of the comparison
+//! streams through the pipeline, so thread counts and stripe buffers
+//! stay in the sweep.) And because the manifest is written last, a
+//! delta cut short at *any* put must restore as the state before it,
+//! the state after it, or a structured refusal — never a mix.
 
+use ecc_chaos::{ChaosConfig, ChaosPlane};
 use ecc_checkpoint::{DType, StateDict, Tensor, Value};
-use ecc_cluster::{Cluster, ClusterSpec};
+use ecc_cluster::{Cluster, ClusterError, ClusterSpec, DataPlane, NodeId};
 use ecc_gf::kernel::{available_kernels, force_kernel};
-use eccheck::{EcCheck, EcCheckConfig, WorkerDirtySet};
+use eccheck::{EcCheck, EcCheckConfig, EcCheckError, LoadReport, WorkerDirtySet};
 use proptest::prelude::*;
 
 /// (k, m, gpus_per_node) shapes; world = (k + m) * gpus.
@@ -132,6 +135,140 @@ fn single_and_multi_worker_deltas_equal_full_saves() {
         delta_vs_full((k, m, gpus), 2, 96, &[world - 1], 7);
         delta_vs_full((k, m, gpus), 2, 96, &spread, 7);
     }
+}
+
+/// A plane whose `fail_at`-th `put_local` from now (0-based) fails once,
+/// storing nothing; everything else passes through.
+struct FailNthPut<P> {
+    inner: P,
+    fail_at: Option<usize>,
+}
+
+impl<P: DataPlane> DataPlane for FailNthPut<P> {
+    fn nodes(&self) -> usize {
+        self.inner.nodes()
+    }
+    fn alive(&self, node: NodeId) -> bool {
+        self.inner.alive(node)
+    }
+    fn put_local(&mut self, node: NodeId, key: &str, bytes: Vec<u8>) -> Result<(), ClusterError> {
+        match self.fail_at {
+            Some(0) => {
+                self.fail_at = None;
+                Err(ClusterError::Transport { detail: format!("injected: put of {key} failed") })
+            }
+            Some(left) => {
+                self.fail_at = Some(left - 1);
+                self.inner.put_local(node, key, bytes)
+            }
+            None => self.inner.put_local(node, key, bytes),
+        }
+    }
+    fn get_local(&self, node: NodeId, key: &str) -> Option<Vec<u8>> {
+        self.inner.get_local(node, key)
+    }
+    fn delete_local(&mut self, node: NodeId, key: &str) {
+        self.inner.delete_local(node, key)
+    }
+    fn put_remote(&mut self, key: &str, bytes: Vec<u8>) {
+        self.inner.put_remote(key, bytes)
+    }
+    fn get_remote(&self, key: &str) -> Option<Vec<u8>> {
+        self.inner.get_remote(key)
+    }
+    fn local_keys(&self, node: NodeId) -> Vec<String> {
+        self.inner.local_keys(node)
+    }
+}
+
+/// What a restore after a torn delta came to. Anything else — a state
+/// that is neither, or an unstructured error — fails the sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Pre,
+    Post,
+    Refused,
+}
+
+fn seen(
+    result: Result<(Vec<StateDict>, LoadReport), EcCheckError>,
+    pre: &[StateDict],
+    post: &[StateDict],
+    ctx: &str,
+) -> Seen {
+    match result {
+        Ok((dicts, _)) if dicts == pre => Seen::Pre,
+        Ok((dicts, _)) if dicts == post => Seen::Post,
+        Ok(_) => panic!("{ctx}: restored a MIX of the states before and after the delta"),
+        Err(EcCheckError::Unrecoverable { .. } | EcCheckError::CorruptChunk { .. }) => {
+            Seen::Refused
+        }
+        Err(other) => panic!("{ctx}: unstructured refusal: {other}"),
+    }
+}
+
+/// Fails every put of a `save_delta` in turn — one dirty worker and one
+/// per data column, on `k2 m2` and `k4 m2` — and holds the following
+/// restore, and the one after a further node is lost and replaced, to
+/// one verdict: both the old state, both the new, or both a refusal.
+fn delta_fail_point_sweep<P: DataPlane>(wrap: fn(Cluster) -> P, lose: fn(&mut P, NodeId)) {
+    for (k, m, gpus) in [(2usize, 2usize, 2usize), (4, 2, 2)] {
+        let spec = ClusterSpec::tiny_test(k + m, gpus);
+        let world = spec.world_size();
+        let group = world / k;
+        let pre: Vec<StateDict> = (0..world).map(|w| worker_dict(w, 7)).collect();
+        for dirty in [vec![world - 1], (0..k).map(|j| j * group + (j % group)).collect()] {
+            let mut post = pre.clone();
+            dirty.iter().for_each(|&w| post[w] = worker_dict(w, 7 ^ 0x5A));
+            let sets: Vec<WorkerDirtySet<'_>> = dirty
+                .iter()
+                .map(|&worker| WorkerDirtySet { worker, state: &post[worker] })
+                .collect();
+            let mut verdicts = Vec::new();
+            for fail_at in 0.. {
+                let ctx = format!("k={k} m={m} dirty={dirty:?} fail_at={fail_at}");
+                let mut ecc = EcCheck::initialize(&spec, base_config(k, m)).expect("config valid");
+                let mut plane = FailNthPut { inner: wrap(Cluster::new(spec)), fail_at: None };
+                ecc.save(&mut plane, &pre).expect("base save");
+                plane.fail_at = Some(fail_at);
+                if ecc.save_delta(&mut plane, &sets).is_ok() {
+                    assert_eq!(plane.fail_at, Some(0), "{ctx}: the sweep covers every put");
+                    break;
+                }
+                let first = seen(ecc.load(&mut plane), &pre, &post, &ctx);
+                lose(&mut plane.inner, fail_at % (k + m));
+                let second = seen(ecc.load(&mut plane), &pre, &post, &ctx);
+                assert_eq!(second, first, "{ctx}: a further node loss changed the verdict");
+                verdicts.push(first);
+            }
+            // Up to m patched chunks are erasures under the old manifest;
+            // once node 0 holds the new one the delta has happened.
+            assert_eq!(verdicts[..=m], vec![Seen::Pre; m + 1], "k={k} dirty={dirty:?}");
+            assert_eq!(verdicts.last(), Some(&Seen::Post), "k={k} dirty={dirty:?}");
+        }
+    }
+}
+
+#[test]
+fn torn_deltas_restore_old_new_or_refuse_on_the_memory_plane() {
+    delta_fail_point_sweep(
+        |cluster| cluster,
+        |cluster, node| {
+            cluster.fail_node(node);
+            cluster.replace_node(node);
+        },
+    );
+}
+
+#[test]
+fn torn_deltas_restore_old_new_or_refuse_on_the_chaos_plane() {
+    delta_fail_point_sweep(
+        |cluster| ChaosPlane::new(cluster, ChaosConfig::quiet(19)),
+        |plane, node| {
+            plane.crash_now(node);
+            plane.heal(node);
+        },
+    );
 }
 
 /// The cases recorded in `delta_differential.proptest-regressions`,

@@ -5,14 +5,15 @@
 //! a save stores. These tests hold it to a test-side oracle — one
 //! straight-line pass over the same state built from public crate APIs
 //! alone — for every code shape, stripe-buffer size and thread count:
-//! every node must hold exactly the oracle's chunk bytes and checksum
-//! frame under the same keys, and the checkpoint must load back exactly.
+//! every node must hold exactly the oracle's chunk bytes under the same
+//! keys and a manifest whose chunk entries are their CRCs, and the
+//! checkpoint must load back exactly.
 //! The oracle is the only sequential full-save code in the repository.
 
-use ecc_checkpoint::{checksum_frame, decompose, DType, Packer, StateDict, Tensor, Value};
+use ecc_checkpoint::{crc32, decompose, DType, Packer, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec};
 use ecc_erasure::{CodeParams, ErasureCode, ScheduleKind};
-use eccheck::store::drain_version;
+use eccheck::store::{drain_version, Manifest};
 use eccheck::{keys, select_data_parity_nodes, EcCheck, EcCheckConfig};
 use proptest::prelude::*;
 
@@ -38,11 +39,11 @@ fn dicts_for(world: usize, salt: u8, extra: usize) -> Vec<StateDict> {
         .collect()
 }
 
-/// The oracle: the sorted `(node, key, bytes)` chunk and checksum-frame
-/// blobs a save of `dicts` as `version` must leave behind, computed in one
-/// pass — decompose, pack, pad to a common packet count, concatenate
-/// each data group into its chunk, encode all parity at once, frame,
-/// and place by the sweep-line node selection.
+/// The oracle: the sorted `(node, key, bytes)` chunk blobs a save of
+/// `dicts` as `version` must leave behind, computed in one pass —
+/// decompose, pack, pad to a common packet count, concatenate each data
+/// group into its chunk, encode all parity at once, and place by the
+/// sweep-line node selection.
 fn oracle_chunks(
     spec: &ClusterSpec,
     (k, m): (usize, usize),
@@ -78,12 +79,7 @@ fn oracle_chunks(
         .iter()
         .chain(placement.parity_nodes())
         .zip(chunks)
-        .flat_map(|(&node, chunk)| {
-            [
-                (node, keys::chunk_crc_key(version), checksum_frame(&chunk)),
-                (node, keys::chunk_key(version), chunk),
-            ]
-        })
+        .map(|(&node, chunk)| (node, keys::chunk_key(version), chunk))
         .collect();
     blobs.sort();
     blobs
@@ -101,6 +97,20 @@ fn stored_chunks(cluster: &Cluster, nodes: usize) -> Vec<(usize, String, Vec<u8>
     }
     out.sort();
     out
+}
+
+/// Holds a save to the oracle: the chunk blobs on the nodes are the
+/// oracle's, and every node's manifest verifies and lists their CRCs.
+fn assert_stores_oracle(saved: &Saved, version: u64, want: &[(usize, String, Vec<u8>)], ctx: &str) {
+    let nodes = saved.spec.nodes();
+    assert_eq!(stored_chunks(&saved.cluster, nodes), want, "{ctx}");
+    let mut crcs = vec![0u32; nodes];
+    want.iter().for_each(|(node, _, chunk)| crcs[*node] = crc32(chunk));
+    for node in 0..nodes {
+        let record = saved.cluster.get_local(node, &keys::manifest_key(version));
+        let manifest = Manifest::decode(&record.expect("sealed"), nodes, saved.spec.world_size());
+        assert_eq!(manifest.expect("manifest verifies").chunks, crcs, "{ctx} node {node}");
+    }
 }
 
 struct Saved {
@@ -144,11 +154,8 @@ fn pipelined_stores_identical_blobs_across_shapes_buffers_and_threads() {
                     1,
                     0,
                 );
-                assert_eq!(
-                    stored_chunks(&got.cluster, nodes),
-                    want,
-                    "k={k} m={m} gpus={gpus} buffer={buffer} threads={threads}"
-                );
+                let ctx = format!("k={k} m={m} gpus={gpus} buffer={buffer} threads={threads}");
+                assert_stores_oracle(&got, 1, &want, &ctx);
             }
         }
     }
@@ -162,7 +169,7 @@ fn pipeline_matches_the_oracle_across_multiple_save_versions() {
     let pipe =
         run_saves(4, 2, base_config(2, 2).with_coding_threads(3).with_pipeline_buffer(128), 3, 0);
     let want = oracle_chunks(&pipe.spec, (2, 2), 3, &pipe.dicts);
-    assert_eq!(stored_chunks(&pipe.cluster, 4), want);
+    assert_stores_oracle(&pipe, 3, &want, "third save");
 }
 
 #[test]
@@ -185,28 +192,22 @@ fn checkpoints_load_back_after_failures() {
 fn drained_copy_matches_the_oracle() {
     let mut pipe = run_saves(4, 1, base_config(2, 2).with_pipeline_buffer(96), 1, 0);
     drain_version(&mut pipe.cluster, 1, 4, pipe.ecc.recorder()).expect("v1 is sealed");
-    for (node, key, bytes) in oracle_chunks(&pipe.spec, (2, 2), 1, &pipe.dicts) {
-        let remote = if key == keys::chunk_key(1) {
-            keys::remote_chunk_key(1, node)
-        } else {
-            keys::remote_chunk_crc_key(1, node)
-        };
+    let record = pipe.cluster.get_remote(&keys::remote_manifest_key(1)).expect("manifest drained");
+    let manifest = Manifest::decode(&record, 4, 4).expect("remote manifest verifies");
+    for (node, _, bytes) in oracle_chunks(&pipe.spec, (2, 2), 1, &pipe.dicts) {
+        assert_eq!(manifest.chunks[node], crc32(&bytes), "manifest entry of node {node}");
+        let remote = keys::remote_chunk_key(1, node);
         assert_eq!(pipe.cluster.get_remote(&remote), Some(bytes), "remote blob {remote}");
     }
     for (worker, dict) in pipe.dicts.iter().enumerate() {
         let header = decompose(dict).header_to_bytes();
-        assert_eq!(
-            pipe.cluster.get_remote(&keys::remote_header_crc_key(1, worker)),
-            Some(checksum_frame(&header)),
-            "remote header frame {worker}"
-        );
+        assert_eq!(manifest.headers[worker], crc32(&header), "manifest entry of header {worker}");
         assert_eq!(
             pipe.cluster.get_remote(&keys::remote_header_key(1, worker)),
             Some(header),
             "remote header {worker}"
         );
     }
-    assert!(pipe.cluster.get_remote(&keys::remote_manifest_key(1)).is_some());
 }
 
 #[test]

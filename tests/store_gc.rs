@@ -19,9 +19,9 @@
 
 use std::collections::BTreeMap;
 
-use ecc_checkpoint::{verify_checksum, DType, StateDict, Tensor, Value};
+use ecc_checkpoint::{crc32, DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, DataPlane, SharedPlane};
-use eccheck::store::Drainer;
+use eccheck::store::{Drainer, Manifest};
 use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError};
 use proptest::prelude::*;
 
@@ -166,24 +166,21 @@ fn gc_waits_for_the_drain_worker() {
     // Every sealed version must have a complete, checksum-verified
     // tier-1 copy — including the ones GC evicted from tier 0.
     for v in 1..=SAVES {
-        assert!(
-            shared.get_remote(&keys::remote_manifest_key(v)).is_some(),
-            "v{v} manifest missing from tier 1"
-        );
-        for node in 0..NODES {
+        let record = shared
+            .get_remote(&keys::remote_manifest_key(v))
+            .unwrap_or_else(|| panic!("v{v} manifest missing from tier 1"));
+        let manifest = Manifest::decode(&record, NODES, WORLD).expect("manifest verifies");
+        for (node, &crc) in manifest.chunks.iter().enumerate() {
             let chunk = shared
                 .get_remote(&keys::remote_chunk_key(v, node))
                 .unwrap_or_else(|| panic!("v{v} chunk {node} missing from tier 1"));
-            let crc = shared
-                .get_remote(&keys::remote_chunk_crc_key(v, node))
-                .unwrap_or_else(|| panic!("v{v} chunk {node} crc missing from tier 1"));
-            assert!(verify_checksum(&chunk, &crc), "v{v} chunk {node} fails its checksum");
+            assert_eq!(crc32(&chunk), crc, "v{v} chunk {node} fails its checksum");
         }
-        for worker in 0..WORLD {
-            assert!(
-                shared.get_remote(&keys::remote_header_key(v, worker)).is_some(),
-                "v{v} header {worker} missing from tier 1"
-            );
+        for (worker, &crc) in manifest.headers.iter().enumerate() {
+            let header = shared
+                .get_remote(&keys::remote_header_key(v, worker))
+                .unwrap_or_else(|| panic!("v{v} header {worker} missing from tier 1"));
+            assert_eq!(crc32(&header), crc, "v{v} header {worker} fails its checksum");
         }
     }
 
