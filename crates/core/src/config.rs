@@ -7,8 +7,7 @@ use crate::EcCheckError;
 /// ```
 /// use eccheck::EcCheckConfig;
 ///
-/// // The paper's settings (§V-B): k = 2, m = 2, GF(2^8), 64 MB buffers,
-/// // 12 data + 24 encoding buffers per worker.
+/// // The paper's settings (§V-B): k = 2, m = 2, GF(2^8), 64 MB packets.
 /// let cfg = EcCheckConfig::paper_defaults();
 /// assert_eq!((cfg.k(), cfg.m()), (2, 2));
 ///

@@ -28,8 +28,8 @@ use crate::keys::{
 };
 use crate::pipeline::{self, PipelineJob, PipelineOutcome};
 use crate::store::{
-    read_manifest, read_verified, DrainHandle, Manifest, RetentionPolicy, Tier, Verified,
-    VersionIndex, WorkerDirtySet,
+    read_header, read_manifest, read_verified, repair_version, DrainHandle, Manifest, Repaired,
+    RetentionPolicy, Tier, Verified, VersionIndex, WorkerDirtySet,
 };
 use crate::{
     select_data_parity_nodes, DeltaReport, EcCheckConfig, EcCheckError, LoadReport, Placement,
@@ -724,8 +724,9 @@ impl EcCheck {
     }
 
     /// Shared body of [`EcCheck::load`] and [`EcCheck::load_version`]:
-    /// pick the source tier → gather → reconstruct → restore fault
-    /// tolerance → reassemble, all against an explicit `version`.
+    /// pick the source tier → gather → repair ([`repair_version`]:
+    /// rebuild what is missing, re-seed the nodes found lost) →
+    /// reassemble, all against an explicit `version`.
     ///
     /// Every read is judged by one manifest copy. Tier 0 serves when at
     /// least `k` chunks and every header verify under an alive node's
@@ -771,7 +772,7 @@ impl EcCheck {
             // Enough chunks, but a header is gone from every copy.
             Err(local) => return Err(self.unrecoverable(&local, &local)),
         };
-        let Gathered { shards, headers, failed_nodes, corrupt_nodes, .. } = local;
+        let Gathered { shards, headers, failed_nodes, corrupt_nodes, passed_over, .. } = local;
         let survivors = shards.iter().flatten().count();
         let (workflow, counter) = if from_remote {
             (RecoveryWorkflow::Remote, "ecc.load.workflow.remote")
@@ -786,69 +787,49 @@ impl EcCheck {
             format!("{workflow:?} survivors={survivors} failed={failed_nodes:?}"),
         );
 
-        // Rebuild all chunks (decode if data lost, re-encode lost parity).
-        let shard_refs: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+        // Who is lost: every node when tier 1 served (tier 0 is replaced
+        // wholesale, the tiers are never mixed); otherwise the nodes
+        // whose chunk, manifest copy or header copy this restore read
+        // and could not use. Nothing else is written.
+        let mut lost: Vec<usize> = if from_remote {
+            (0..n).collect()
+        } else {
+            failed_nodes.iter().copied().chain(0..passed_over).collect()
+        };
+        lost.sort_unstable();
+        lost.dedup();
         let rebuilt_count = n - survivors;
+        // The packet layout comes from the chunks that verified; no
+        // stored number steers the slicing.
+        let region_len = self.region_len(shards.iter().flatten().next().map_or(0, Vec::len))?;
         let span = trace.as_ref().map(|t| {
             t.tracer.span(
                 t.engine,
-                "load.reconstruct",
-                format!("{workflow:?}, {rebuilt_count} lost"),
+                "load.repair",
+                format!("{workflow:?}, {rebuilt_count} rebuilt, {} lost", lost.len()),
             )
         });
-        let all_chunks = self.code.reconstruct_all(&shard_refs)?;
-        // A rebuilt chunk is held to its save-time CRC like a fetched
-        // one: the decode is checked, not trusted.
-        for node in 0..n {
-            let chunk_id = self.chunk_id_of_node(node);
-            if shards[chunk_id].is_none() && crc32(&all_chunks[chunk_id]) != manifest.chunks[node] {
-                return Err(EcCheckError::CorruptChunk { node });
-            }
-        }
-        // The fetched copies are done with: free them before the
-        // re-seed clones every chunk again.
-        drop(shards);
-        drop(span);
-        // The packet layout comes from the chunks just verified or
-        // rebuilt; no stored number steers the slicing.
-        let region_len = self.region_len(all_chunks[0].len())?;
-
-        // Restore fault tolerance: every node stores its chunk again,
-        // and every node regains the headers and, last, the manifest
-        // they were verified against. A node that is dead, or dies
-        // *during* this phase, is skipped, not fatal: the decoded state
-        // is already in hand, and the skipped node is re-seeded by the
-        // next save/load.
-        let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.restore", ""));
-        let record = manifest.encode();
-        let mut restore_skipped = Vec::new();
-        'restore: for node in 0..n {
-            let chunk_id = self.chunk_id_of_node(node);
-            let mut puts: Vec<(String, Vec<u8>)> = Vec::with_capacity(headers.len() + 2);
-            puts.push((chunk_key(version), all_chunks[chunk_id].clone()));
-            for (w, header) in headers.iter().enumerate() {
-                puts.push((header_key(version, w), header.clone()));
-            }
-            puts.push((manifest_key(version), record.clone()));
-            for (key, bytes) in puts {
-                match cluster.put_local(node, &key, bytes) {
-                    Ok(()) => {}
-                    Err(ClusterError::NodeDown { .. }) => {
-                        self.recorder.counter("ecc.load.restore_skipped").incr();
-                        self.recorder.event(
-                            "ecc.load.restore_skip",
-                            format!("node {node} is down, not re-seeded"),
-                        );
-                        if let Some(t) = &trace {
-                            t.tracer.instant(t.engine, "load.restore_skip", format!("node {node}"));
-                        }
-                        restore_skipped.push(node);
-                        continue 'restore;
-                    }
-                    Err(e) => return Err(e.into()),
+        let Repaired { chunks: all_chunks, skipped: restore_skipped, .. } = repair_version(
+            cluster,
+            &self.code,
+            &self.placement,
+            version,
+            &manifest,
+            shards,
+            &headers,
+            &lost,
+        )?;
+        for &node in &lost {
+            if restore_skipped.contains(&node) {
+                self.recorder.counter("ecc.load.restore_skipped").incr();
+                self.recorder
+                    .event("ecc.load.restore_skip", format!("node {node} is down, not re-seeded"));
+                if let Some(t) = &trace {
+                    t.tracer.instant(t.engine, "load.restore_skip", format!("node {node}"));
                 }
+            } else {
+                trace_store(&trace, node, &format!("chunk {}", self.placement.chunk_of(node)));
             }
-            trace_store(&trace, node, &format!("chunk {chunk_id}"));
         }
         drop(span);
 
@@ -878,7 +859,9 @@ impl EcCheck {
     /// One tier's chunks and headers under the first manifest copy that
     /// *serves* — at least `k` chunks and every header verify under it —
     /// with the bounded retry budget while tier 0 shows no copy at all.
-    /// `Err` is what the first copy came to (no copy: zero survivors).
+    /// `Err` is what the first copy came to (no copy: zero survivors) —
+    /// a whole gather, which `unrecoverable` reads to name what is lost.
+    #[allow(clippy::result_large_err)]
     fn gather_tier(
         &self,
         cluster: &impl DataPlane,
@@ -899,6 +882,9 @@ impl EcCheck {
                     return Err(found);
                 }
                 self.gather_headers(cluster, version, manifest, from_remote, &mut found, trace);
+                // Every node before the one whose copy serves held none
+                // that did.
+                found.passed_over = found.passed_over.max(node);
                 if found.lost_headers.is_empty() {
                     Ok(found)
                 } else {
@@ -943,7 +929,7 @@ impl EcCheck {
             };
             match fetched {
                 Verified::Intact(blob) => {
-                    let chunk_id = self.chunk_id_of_node(node);
+                    let chunk_id = self.placement.chunk_of(node);
                     out.shards[chunk_id] = Some(blob);
                     if !from_remote {
                         trace_fetch(trace, node, &format!("chunk {chunk_id}"));
@@ -1071,7 +1057,10 @@ impl EcCheck {
             let header = if from_remote {
                 read_verified(cluster, Tier::Remote, &remote_header_key(version, w), crc).intact()
             } else {
-                self.fetch_header(cluster, version, w, crc, trace)
+                self.fetch_header(cluster, version, w, crc, trace).map(|(node, header)| {
+                    found.passed_over = found.passed_over.max(node);
+                    header
+                })
             };
             match header {
                 Some(h) => found.headers.push(h),
@@ -1080,8 +1069,8 @@ impl EcCheck {
         }
     }
 
-    /// Worker `w`'s header from the first alive node holding a copy that
-    /// matches `crc`, retrying the whole sweep up to `fetch_retries`
+    /// Worker `w`'s header and the node that served it
+    /// ([`read_header`]), retrying the whole sweep up to `fetch_retries`
     /// times.
     fn fetch_header(
         &self,
@@ -1090,36 +1079,31 @@ impl EcCheck {
         w: usize,
         crc: u32,
         trace: &Option<TraceHandles>,
-    ) -> Option<Vec<u8>> {
-        let n = self.spec.nodes();
+    ) -> Option<(usize, Vec<u8>)> {
         let retries = self.config.fetch_retries();
-        let primary = (0..n).find(|&node| cluster.alive(node));
+        let primary = (0..self.spec.nodes()).find(|&node| cluster.alive(node));
         for attempt in 0..=retries {
-            for node in (0..n).filter(|&node| cluster.alive(node)) {
-                match read_verified(cluster, Tier::Local(node), &header_key(version, w), crc) {
-                    Verified::Intact(blob) => {
-                        if primary != Some(node) {
-                            self.recorder.counter("ecc.load.header_fallbacks").incr();
-                            if let Some(t) = trace {
-                                t.tracer.instant(
-                                    t.engine,
-                                    "load.header_fallback",
-                                    format!("header {w} served by node {node}"),
-                                );
-                            }
-                        }
-                        return Some(blob);
-                    }
-                    Verified::Missing => {}
-                    Verified::Corrupt if attempt == 0 => {
-                        self.recorder.counter("ecc.load.corrupt_headers").incr();
-                        self.recorder.event(
-                            "ecc.load.corrupt",
-                            format!("node {node} header {w} failed checksum"),
+            let found = read_header(cluster, version, w, crc, |node| {
+                if attempt == 0 {
+                    self.recorder.counter("ecc.load.corrupt_headers").incr();
+                    self.recorder.event(
+                        "ecc.load.corrupt",
+                        format!("node {node} header {w} failed checksum"),
+                    );
+                }
+            });
+            if let Some((node, _)) = found {
+                if primary != Some(node) {
+                    self.recorder.counter("ecc.load.header_fallbacks").incr();
+                    if let Some(t) = trace {
+                        t.tracer.instant(
+                            t.engine,
+                            "load.header_fallback",
+                            format!("header {w} served by node {node}"),
                         );
                     }
-                    Verified::Corrupt => {}
                 }
+                return found;
             }
             if attempt < retries {
                 self.recorder.counter("ecc.load.fetch_retries").incr();
@@ -1352,8 +1336,13 @@ impl EcCheck {
                 cluster.put_local(node, &header_key(version, dr.worker), dr.header.clone())?;
             }
         }
+        // Readers take manifest copies in ascending node order, so the
+        // commit descends: a restore that reaches the new record has
+        // passed over every node still holding the old one, and
+        // re-seeds exactly those — the first restore to see a delta cut
+        // short here also finishes it.
         let record = manifest.encode();
-        for node in 0..self.spec.nodes() {
+        for node in (0..self.spec.nodes()).rev() {
             cluster.put_local(node, &manifest_key(version), record.clone())?;
         }
         timer.stop();
@@ -1421,13 +1410,6 @@ impl EcCheck {
         }
         Ok(chunk_len / group_size)
     }
-
-    fn chunk_id_of_node(&self, node: usize) -> usize {
-        match self.placement.role_of(node).expect("every node has a role") {
-            (true, j) => j,
-            (false, i) => self.config.k() + i,
-        }
-    }
 }
 
 /// Emits a driver → node chunk-placement flow: an arrow out of the
@@ -1479,6 +1461,9 @@ struct Gathered {
     failed_nodes: Vec<usize>,
     /// The subset of `failed_nodes` whose chunk was present but wrong.
     corrupt_nodes: Vec<usize>,
+    /// Every node before this one had its manifest copy or a header
+    /// copy read and passed over: absent, failing its check, or stale.
+    passed_over: usize,
 }
 
 impl Gathered {
@@ -1528,8 +1513,7 @@ mod tests {
         assert!(stats.flows > 0, "store/fetch flows should be present");
         // Driver + coding + 4 node processes.
         assert!(stats.processes >= 6, "got {} processes", stats.processes);
-        for needle in ["ecc.save", "checkpoint.pack", "save.encode", "ecc.load", "load.reconstruct"]
-        {
+        for needle in ["ecc.save", "checkpoint.pack", "save.encode", "ecc.load", "load.repair"] {
             assert!(json.contains(needle), "trace should mention {needle}");
         }
         let summary = tracer.critical_path_summary("ecc.save");
@@ -2520,7 +2504,7 @@ mod store_tests {
         assert_eq!(ecc.recorder().snapshot().counter("ecc.load.manifest_fallbacks"), 1);
     }
 
-    /// A restore re-seeds every node with exactly the blobs a save left
+    /// A restore leaves every node with exactly the blobs a save left
     /// there, also where a chunk and a manifest copy had to be rebuilt.
     #[test]
     fn load_reseeds_byte_identical_blobs() {

@@ -114,6 +114,14 @@ impl Placement {
         }
         self.parity_nodes.iter().position(|&n| n == node).map(|i| (false, i))
     }
+
+    /// The id of the chunk `node` stores: data chunks first, then parity.
+    pub(crate) fn chunk_of(&self, node: NodeId) -> usize {
+        match self.role_of(node).expect("every node has a role") {
+            (true, j) => j,
+            (false, i) => self.k() + i,
+        }
+    }
 }
 
 /// Runs the sweep-line maximum-overlap pairing.

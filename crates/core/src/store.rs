@@ -42,6 +42,12 @@
 //!   observed rather than raced. Remote keys are per-node
 //!   (`remote/ecc/v{v}/chunk/{node}`), so the copy stays correct
 //!   whatever incarnation currently owns a slot.
+//! * [`repair_version`] — the one repair of a sealed version, for a
+//!   restore and a rebalance alike: given what a gather verified and
+//!   the list of lost nodes it rebuilds the missing chunks, holds each
+//!   to its manifest entry before anything is stored, and seeds the
+//!   lost nodes only. [`read_header`] is the one "first header copy
+//!   that verifies" loop the restore, the drain and the rebalance share.
 //! * [`WorkerDirtySet`] — one worker's dirty shard for
 //!   [`crate::EcCheck::save_delta`], the GF-linear delta save over an
 //!   arbitrary dirty set.
@@ -52,14 +58,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use ecc_checkpoint::{checksum_frame, crc32, verify_checksum, StateDict};
-use ecc_cluster::DataPlane;
+use ecc_cluster::{ClusterError, DataPlane};
+use ecc_erasure::ErasureCode;
 use ecc_telemetry::Recorder;
 
 use crate::keys::{
     chunk_key, committed_epoch, header_key, manifest_key, remote_chunk_key, remote_header_key,
     remote_manifest_key,
 };
-use crate::{EcCheckConfig, EcCheckError};
+use crate::{EcCheckConfig, EcCheckError, Placement};
 
 /// One worker's dirty shard for a delta save: the worker id and its new
 /// `state_dict`. Tensor shapes must be unchanged since the last full
@@ -231,10 +238,7 @@ pub fn drain_version<P: DataPlane>(
         }
     }
     for (w, &crc) in manifest.headers.iter().enumerate() {
-        let copy = (0..n).filter(|&node| plane.alive(node)).find_map(|node| {
-            read_verified(plane, Tier::Local(node), &header_key(version, w), crc).intact()
-        });
-        if let Some(header) = copy {
+        if let Some((_, header)) = read_header(plane, version, w, crc, |_| {}) {
             bytes_copied += header.len() as u64;
             plane.put_remote(&remote_header_key(version, w), header);
         }
@@ -376,6 +380,114 @@ pub fn read_manifest<T, E>(
         }
     }
     refusal.map(Err)
+}
+
+/// Worker `w`'s header from the first alive node, in node order, whose
+/// copy matches `crc` (its entry in the version's manifest), with the
+/// node that served it; `corrupt` is told each node whose copy was
+/// present but wrong on the way. The one place a header copy is chosen:
+/// a restore, a drain and a rebalance all read through it, so every
+/// node before the one returned held no copy or a bad one.
+pub fn read_header(
+    plane: &impl DataPlane,
+    version: u64,
+    w: usize,
+    crc: u32,
+    mut corrupt: impl FnMut(usize),
+) -> Option<(usize, Vec<u8>)> {
+    let key = header_key(version, w);
+    (0..plane.nodes()).filter(|&node| plane.alive(node)).find_map(|node| {
+        match read_verified(plane, Tier::Local(node), &key, crc) {
+            Verified::Intact(blob) => Some((node, blob)),
+            Verified::Missing => None,
+            Verified::Corrupt => {
+                corrupt(node);
+                None
+            }
+        }
+    })
+}
+
+/// What [`repair_version`] rebuilt and stored.
+#[derive(Debug)]
+pub struct Repaired {
+    /// Every chunk of the version by chunk id: the verified ones as
+    /// given, the others rebuilt and held to their manifest entry.
+    pub chunks: Vec<Vec<u8>>,
+    /// Lost nodes that were down and so were not seeded; the next
+    /// repair that finds them up seeds them.
+    pub skipped: Vec<usize>,
+    /// Bytes stored on the lost nodes that were up.
+    pub put_bytes: u64,
+}
+
+/// The one repair of a sealed version (paper §III-B, Fig. 7): rebuilds
+/// what a gather could not read and re-seeds the `lost` nodes, for a
+/// restore and a rebalance alike. `manifest` is the copy the gather was
+/// judged by; `shards` holds the at least `k` chunks that verified
+/// under it, by chunk id under `placement`; `headers` every worker's
+/// header that did. Who is lost is the caller's finding: a restore
+/// names the nodes whose chunk, manifest copy or header copy it read
+/// and could not use (every node when tier 1 served: the tiers are
+/// never mixed), a rebalance the slots whose incarnation changed.
+///
+/// Missing chunks are rebuilt with `reconstruct_all` and each is
+/// compared with its manifest entry *before anything is stored*: a
+/// decode is checked like a fetch, never trusted. Then each lost node
+/// receives the `W` headers, the manifest and, last, its chunk. A save
+/// and a delta write the manifest last because there it is new; here
+/// it is the record the version already has, and the chunk goes last
+/// so that a chunk that verifies vouches for its whole node — a
+/// restore reads every chunk anyway, so it finds a repair cut short at
+/// any put as a lost node, without another read. A lost node that is
+/// down is skipped, not fatal: what was rebuilt is already in hand.
+///
+/// # Errors
+///
+/// [`EcCheckError::Erasure`] when fewer than `k` shards are given,
+/// [`EcCheckError::CorruptChunk`] when a rebuilt chunk disagrees with
+/// `manifest` (nothing has been stored), and [`EcCheckError::Cluster`]
+/// when a put fails for any reason but the node being down.
+#[allow(clippy::too_many_arguments)]
+pub fn repair_version(
+    plane: &mut impl DataPlane,
+    code: &ErasureCode,
+    placement: &Placement,
+    version: u64,
+    manifest: &Manifest,
+    shards: Vec<Option<Vec<u8>>>,
+    headers: &[Vec<u8>],
+    lost: &[usize],
+) -> Result<Repaired, EcCheckError> {
+    let refs: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+    let chunks = code.reconstruct_all(&refs)?;
+    for (node, &crc) in manifest.chunks.iter().enumerate() {
+        let id = placement.chunk_of(node);
+        if shards[id].is_none() && crc32(&chunks[id]) != crc {
+            return Err(EcCheckError::CorruptChunk { node });
+        }
+    }
+    // The fetched copies are done with: free them before the seeding
+    // clones chunks again.
+    drop(shards);
+    let record = manifest.encode();
+    let mut repaired = Repaired { chunks, skipped: Vec::new(), put_bytes: 0 };
+    'nodes: for &node in lost {
+        let chunk = &repaired.chunks[placement.chunk_of(node)];
+        let named = headers.iter().enumerate().map(|(w, h)| (header_key(version, w), h));
+        let blobs = named.chain([(manifest_key(version), &record), (chunk_key(version), chunk)]);
+        for (key, blob) in blobs {
+            match plane.put_local(node, &key, blob.clone()) {
+                Ok(()) => repaired.put_bytes += blob.len() as u64,
+                Err(ClusterError::NodeDown { .. }) => {
+                    repaired.skipped.push(node);
+                    continue 'nodes;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+    Ok(repaired)
 }
 
 /// Closes `payload` into a self-checked record: the payload followed by

@@ -82,8 +82,8 @@ pub struct ErasureCode {
     dumb: XorSchedule,
     /// Fused forms of the cached schedules ([`XorSchedule::fuse`]): the
     /// hot encode paths execute these so each source stripe is read once
-    /// per parity set. The unfused forms stay callable
-    /// ([`ErasureCode::encode_unfused`]) as the differential oracle.
+    /// per parity set. The unfused forms are executed only by the
+    /// crate's tests, as the differential oracle.
     smart_fused: FusedSchedule,
     dumb_fused: FusedSchedule,
     /// Single-column smart schedules, one per data chunk: `columns[j]`
@@ -277,14 +277,11 @@ impl ErasureCode {
     }
 
     /// Encodes through the *unfused* op-at-a-time executor — the
-    /// reference path the fused executor is differentially tested
-    /// against (`tests/fused_equiv_prop.rs`). Bit-identical to
+    /// reference the fused executor is differentially tested against
+    /// (`fused_equiv_prop.rs`). Bit-identical to
     /// [`ErasureCode::encode_with`], just slower.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ErasureCode::encode`].
-    pub fn encode_unfused(
+    #[cfg(test)]
+    pub(crate) fn encode_unfused(
         &self,
         data: &[&[u8]],
         kind: ScheduleKind,
@@ -338,13 +335,13 @@ impl ErasureCode {
     }
 
     /// Decodes through the *unfused* op-at-a-time executor — the
-    /// reference path for the fused differential suite. Bit-identical to
+    /// reference for the fused differential suite. Bit-identical to
     /// [`ErasureCode::decode`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ErasureCode::decode`].
-    pub fn decode_unfused(&self, shards: &[Option<&[u8]>]) -> Result<Vec<Vec<u8>>, ErasureError> {
+    #[cfg(test)]
+    pub(crate) fn decode_unfused(
+        &self,
+        shards: &[Option<&[u8]>],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
         self.decode_impl(shards, false)
     }
 
@@ -617,7 +614,7 @@ pub(crate) fn run_fused_on(fused: &FusedSchedule, sources: &[&[u8]], ps: usize) 
 /// destination block is written once per parity set and stays in
 /// registers while its sources stream through. Bit-identical to the
 /// unfused executor (fusion only regroups an XOR-linear computation;
-/// property-tested in `tests/fused_equiv_prop.rs`).
+/// property-tested in `fused_equiv_prop.rs`).
 pub(crate) fn run_fused_stripe(
     fused: &FusedSchedule,
     sources: &[&[u8]],

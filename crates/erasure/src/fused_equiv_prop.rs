@@ -9,14 +9,27 @@
 //! arithmetic — under **every** kernel the runtime dispatcher can
 //! select, scalar included.
 //!
-//! Kernel forcing mutates process-global dispatch state, so the whole
-//! sweep lives inside single test functions (proptest runs its cases
-//! sequentially within one test).
+//! The unfused executor is not part of the crate's API — it exists
+//! only as this suite's reference — so the suite is a unit-test module.
+//! Kernel forcing mutates process-global dispatch state: each sweep
+//! lives inside one test function (proptest runs its cases
+//! sequentially within one test) and the two that force hold
+//! [`FORCING`] so they do not interleave. The crate's other unit tests
+//! may run under whichever kernel is forced; every kernel computes the
+//! same bits.
 
-use ecc_erasure::{CodeParams, ErasureCode, ScheduleKind};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use crate::{CodeParams, ErasureCode, ScheduleKind};
 use ecc_gf::kernel::{active_kernel, available_kernels, force_kernel};
 use proptest::prelude::*;
 use rand::prelude::*;
+
+static FORCING: Mutex<()> = Mutex::new(());
+
+fn forcing() -> MutexGuard<'static, ()> {
+    FORCING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn random_chunks(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -82,6 +95,7 @@ proptest! {
         ids.shuffle(&mut StdRng::seed_from_u64(pattern_seed));
         let erased: Vec<usize> = ids.into_iter().take(1 + pattern_seed as usize % m).collect();
 
+        let _forcing = forcing();
         let before = active_kernel().name();
         for kernel in available_kernels() {
             force_kernel(kernel.name()).unwrap();
@@ -150,6 +164,7 @@ fn fused_schedule_structure_is_faithful() {
 /// (unaligned SIMD tails) — the non-property twin of the suite above.
 #[test]
 fn fused_encode_decode_bit_identical_across_kernels() {
+    let _forcing = forcing();
     let before = active_kernel().name();
     for (k, m, w) in [(2usize, 2usize, 8u8), (4, 2, 8), (2, 2, 16), (6, 3, 16)] {
         let params = CodeParams::new(k, m, w).unwrap();

@@ -43,6 +43,8 @@
 pub mod cauchy;
 mod code;
 mod error;
+#[cfg(test)]
+mod fused_equiv_prop;
 mod params;
 mod pool;
 pub mod region;

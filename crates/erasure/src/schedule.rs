@@ -241,7 +241,7 @@ pub struct FusedChain {
 /// order, and with it the smart schedule's row-derivation dependencies,
 /// is preserved exactly. Fusion is pure regrouping of an XOR-linear
 /// computation, so the result is bit-identical to the unfused schedule
-/// (property-tested in `tests/fused_equiv_prop.rs`).
+/// (property-tested in `fused_equiv_prop.rs`).
 ///
 /// # Examples
 ///

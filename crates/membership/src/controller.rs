@@ -15,10 +15,9 @@ use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_telemetry::Recorder;
 use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 use eccheck::keys::{
-    chunk_key, encode_epoch, header_key, is_chunk_class, key_version, manifest_key,
-    manifest_versions, placement_epoch_key,
+    chunk_key, encode_epoch, is_chunk_class, key_version, manifest_versions, placement_epoch_key,
 };
-use eccheck::store::{read_manifest, read_verified, Manifest, Tier, Verified};
+use eccheck::store::{read_header, read_manifest, read_verified, repair_version, Tier, Verified};
 use eccheck::{select_data_parity_nodes, EcCheckConfig, EcCheckError, Placement};
 
 use crate::{MemberState, MembershipError, MembershipTable, ShardMap};
@@ -34,9 +33,10 @@ pub enum Move {
         /// The slot whose fresh incarnation receives it.
         slot: NodeId,
     },
-    /// The bytes are gone (crash): reconstruct the chunk from `k`
-    /// intact survivors — or, for a parity chunk whose data set is
-    /// fully intact, re-encode just that chunk (GF-linearity patch).
+    /// The bytes are gone (crash): the chunk is rebuilt from `k`
+    /// intact survivors by [`eccheck::store::repair_version`] — a
+    /// decode, or for a parity chunk whose data set is fully intact a
+    /// re-encode of just that row (GF-linearity patch).
     Rebuild {
         /// The chunk to rebuild.
         chunk: usize,
@@ -85,8 +85,9 @@ pub struct RebalanceReport {
     pub moves_copied: usize,
     /// Chunk moves served by erasure decoding from survivors.
     pub moves_rebuilt: usize,
-    /// Rebuilds served by the cheaper GF-linearity parity patch
-    /// (subset of `moves_rebuilt`).
+    /// Rebuilds that needed no decode: every lost chunk was parity and
+    /// the `k` chunks read were the data set (subset of
+    /// `moves_rebuilt`).
     pub parity_patched: usize,
     /// Total bytes that crossed node boundaries for the migration
     /// (chunk reads + writes, staged reads, metadata replication).
@@ -409,15 +410,18 @@ impl PlacementController {
             self.verify_m_fault(plane, version, &plan)?;
         }
 
-        // Point of no return: every chunk of every version is verified
-        // on its own alive slot, so the guarantee holds — commit.
-        let epoch = self.map.advance(plan.placement, &self.table)?;
-        let marker = encode_epoch(epoch);
+        // Every chunk of every version is verified on its own alive
+        // slot, so the guarantee holds — commit. The markers go first:
+        // they are the last step that can fail, and one that does
+        // leaves the controller where it was (engines that read a new
+        // marker are fenced until the retried rebalance commits it).
+        let marker = encode_epoch(self.map.epoch() + 1);
         for slot in 0..self.table.universe() {
             if plane.alive(slot) {
                 plane.put_local(slot, &placement_epoch_key(), marker.clone())?;
             }
         }
+        let epoch = self.map.advance(plan.placement, &self.table)?;
         let joining: Vec<NodeId> = self
             .table
             .entries()
@@ -538,74 +542,47 @@ impl PlacementController {
         });
         let (manifest, (shards, read_bytes)) = gathered
             .unwrap_or(Err(MembershipError::NotEnoughSurvivors { survivors: 0, needed: self.k }))?;
-        let chunk_len = shards.iter().flatten().next().map_or(0, Vec::len);
-        report.bound_bytes += naive_factor * chunk_len as u64;
+        let chunk_len = shards.iter().flatten().next().map_or(0, Vec::len) as u64;
+        report.bound_bytes += naive_factor * chunk_len;
         report.migrated_bytes += read_bytes;
         report.chunk_bytes += read_bytes;
 
-        // GF-linearity fast path: when every lost chunk is parity and
-        // the k collected chunks are exactly the data set, re-encode
-        // just the lost rows — no decode, and the surviving m − f
-        // parity chunks are never touched.
-        let all_parity = lost.iter().all(|m| m.chunk() >= self.k);
-        let data_complete = shards[..self.k].iter().all(Option::is_some);
-        let rebuilt: Vec<(usize, Vec<u8>)> = if all_parity && data_complete {
-            let data_refs: Vec<&[u8]> =
-                shards[..self.k].iter().map(|s| s.as_deref().expect("data complete")).collect();
-            let parity = self.code.encode(&data_refs).map_err(EcCheckError::from)?;
+        // A rebuilt slot also needs the replicated metadata every node
+        // carries; a header no survivor holds intact leaves the version
+        // as unrestorable as too few chunks would.
+        let headers = (manifest.headers.iter().enumerate())
+            .map(|(w, &crc)| {
+                let copy = read_header(plane, version, w, crc, |_| {});
+                copy.map(|(_, header)| header).ok_or(EcCheckError::Unrecoverable {
+                    survivors: self.k,
+                    needed: self.k,
+                    lost_workers: vec![w],
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // When every lost chunk is parity and the k chunks read are
+        // the data set, the repair re-encodes just the lost rows — no
+        // decode, and the surviving parity is never touched.
+        if lost.iter().all(|m| m.chunk() >= self.k) && shards[..self.k].iter().all(Option::is_some)
+        {
             report.parity_patched += lost.len();
-            lost.iter().map(|m| (m.chunk(), parity[m.chunk() - self.k].clone())).collect()
-        } else {
-            let refs: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
-            let all = self.code.reconstruct_all(&refs).map_err(EcCheckError::from)?;
-            lost.iter().map(|m| (m.chunk(), all[m.chunk()].clone())).collect()
-        };
-        let mut rebuilt_slots = Vec::new();
-        for (mv, (chunk, blob)) in lost.iter().zip(rebuilt) {
-            debug_assert_eq!(mv.chunk(), chunk);
-            report.migrated_bytes += blob.len() as u64;
-            report.chunk_bytes += blob.len() as u64;
-            plane.put_local(mv.slot(), &chunk_key(version), blob)?;
-            report.moves_rebuilt += 1;
-            rebuilt_slots.push(mv.slot());
         }
-
-        // A rebuilt slot also needs the replicated metadata (headers,
-        // manifest) every node carries. Tiny next to the chunks, but
-        // part of the restore contract — and counted.
-        self.replicate_metadata(plane, version, &manifest, &targets, &rebuilt_slots, report)
-    }
-
-    /// Copies the per-version replicated metadata to each rebuilt slot:
-    /// every header from a survivor's copy that verifies, then the
-    /// manifest they were verified against.
-    fn replicate_metadata(
-        &self,
-        plane: &mut impl DataPlane,
-        version: u64,
-        manifest: &Manifest,
-        targets: &BTreeSet<NodeId>,
-        rebuilt_slots: &[NodeId],
-        report: &mut RebalanceReport,
-    ) -> Result<(), MembershipError> {
-        let sources: Vec<NodeId> = (0..self.table.universe())
-            .filter(|slot| !targets.contains(slot) && plane.alive(*slot))
-            .collect();
-        let headers = manifest.headers.iter().enumerate().filter_map(|(w, &crc)| {
-            let key = header_key(version, w);
-            let copy = sources
-                .iter()
-                .find_map(|&slot| read_verified(plane, Tier::Local(slot), &key, crc).intact())?;
-            Some((key, copy))
-        });
-        let meta: Vec<(String, Vec<u8>)> =
-            headers.chain([(manifest_key(version), manifest.encode())]).collect();
-        for (key, blob) in meta {
-            for &slot in rebuilt_slots {
-                report.migrated_bytes += blob.len() as u64;
-                plane.put_local(slot, &key, blob.clone())?;
-            }
-        }
+        let slots: Vec<NodeId> = lost.iter().map(|m| m.slot()).collect();
+        let repaired = repair_version(
+            plane,
+            &self.code,
+            &plan.placement,
+            version,
+            &manifest,
+            shards,
+            &headers,
+            &slots,
+        )?;
+        // A slot that is down was skipped; `verify_m_fault` refuses it.
+        let seeded = slots.len() - repaired.skipped.len();
+        report.moves_rebuilt += seeded;
+        report.migrated_bytes += repaired.put_bytes;
+        report.chunk_bytes += seeded as u64 * chunk_len;
         Ok(())
     }
 

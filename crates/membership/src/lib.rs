@@ -32,7 +32,10 @@
 //!   readable (a graceful leave staged them): pure byte transfer,
 //!   `~2·chunk` traffic;
 //! - [`Move::Rebuild`] when they are gone (a crash): the chunk is
-//!   reconstructed from any `k` intact survivors. Thanks to the
+//!   reconstructed from any `k` intact survivors — by
+//!   [`eccheck::store::repair_version`], the repair a restore runs,
+//!   which compares the rebuilt chunk with its manifest entry before
+//!   it stores it. Thanks to the
 //!   GF-linearity of the Cauchy Reed–Solomon code, a lost *parity*
 //!   chunk whose `k` data chunks all survive is **patched** by
 //!   re-encoding just that one chunk — the other `m − 1` parity

@@ -20,8 +20,9 @@
 
 use std::io::BufWriter;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -333,12 +334,26 @@ fn serve_connection<P: ServePlane>(
 /// Executes one request against the plane. The mutex is held for the
 /// duration of the plane call only — no I/O happens under it.
 ///
+/// A panic inside the plane costs one request, not the server: it is
+/// caught and answered with a structured error, and the poison it
+/// leaves on the mutex is cleared (and stepped over by a worker that
+/// locks in between), so the next request is served.
+fn handle<P: ServePlane>(plane: &Mutex<P>, req: Request) -> Response {
+    let call = AssertUnwindSafe(|| {
+        handle_locked(&mut *plane.lock().unwrap_or_else(PoisonError::into_inner), req)
+    });
+    catch_unwind(call).unwrap_or_else(|_| {
+        plane.clear_poison();
+        Response::Err(ecc_cluster::ClusterError::Transport {
+            detail: "the served plane panicked on this request".into(),
+        })
+    })
+}
+
 /// Node ids come off the wire, so they are bounds-checked *before*
 /// the plane sees them: some plane impls (e.g. `Cluster::alive`)
-/// index directly and would panic, and a panic under the mutex would
-/// poison it and wedge every connection.
-fn handle<P: ServePlane>(plane: &Mutex<P>, req: Request) -> Response {
-    let mut p = plane.lock().expect("served plane poisoned");
+/// index directly and would panic.
+fn handle_locked<P: ServePlane>(p: &mut P, req: Request) -> Response {
     let nodes = p.nodes();
     if let Some(node) = req.node() {
         if node as usize >= nodes {

@@ -331,3 +331,61 @@ fn plain_server_refuses_membership_ops() {
     }
     server.shutdown();
 }
+
+/// A plane that panics when asked for one key and is a `Cluster`
+/// otherwise.
+struct PanicsOnKey(Cluster);
+
+impl DataPlane for PanicsOnKey {
+    fn nodes(&self) -> usize {
+        self.0.nodes()
+    }
+    fn alive(&self, node: usize) -> bool {
+        DataPlane::alive(&self.0, node)
+    }
+    fn put_local(&mut self, node: usize, key: &str, bytes: Vec<u8>) -> Result<(), ClusterError> {
+        assert_ne!(key, "boom", "the plane's own bug");
+        DataPlane::put_local(&mut self.0, node, key, bytes)
+    }
+    fn get_local(&self, node: usize, key: &str) -> Option<Vec<u8>> {
+        DataPlane::get_local(&self.0, node, key)
+    }
+    fn delete_local(&mut self, node: usize, key: &str) {
+        DataPlane::delete_local(&mut self.0, node, key)
+    }
+    fn put_remote(&mut self, key: &str, bytes: Vec<u8>) {
+        DataPlane::put_remote(&mut self.0, key, bytes)
+    }
+    fn get_remote(&self, key: &str) -> Option<Vec<u8>> {
+        DataPlane::get_remote(&self.0, key)
+    }
+    fn local_keys(&self, node: usize) -> Vec<String> {
+        DataPlane::local_keys(&self.0, node)
+    }
+}
+
+impl ecc_net::ServePlane for PanicsOnKey {}
+
+/// One panic inside the served plane costs that request a structured
+/// error, not the server: the same connection, a fresh one and the
+/// plane handle all keep working (at the parent the poisoned mutex
+/// killed every worker that touched it).
+#[test]
+fn a_panic_in_the_served_plane_costs_one_request() {
+    let plane = PanicsOnKey(Cluster::new(ClusterSpec::tiny_test(NODES, GPUS)));
+    let server =
+        CheckpointServer::serve(plane, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let mut remote = RemotePlane::connect(&addr).expect("connect");
+    remote.put_local(1, "fine", vec![7; 9]).expect("put before the panic");
+    match remote.put_local(1, "boom", vec![0]) {
+        Err(ClusterError::Transport { detail }) => assert!(detail.contains("panicked"), "{detail}"),
+        other => panic!("expected a structured refusal, got {other:?}"),
+    }
+    assert_eq!(remote.get_local(1, "fine"), Some(vec![7; 9]), "same connection, next request");
+    let mut second = RemotePlane::connect(&addr).expect("connect after the panic");
+    second.put_local(2, "later", vec![1]).expect("put after the panic");
+    assert_eq!(remote.local_keys(2), vec!["later".to_string()]);
+    assert!(server.plane().lock().is_ok(), "the poison is cleared");
+    server.shutdown();
+}

@@ -108,18 +108,30 @@ fn random_failure_bursts_never_corrupt_state() {
 #[test]
 fn crash_between_gather_and_restore_is_survivable() {
     let spec = ClusterSpec::tiny_test(4, 2);
-    let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(7));
-    let mut ecc =
-        EcCheck::initialize(&spec, EcCheckConfig::paper_defaults().with_packet_size(2048)).unwrap();
     let current = dicts(1);
-    ecc.save(&mut plane, &current).unwrap();
+    // A restore stores only what was lost, so the window exists only
+    // while a node is being re-seeded: node 0 is lost and replaced
+    // before the load.
+    let degraded = || {
+        let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(7));
+        let config = EcCheckConfig::paper_defaults().with_packet_size(2048);
+        let mut ecc = EcCheck::initialize(&spec, config).unwrap();
+        ecc.save(&mut plane, &current).unwrap();
+        plane.crash_now(0);
+        plane.heal(0);
+        (plane, ecc)
+    };
+    // A dry run counts the load's storage ops; the last ten are node
+    // 0's eight headers, manifest and chunk.
+    let (mut dry, ecc) = degraded();
+    let before = dry.op();
+    ecc.load(&mut dry).unwrap();
+    let load_ops = dry.op() - before;
 
-    // The gather phase reads the epoch marker and the chunk of each
-    // node, one manifest and one header per worker (4 + 4 + 1 + 8 ops
-    // on this testbed); 20 storage ops into the load, the engine has
-    // gathered everything and is re-seeding node 0 — the
-    // fault-tolerant-restore window.
-    plane.schedule_crash_at_op(0, plane.op() + 20);
+    // Five ops before the end the engine has gathered everything and
+    // is re-seeding node 0 — the fault-tolerant-restore window.
+    let (mut plane, ecc) = degraded();
+    plane.schedule_crash_at_op(0, plane.op() + load_ops - 5);
     let (restored, report) = ecc.load(&mut plane).unwrap();
     assert_eq!(restored, current, "mid-load crash corrupted the restored state");
     assert_eq!(report.restore_skipped, vec![0]);

@@ -15,41 +15,18 @@
 //! delta cut short at *any* put must restore as the state before it,
 //! the state after it, or a structured refusal — never a mix.
 
+mod common;
+
+use common::{local_fingerprint, worker_dict, FailNthPut};
 use ecc_chaos::{ChaosConfig, ChaosPlane};
-use ecc_checkpoint::{DType, StateDict, Tensor, Value};
-use ecc_cluster::{Cluster, ClusterError, ClusterSpec, DataPlane, NodeId};
+use ecc_checkpoint::StateDict;
+use ecc_cluster::{Cluster, ClusterSpec, DataPlane, NodeId};
 use ecc_gf::kernel::{available_kernels, force_kernel};
 use eccheck::{EcCheck, EcCheckConfig, EcCheckError, LoadReport, WorkerDirtySet};
 use proptest::prelude::*;
 
 /// (k, m, gpus_per_node) shapes; world = (k + m) * gpus.
 const SHAPES: [(usize, usize, usize); 4] = [(2, 2, 1), (2, 2, 2), (4, 2, 2), (3, 3, 1)];
-
-/// One worker's state: tensor shapes depend only on the worker (delta
-/// saves require stable layouts), values on `salt`.
-fn worker_dict(w: usize, salt: u8) -> StateDict {
-    let mut sd = StateDict::new();
-    sd.insert("rank", Value::Int(w as i64));
-    sd.insert("salt", Value::Int(salt as i64));
-    let len = 40 + (w * 37) % 200;
-    let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(29) ^ (w as u8) ^ salt).collect();
-    let t = Tensor::from_bytes(DType::U8, &[len], bytes).expect("tensor shape valid");
-    sd.insert("weights", Value::Tensor(t));
-    sd
-}
-
-/// Every blob on every node, in canonical order — the complete
-/// observable result of a save sequence on the local plane.
-fn local_fingerprint(cluster: &Cluster, nodes: usize) -> Vec<(usize, String, Vec<u8>)> {
-    let mut out = Vec::new();
-    for node in 0..nodes {
-        for key in cluster.local_keys(node) {
-            let bytes = cluster.get_local(node, &key).expect("listed key readable");
-            out.push((node, key, bytes));
-        }
-    }
-    out
-}
 
 fn base_config(k: usize, m: usize) -> EcCheckConfig {
     EcCheckConfig::paper_defaults().with_km(k, m).with_packet_size(256)
@@ -98,8 +75,8 @@ fn delta_vs_full(
     ecc_b.save(&mut cluster_b, &want).expect("oracle save");
 
     assert_eq!(
-        local_fingerprint(&cluster_a, nodes),
-        local_fingerprint(&cluster_b, nodes),
+        local_fingerprint(&cluster_a),
+        local_fingerprint(&cluster_b),
         "delta-patched plane must be byte-identical to a full save \
          (k={k} m={m} gpus={gpus} dirty={dirty:?})"
     );
@@ -134,50 +111,6 @@ fn single_and_multi_worker_deltas_equal_full_saves() {
         let spread: Vec<usize> = (0..k).map(|j| j * group + (j % group)).collect();
         delta_vs_full((k, m, gpus), 2, 96, &[world - 1], 7);
         delta_vs_full((k, m, gpus), 2, 96, &spread, 7);
-    }
-}
-
-/// A plane whose `fail_at`-th `put_local` from now (0-based) fails once,
-/// storing nothing; everything else passes through.
-struct FailNthPut<P> {
-    inner: P,
-    fail_at: Option<usize>,
-}
-
-impl<P: DataPlane> DataPlane for FailNthPut<P> {
-    fn nodes(&self) -> usize {
-        self.inner.nodes()
-    }
-    fn alive(&self, node: NodeId) -> bool {
-        self.inner.alive(node)
-    }
-    fn put_local(&mut self, node: NodeId, key: &str, bytes: Vec<u8>) -> Result<(), ClusterError> {
-        match self.fail_at {
-            Some(0) => {
-                self.fail_at = None;
-                Err(ClusterError::Transport { detail: format!("injected: put of {key} failed") })
-            }
-            Some(left) => {
-                self.fail_at = Some(left - 1);
-                self.inner.put_local(node, key, bytes)
-            }
-            None => self.inner.put_local(node, key, bytes),
-        }
-    }
-    fn get_local(&self, node: NodeId, key: &str) -> Option<Vec<u8>> {
-        self.inner.get_local(node, key)
-    }
-    fn delete_local(&mut self, node: NodeId, key: &str) {
-        self.inner.delete_local(node, key)
-    }
-    fn put_remote(&mut self, key: &str, bytes: Vec<u8>) {
-        self.inner.put_remote(key, bytes)
-    }
-    fn get_remote(&self, key: &str) -> Option<Vec<u8>> {
-        self.inner.get_remote(key)
-    }
-    fn local_keys(&self, node: NodeId) -> Vec<String> {
-        self.inner.local_keys(node)
     }
 }
 
@@ -228,7 +161,7 @@ fn delta_fail_point_sweep<P: DataPlane>(wrap: fn(Cluster) -> P, lose: fn(&mut P,
             for fail_at in 0.. {
                 let ctx = format!("k={k} m={m} dirty={dirty:?} fail_at={fail_at}");
                 let mut ecc = EcCheck::initialize(&spec, base_config(k, m)).expect("config valid");
-                let mut plane = FailNthPut { inner: wrap(Cluster::new(spec)), fail_at: None };
+                let mut plane = FailNthPut::new(wrap(Cluster::new(spec)));
                 ecc.save(&mut plane, &pre).expect("base save");
                 plane.fail_at = Some(fail_at);
                 if ecc.save_delta(&mut plane, &sets).is_ok() {
@@ -242,7 +175,8 @@ fn delta_fail_point_sweep<P: DataPlane>(wrap: fn(Cluster) -> P, lose: fn(&mut P,
                 verdicts.push(first);
             }
             // Up to m patched chunks are erasures under the old manifest;
-            // once node 0 holds the new one the delta has happened.
+            // once any node holds the new one (the commit descends, so
+            // the last put to fail is node 0's) the delta has happened.
             assert_eq!(verdicts[..=m], vec![Seen::Pre; m + 1], "k={k} dirty={dirty:?}");
             assert_eq!(verdicts.last(), Some(&Seen::Post), "k={k} dirty={dirty:?}");
         }
