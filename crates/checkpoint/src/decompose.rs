@@ -7,11 +7,16 @@
 //! serialized and broadcast; the gigabytes of tensor data flow into the
 //! erasure coder as contiguous memory, untouched.
 //!
-//! [`decompose`] performs the split; [`Decomposition::reassemble`]
-//! inverts it bit-exactly (including dictionary insertion order).
+//! [`decompose`] performs the split into an owned [`Decomposition`];
+//! [`Decomposition::reassemble`] inverts it bit-exactly (including
+//! dictionary insertion order). The engine's pair borrows on the way in
+//! and moves on the way out: [`decompose_views`] returns the header and
+//! tensor *views* into the caller's `state_dict`, [`reassemble_region`]
+//! turns a header and the region those tensors were laid into back into
+//! a `state_dict`, copying each tensor byte once.
 
 use crate::serialize::{read_value, write_value, write_varint, Cursor};
-use crate::{CheckpointError, DType, StateDict, Value};
+use crate::{CheckpointError, DType, StateDict, Tensor, Value};
 
 const SKEL_LEAF: u8 = 0x10;
 const SKEL_TENSOR: u8 = 0x11;
@@ -89,43 +94,147 @@ pub struct Decomposition {
 /// Splits a `state_dict` into non-tensor structure, tensor keys, and raw
 /// tensor data (DFS order, deterministic).
 pub fn decompose(sd: &StateDict) -> Decomposition {
-    let mut keys = Vec::new();
-    let mut data = Vec::new();
-    let skeleton = walk(&Value::Dict(sd.clone()), String::new(), &mut keys, &mut data);
-    Decomposition { skeleton, keys, data }
+    let mut split = Split::default();
+    let skeleton = split.dict(sd, "");
+    let data = split.views.iter().map(|view| view.to_vec()).collect();
+    Decomposition { skeleton, keys: split.keys, data }
 }
 
-fn walk(
-    value: &Value,
-    path: String,
-    keys: &mut Vec<TensorKey>,
-    data: &mut Vec<Vec<u8>>,
-) -> Skeleton {
-    match value {
-        Value::Tensor(t) => {
-            let idx = keys.len();
-            keys.push(TensorKey { path, dtype: t.dtype(), shape: t.shape().to_vec() });
-            data.push(t.bytes().to_vec());
-            Skeleton::TensorRef(idx)
+/// [`decompose`] without the copy: the serialized header
+/// (byte-identical to `decompose(sd).header_to_bytes()`) and every
+/// tensor's bytes in the same DFS order, borrowed from `sd` — what a save
+/// lays into its region straight from the caller's buffers.
+///
+/// # Examples
+///
+/// ```
+/// use ecc_checkpoint::{decompose_views, reassemble_region, DType, StateDict, Tensor, Value};
+///
+/// let mut sd = StateDict::new();
+/// sd.insert("w", Value::Tensor(Tensor::from_bytes(DType::U8, &[3], vec![7, 8, 9])?));
+/// let (header, views) = decompose_views(&sd);
+/// assert_eq!(views, [&[7u8, 8, 9][..]]);
+/// // A region is the views head to tail, zero-padded.
+/// assert_eq!(reassemble_region(&header, &[7, 8, 9, 0, 0])?, sd);
+/// # Ok::<(), ecc_checkpoint::CheckpointError>(())
+/// ```
+pub fn decompose_views(sd: &StateDict) -> (Vec<u8>, Vec<&[u8]>) {
+    let mut split = Split::default();
+    let skeleton = split.dict(sd, "");
+    let header = Decomposition { skeleton, keys: split.keys, data: Vec::new() }.header_to_bytes();
+    (header, split.views)
+}
+
+/// Inverse of [`decompose_views`]: rebuilds the `state_dict` whose
+/// tensors lie head to tail at the front of `region` (padding after them
+/// is ignored). The header's sizes are held to the region before
+/// anything is allocated; each tensor is then sliced out once and its
+/// buffer moved into place.
+///
+/// # Errors
+///
+/// Returns a [`CheckpointError`] on a malformed header, and
+/// [`CheckpointError::ExtentOutOfRange`] when the header names more
+/// tensor bytes than `region` holds.
+pub fn reassemble_region(header: &[u8], region: &[u8]) -> Result<StateDict, CheckpointError> {
+    let mut d = Decomposition::parse_header(header)?;
+    let total = d.keys.iter().try_fold(0usize, |sum, key| sum.checked_add(key.byte_len()));
+    if total.is_none_or(|total| total > region.len()) {
+        return Err(CheckpointError::ExtentOutOfRange {
+            detail: format!("the header's tensors do not fit its {}-byte region", region.len()),
+        });
+    }
+    let mut rest = region;
+    for key in &d.keys {
+        let (tensor, tail) = rest.split_at(key.byte_len());
+        d.data.push(tensor.to_vec());
+        rest = tail;
+    }
+    rebuild_dict(d.skeleton, &d.keys, &mut d.data)
+}
+
+/// One DFS walk over a borrowed `state_dict`: the tensor keys and a view
+/// of each tensor's bytes, in the order the skeleton refers to them.
+#[derive(Default)]
+struct Split<'a> {
+    keys: Vec<TensorKey>,
+    views: Vec<&'a [u8]>,
+}
+
+impl<'a> Split<'a> {
+    fn value(&mut self, value: &'a Value, path: String) -> Skeleton {
+        match value {
+            Value::Tensor(t) => {
+                self.keys.push(TensorKey { path, dtype: t.dtype(), shape: t.shape().to_vec() });
+                self.views.push(t.bytes());
+                Skeleton::TensorRef(self.keys.len() - 1)
+            }
+            Value::List(items) => Skeleton::List(
+                items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| self.value(v, format!("{path}[{i}]")))
+                    .collect(),
+            ),
+            Value::Dict(d) => self.dict(d, &path),
+            other => Skeleton::Leaf(other.clone()),
         }
-        Value::List(items) => Skeleton::List(
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| walk(v, format!("{path}[{i}]"), keys, data))
-                .collect(),
-        ),
-        Value::Dict(d) => Skeleton::Dict(
+    }
+
+    fn dict(&mut self, d: &'a StateDict, path: &str) -> Skeleton {
+        Skeleton::Dict(
             d.iter()
                 .map(|(k, v)| {
                     let child_path =
                         if path.is_empty() { k.to_string() } else { format!("{path}.{k}") };
-                    (k.to_string(), walk(v, child_path, keys, data))
+                    (k.to_string(), self.value(v, child_path))
                 })
                 .collect(),
-        ),
-        other => Skeleton::Leaf(other.clone()),
+        )
     }
+}
+
+/// Rebuilds the `state_dict` under `skeleton`, moving each tensor's
+/// buffer out of `data` into its [`Tensor`].
+fn rebuild_dict(
+    skeleton: Skeleton,
+    keys: &[TensorKey],
+    data: &mut [Vec<u8>],
+) -> Result<StateDict, CheckpointError> {
+    match rebuild(skeleton, keys, data)? {
+        Value::Dict(d) => Ok(d),
+        _ => Err(CheckpointError::Reassembly {
+            detail: "top-level skeleton is not a dict".to_string(),
+        }),
+    }
+}
+
+fn rebuild(
+    skel: Skeleton,
+    keys: &[TensorKey],
+    data: &mut [Vec<u8>],
+) -> Result<Value, CheckpointError> {
+    Ok(match skel {
+        Skeleton::Leaf(v) => v,
+        Skeleton::TensorRef(i) => {
+            let (key, buf) = keys.get(i).zip(data.get_mut(i)).ok_or_else(|| {
+                CheckpointError::Reassembly { detail: format!("tensor {i} has no key or no data") }
+            })?;
+            // A tensor referenced twice finds its buffer already moved,
+            // which `from_bytes` refuses as a length mismatch.
+            Value::Tensor(Tensor::from_bytes(key.dtype, &key.shape, std::mem::take(buf))?)
+        }
+        Skeleton::List(items) => Value::List(
+            items.into_iter().map(|s| rebuild(s, keys, data)).collect::<Result<_, _>>()?,
+        ),
+        Skeleton::Dict(entries) => {
+            let mut d = StateDict::new();
+            for (k, s) in entries {
+                d.insert(k, rebuild(s, keys, data)?);
+            }
+            Value::Dict(d)
+        }
+    })
 }
 
 impl Decomposition {
@@ -201,7 +310,9 @@ impl Decomposition {
     /// Parses a broadcast header into a decomposition whose tensor
     /// buffers are zero-filled placeholders of the right lengths — the
     /// state of a recovering node before decoded data arrives. Follow
-    /// with [`Decomposition::set_tensor_data`].
+    /// with [`Decomposition::set_tensor_data`]. It allocates what the
+    /// header names; a caller holding the region the tensors lie in
+    /// uses [`reassemble_region`], which holds the header to it first.
     ///
     /// # Errors
     ///
@@ -209,22 +320,6 @@ impl Decomposition {
     pub fn from_header(header: &[u8]) -> Result<Self, CheckpointError> {
         let mut d = Self::parse_header(header)?;
         d.data = d.keys.iter().map(|k| vec![0u8; k.byte_len()]).collect();
-        Ok(d)
-    }
-
-    /// Rebuilds a decomposition from a broadcast header and tensor data
-    /// buffers (the receive side of recovery).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] on malformed headers or data buffers
-    /// inconsistent with the keys.
-    pub fn from_header_and_data(
-        header: &[u8],
-        data: Vec<Vec<u8>>,
-    ) -> Result<Self, CheckpointError> {
-        let mut d = Self::parse_header(header)?;
-        d.set_tensor_data(data)?;
         Ok(d)
     }
 
@@ -242,6 +337,14 @@ impl Decomposition {
             let mut shape = Vec::with_capacity(rank.min(64));
             for _ in 0..rank {
                 shape.push(c.varint()? as usize);
+            }
+            // The shape is untrusted: hold it to what `byte_len` (and
+            // `Tensor::from_bytes`) will multiply, in the same order.
+            let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+            if numel.and_then(|n| n.checked_mul(dtype.size())).is_none() {
+                return Err(CheckpointError::BadTensor {
+                    detail: format!("{path}: shape {shape:?} of {dtype} overflows a byte count"),
+                });
             }
             keys.push(TensorKey { path, dtype, shape });
         }
@@ -261,37 +364,7 @@ impl Decomposition {
     /// Returns [`CheckpointError::Reassembly`] when a tensor buffer is
     /// missing or sized inconsistently with its key.
     pub fn reassemble(&self) -> Result<StateDict, CheckpointError> {
-        match self.rebuild(&self.skeleton)? {
-            Value::Dict(d) => Ok(d),
-            _ => Err(CheckpointError::Reassembly {
-                detail: "top-level skeleton is not a dict".to_string(),
-            }),
-        }
-    }
-
-    fn rebuild(&self, skel: &Skeleton) -> Result<Value, CheckpointError> {
-        Ok(match skel {
-            Skeleton::Leaf(v) => v.clone(),
-            Skeleton::TensorRef(i) => {
-                let key = self.keys.get(*i).ok_or_else(|| CheckpointError::Reassembly {
-                    detail: format!("tensor ref {i} out of range"),
-                })?;
-                let buf = self.data.get(*i).ok_or_else(|| CheckpointError::Reassembly {
-                    detail: format!("tensor data {i} missing"),
-                })?;
-                Value::Tensor(crate::Tensor::from_bytes(key.dtype, &key.shape, buf.clone())?)
-            }
-            Skeleton::List(items) => {
-                Value::List(items.iter().map(|s| self.rebuild(s)).collect::<Result<_, _>>()?)
-            }
-            Skeleton::Dict(entries) => {
-                let mut d = StateDict::new();
-                for (k, s) in entries {
-                    d.insert(k.clone(), self.rebuild(s)?);
-                }
-                Value::Dict(d)
-            }
-        })
+        rebuild_dict(self.skeleton.clone(), &self.keys, &mut self.data.clone())
     }
 }
 
@@ -422,9 +495,9 @@ mod tests {
     fn header_round_trips_with_data() {
         let sd = sample_dict();
         let d = decompose(&sd);
-        let header = d.header_to_bytes();
-        let rebuilt =
-            Decomposition::from_header_and_data(&header, d.tensor_data().to_vec()).unwrap();
+        let mut rebuilt = Decomposition::from_header(&d.header_to_bytes()).unwrap();
+        assert_eq!(rebuilt.tensor_bytes(), d.tensor_bytes(), "zero-filled placeholders");
+        rebuilt.set_tensor_data(d.tensor_data().to_vec()).unwrap();
         assert_eq!(rebuilt.reassemble().unwrap(), sd);
     }
 
@@ -469,12 +542,73 @@ mod tests {
         let d = decompose(&sd);
         let header = d.header_to_bytes();
         for cut in [0usize, 1, header.len() / 2, header.len() - 1] {
-            assert!(
-                Decomposition::from_header_and_data(&header[..cut], d.tensor_data().to_vec())
-                    .is_err(),
-                "cut at {cut} accepted"
-            );
+            assert!(Decomposition::from_header(&header[..cut]).is_err(), "cut at {cut} accepted");
         }
+    }
+
+    #[test]
+    fn views_carry_the_owned_header_and_round_trip_through_a_region() {
+        for sd in [sample_dict(), StateDict::new()] {
+            let owned = decompose(&sd);
+            let (header, views) = decompose_views(&sd);
+            assert_eq!(header, owned.header_to_bytes());
+            assert_eq!(views, owned.tensor_data().iter().map(Vec::as_slice).collect::<Vec<_>>());
+            let mut region = views.concat();
+            assert_eq!(reassemble_region(&header, &region).unwrap(), sd, "exact fit");
+            region.resize(region.len() + 64, 0);
+            assert_eq!(reassemble_region(&header, &region).unwrap(), sd, "padded");
+            if let Some(short) = owned.tensor_bytes().checked_sub(1) {
+                assert!(matches!(
+                    reassemble_region(&header, &region[..short]),
+                    Err(CheckpointError::ExtentOutOfRange { .. })
+                ));
+            }
+        }
+    }
+
+    /// The header of `{"w": tensor 0}` over one `U8` tensor key per
+    /// given shape.
+    fn forged_header(shapes: &[&[u64]]) -> Vec<u8> {
+        let mut out = vec![shapes.len() as u8];
+        for shape in shapes {
+            out.extend_from_slice(&[1, b'w', DType::U8.tag(), shape.len() as u8]);
+            for &d in *shape {
+                write_varint(d, &mut out);
+            }
+        }
+        out.extend_from_slice(&[SKEL_DICT, 1, 1, b'w', SKEL_TENSOR, 0]);
+        out
+    }
+
+    #[test]
+    fn untrusted_shapes_are_refused_before_anything_is_allocated() {
+        assert!(reassemble_region(&forged_header(&[&[4]]), &[1, 2, 3, 4]).is_ok());
+        // A product that wraps `usize` never becomes a key ...
+        for shape in [&[1 << 33, 1 << 33][..], &[u64::MAX, 2], &[1 << 62, 1 << 62, 0]] {
+            assert!(matches!(
+                Decomposition::from_header(&forged_header(&[shape])),
+                Err(CheckpointError::BadTensor { .. })
+            ));
+        }
+        // ... and one that fits but names a tebibyte is held to the
+        // region, as is a sum of tensors that wraps.
+        for shapes in [&[&[1 << 40][..]][..], &[&[u64::MAX], &[u64::MAX]]] {
+            assert!(matches!(
+                reassemble_region(&forged_header(shapes), &[0u8; 64]),
+                Err(CheckpointError::ExtentOutOfRange { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_tensor_referenced_twice_is_refused() {
+        let mut header = forged_header(&[&[4]]);
+        header.truncate(header.len() - 6);
+        header.extend_from_slice(&[SKEL_DICT, 2, 1, b'w', SKEL_TENSOR, 0, 1, b'v', SKEL_TENSOR, 0]);
+        assert!(matches!(
+            reassemble_region(&header, &[1, 2, 3, 4]),
+            Err(CheckpointError::BadTensor { .. })
+        ));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * [`Packer`] — the fixed-size packet lay-out that turns a worker's
 //!   variable-size tensors into the equal-size data packets the erasure
 //!   coder consumes: the tensors head to tail, zero-padded.
-//! * [`checksum_frame`] / [`verify_checksum`] — the CRC-32 frame stored
-//!   beside every blob, computed once on write and verified once on read.
+//! * [`crc32`] / [`crc32_combine`] — the checksum a manifest holds for
+//!   every chunk and header, at memory speed where the CPU has a
+//!   carry-less multiply; [`checksum_frame`] / [`verify_checksum`] — the
+//!   same CRC as the 4-byte frame closing a manifest or a wire message.
 //!
 //! # Examples
 //!
@@ -33,7 +35,9 @@
 //! # Ok::<(), ecc_checkpoint::CheckpointError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the PCLMULQDQ fold in `checksum::clmul` sits
+// behind one scoped `#[allow(unsafe_code)]`; everything else stays safe.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checksum;
@@ -43,8 +47,8 @@ mod packer;
 pub mod serialize;
 mod value;
 
-pub use checksum::{checksum_frame, crc32, crc32_combine, verify_checksum};
-pub use decompose::{decompose, Decomposition, TensorKey};
+pub use checksum::{checksum_frame, crc32, crc32_combine, crc_kernel, verify_checksum};
+pub use decompose::{decompose, decompose_views, reassemble_region, Decomposition, TensorKey};
 pub use error::CheckpointError;
 pub use packer::{Packer, TensorExtent};
 pub use value::{DType, StateDict, Tensor, Value};

@@ -10,9 +10,9 @@
 //! concatenated, zero-padded to a whole number of packets — so every
 //! node can derive it from the tensor keys alone, and the engine writes
 //! it straight into its data chunks. Packets carry no checksum of their
-//! own: integrity is the stored chunk's checksum frame (see
-//! [`crate::checksum_frame`]), computed once when the chunk is written
-//! and verified once when it is read. [`Packer::pack`] and
+//! own: integrity is the stored chunk's manifest entry (its
+//! [`crate::crc32`]), computed once when the chunk is written and
+//! verified once when it is read. [`Packer::pack`] and
 //! [`Packer::unpack`] materialise the same lay-out packet by packet for
 //! the benchmark ledger and as the test-side reference.
 

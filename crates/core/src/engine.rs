@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use ecc_checkpoint::{crc32, decompose, CheckpointError, Decomposition, StateDict, TensorKey};
+use ecc_checkpoint::{crc32, decompose_views, reassemble_region, CheckpointError, StateDict};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthConfig, HealthRegistry};
 use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_obs::{ObsHub, ObsHubConfig, ObsServer, SloSpec};
@@ -497,32 +497,33 @@ impl EcCheck {
         // memory) and broadcast the tiny headers to every node.
         let phase = self.recorder.timer("ecc.save.decompose_ns");
         let span = trace.as_ref().map(|t| t.tracer.span(t.engine, "save.decompose", ""));
-        let decomposed: Vec<Decomposition> = state_dicts.iter().map(decompose).collect();
-        let headers: Vec<Vec<u8>> = decomposed.iter().map(|d| d.header_to_bytes()).collect();
+        let (headers, tensors): (Vec<Vec<u8>>, Vec<Vec<&[u8]>>) =
+            state_dicts.iter().map(decompose_views).unzip();
         drop(span);
         drop(phase);
 
         // Step 3a: build the k data chunks. Chunk j holds the regions of
         // data group j's workers in relative-worker order — the layout
         // reduction groups operate on. A region is the worker's tensors
-        // head to tail, zero-padded to the common packet count.
+        // head to tail, zero-padded to the common packet count — laid
+        // straight from the caller's buffers, their one copy.
         let phase = self.recorder.timer("ecc.save.pack_ns");
         let span = trace
             .as_ref()
             .map(|t| t.tracer.span(t.engine, "checkpoint.pack", format!("{world} workers")));
-        let max_packets = decomposed
+        let max_packets = state_dicts
             .iter()
-            .map(|d| d.tensor_bytes().div_ceil(ps).max(1))
+            .map(|sd| sd.tensor_bytes().div_ceil(ps).max(1))
             .max()
             .expect("world size > 0");
         let region_len = max_packets * ps;
         let group_size = self.placement.group_size();
-        let data_chunks: Vec<Vec<u8>> = decomposed
+        let data_chunks: Vec<Vec<u8>> = tensors
             .chunks(group_size)
             .map(|group| {
                 let mut chunk = Vec::with_capacity(group_size * region_len);
-                for d in group {
-                    lay_region(&mut chunk, d, region_len);
+                for worker in group {
+                    lay_region(&mut chunk, worker, region_len);
                 }
                 chunk
             })
@@ -1265,24 +1266,25 @@ impl EcCheck {
         let region_len = self.region_len(cols[0].1.len())?;
         let mut by_col: BTreeMap<usize, Vec<DirtyRegion>> = BTreeMap::new();
         for d in &sorted {
-            let dec = decompose(d.state);
-            if dec.tensor_bytes() > region_len {
+            let tensor_bytes = d.state.tensor_bytes();
+            if tensor_bytes > region_len {
                 return Err(EcCheckError::Config {
                     detail: format!(
                         "worker {} now needs {} packets (> {}); run a full save",
                         d.worker,
-                        dec.tensor_bytes().div_ceil(self.config.packet_size()),
+                        tensor_bytes.div_ceil(self.config.packet_size()),
                         region_len / self.config.packet_size()
                     ),
                 });
             }
+            let (header, tensors) = decompose_views(d.state);
             let mut region = Vec::with_capacity(region_len);
-            lay_region(&mut region, &dec, region_len);
+            lay_region(&mut region, &tensors, region_len);
             by_col.entry(d.worker / group_size).or_default().push(DirtyRegion {
                 worker: d.worker,
                 base: (d.worker % group_size) * region_len,
                 region,
-                header: dec.header_to_bytes(),
+                header,
             });
         }
 
@@ -1358,10 +1360,10 @@ impl EcCheck {
         })
     }
 
-    /// Slices every worker's tensors back out of its region of its data
-    /// chunk and reassembles the `state_dict` through its header —
-    /// deriving the whole layout from the broadcast header alone,
-    /// exactly as a recovering replacement node must.
+    /// Rebuilds every worker's `state_dict` from its header and its
+    /// region of its data chunk — deriving the whole layout from the
+    /// broadcast header alone, exactly as a recovering replacement node
+    /// must, and holding it to the region before slicing.
     fn reassemble_all(
         &self,
         data_chunks: &[Vec<u8>],
@@ -1369,30 +1371,17 @@ impl EcCheck {
         region_len: usize,
     ) -> Result<Vec<StateDict>, EcCheckError> {
         let group_size = self.placement.group_size();
-        let mut dicts = Vec::with_capacity(self.spec.world_size());
-        for (w, header) in headers.iter().enumerate() {
+        let rebuilt = headers.iter().enumerate().map(|(w, header)| {
             let base = (w % group_size) * region_len;
-            let mut region = &data_chunks[w / group_size][base..base + region_len];
-            let mut d = Decomposition::from_header(header)?;
-            let total: usize = d.tensor_keys().iter().map(TensorKey::byte_len).sum();
-            if total > region_len {
-                return Err(CheckpointError::ExtentOutOfRange {
-                    detail: format!(
-                        "worker {w}'s header names {total} tensor bytes, its region holds {region_len}"
-                    ),
+            let region = &data_chunks[w / group_size][base..base + region_len];
+            reassemble_region(header, region).map_err(|e| match e {
+                CheckpointError::ExtentOutOfRange { detail } => {
+                    CheckpointError::ExtentOutOfRange { detail: format!("worker {w}: {detail}") }
                 }
-                .into());
-            }
-            let mut tensors = Vec::with_capacity(d.tensor_keys().len());
-            for key in d.tensor_keys() {
-                let (tensor, rest) = region.split_at(key.byte_len());
-                tensors.push(tensor.to_vec());
-                region = rest;
-            }
-            d.set_tensor_data(tensors)?;
-            dicts.push(d.reassemble()?);
-        }
-        Ok(dicts)
+                other => other,
+            })
+        });
+        Ok(rebuilt.collect::<Result<_, _>>()?)
     }
 
     /// Bytes in one worker's region of a `chunk_len`-byte chunk: the
@@ -1440,9 +1429,9 @@ fn trace_fetch(trace: &Option<TraceHandles>, node: usize, what: &str) {
 
 /// Appends one worker's region to `out`: its tensors head to tail,
 /// zero-padded to `region_len` bytes (which must hold them).
-fn lay_region(out: &mut Vec<u8>, worker: &Decomposition, region_len: usize) {
+fn lay_region(out: &mut Vec<u8>, tensors: &[&[u8]], region_len: usize) {
     let end = out.len() + region_len;
-    for tensor in worker.tensor_data() {
+    for tensor in tensors {
         out.extend_from_slice(tensor);
     }
     out.resize(end, 0);
@@ -1981,15 +1970,31 @@ mod tests {
         // Worker 0's header, validly entered, names a 1 MiB tensor.
         let mut big = StateDict::new();
         big.insert("w", Value::Tensor(Tensor::zeros(DType::U8, &[1 << 20])));
-        let header = decompose(&big).header_to_bytes();
-        for node in 0..4 {
-            cluster.put_local(node, &header_key(1, 0), header.clone()).unwrap();
+        let (header, _) = decompose_views(&big);
+        // The same header naming 2^40 bytes (nothing may be allocated
+        // for it), and one whose shape's product wraps `usize`: the
+        // shape [1 << 20] is the varint 80 80 40 after rank 1.
+        let at = header.windows(4).position(|w| w == [1, 0x80, 0x80, 0x40]).unwrap();
+        let with_shape = |shape: &[u8]| [&header[..at], shape, &header[at + 4..]].concat();
+        let tebibyte = with_shape(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+        let wide = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let wraps = with_shape(&[&[3u8][..], &wide, &wide, &wide].concat());
+        type Refusal = fn(&CheckpointError) -> bool;
+        let cases: [(Vec<u8>, Refusal); 3] = [
+            (header, |e| matches!(e, CheckpointError::ExtentOutOfRange { .. })),
+            (tebibyte, |e| matches!(e, CheckpointError::ExtentOutOfRange { .. })),
+            (wraps, |e| matches!(e, CheckpointError::BadTensor { .. })),
+        ];
+        for (header, refused) in cases {
+            for node in 0..4 {
+                cluster.put_local(node, &header_key(1, 0), header.clone()).unwrap();
+            }
+            forge_manifest(&mut cluster, 1, |m| m.headers[0] = crc32(&header));
+            match ecc.load(&mut cluster) {
+                Err(EcCheckError::Checkpoint(e)) if refused(&e) => {}
+                other => panic!("expected a structured refusal, got {other:?}"),
+            }
         }
-        forge_manifest(&mut cluster, 1, |m| m.headers[0] = crc32(&header));
-        assert!(matches!(
-            ecc.load(&mut cluster),
-            Err(EcCheckError::Checkpoint(CheckpointError::ExtentOutOfRange { .. }))
-        ));
         // Chunks, validly entered, that are no whole number of packets
         // per worker (192 bytes satisfies the code's own alignment).
         let runt = vec![0u8; 192];

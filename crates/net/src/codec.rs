@@ -5,7 +5,7 @@
 //! then the payload. The first payload byte is an op tag (requests) or
 //! a status tag (responses); blob-carrying messages end in a 4-byte
 //! CRC-32 trailer over the blob bytes — the same
-//! [`ecc_checkpoint::checksum_frame`] the checkpoint store persists —
+//! [`ecc_checkpoint::checksum_frame`] that closes a stored manifest —
 //! so in-flight corruption is caught at the codec, before a damaged
 //! blob can masquerade as stored state.
 //!
