@@ -20,10 +20,7 @@ use std::time::Duration;
 use ecc_cluster::{ClusterError, DataPlane, NodeId};
 use eccheck::Placement;
 
-use crate::codec::{
-    decode_response, encode_request, read_frame, write_frame, Request, Response, WireError,
-    MAX_FRAME,
-};
+use crate::codec::{read_response, write_request, Request, Response, WireError, MAX_FRAME};
 
 /// Client tunables.
 #[derive(Debug, Clone)]
@@ -199,11 +196,10 @@ impl RemotePlane {
     }
 
     fn rpc_once(&self, stream: &mut TcpStream, req: &Request) -> Result<Response, WireError> {
-        write_frame(stream, &encode_request(req))?;
+        write_request(stream, req)?;
         // No buffered reader here: a throwaway buffer could strand
         // read-ahead bytes between RPCs on the pooled connection.
-        let payload = read_frame(stream, self.cfg.max_frame)?;
-        decode_response(&payload)
+        read_response(stream, self.cfg.max_frame)
     }
 
     /// One RPC with at most one retry. A pooled connection may have

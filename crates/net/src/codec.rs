@@ -1,25 +1,38 @@
 //! The checkpoint wire protocol: length-prefixed frames carrying the
 //! [`DataPlane`](ecc_cluster::DataPlane) operations.
 //!
-//! Every message is one frame: a `u32` little-endian payload length,
-//! then the payload. The first payload byte is an op tag (requests) or
-//! a status tag (responses); blob-carrying messages end in a 4-byte
-//! CRC-32 trailer over the blob bytes — the same
-//! [`ecc_checkpoint::checksum_frame`] that closes a stored manifest —
-//! so in-flight corruption is caught at the codec, before a damaged
-//! blob can masquerade as stored state.
+//! A frame is a `u32` little-endian payload length, then the payload.
+//! The first payload byte is an op tag (requests) or a status tag
+//! (responses); blob-carrying messages end in a 4-byte CRC-32 trailer
+//! over the blob bytes — the same [`ecc_checkpoint::checksum_frame`]
+//! that closes a stored manifest — so in-flight corruption is caught at
+//! the codec, before a damaged blob can masquerade as stored state.
 //!
-//! Decoding is hardened against hostile input: a length prefix above
-//! the frame cap is rejected *before* any allocation, truncated frames
-//! and short payloads surface as [`WireError::Truncated`], unknown
-//! tags and malformed keys as their own structured errors, and no
-//! input byte sequence can panic the decoder (`tests/codec_prop.rs`
-//! drives it with garbage streams).
+//! The codec streams. [`write_request`] / [`write_response`] send
+//! `len ‖ head ‖ blob ‖ crc` in one vectored write straight from the
+//! blob's own buffer. [`read_request`] / [`read_response`] read the
+//! fixed fields, then the blob into a buffer sized from the frame
+//! length — the buffer the caller keeps — and check its trailer before
+//! anything is returned. [`encode_request`] / [`decode_request`] (and
+//! the response pair) are the same code over a `Vec` and a `&[u8]`, for
+//! a payload without its length prefix.
+//!
+//! Reading is hardened against hostile input: a length prefix above
+//! the cap is rejected before any allocation; every field is read
+//! under the byte budget the prefix announced, so a field that overruns
+//! its frame is [`WireError::Truncated`] and no buffer is sized from a
+//! field; a key's length is checked against [`MAX_KEY`] before its
+//! bytes are read; leftover bytes are rejected; unknown tags and
+//! malformed keys are their own structured errors; and no input byte
+//! sequence can panic the reader (`tests/codec_prop.rs` drives it with
+//! garbage streams). An unknown tag, a bad key or a bad trailer leaves
+//! the stream at the next frame's first byte, so a server can answer it
+//! and keep the connection.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
-use ecc_checkpoint::{checksum_frame, verify_checksum};
+use ecc_checkpoint::crc32;
 use ecc_cluster::ClusterError;
 
 /// Default cap on a single frame's payload, comfortably above the
@@ -253,374 +266,420 @@ const ERR_NO_SUCH_BLOB: u8 = 2;
 const ERR_OUT_OF_MEMORY: u8 = 3;
 const ERR_TRANSPORT: u8 = 4;
 
-/// Reads one frame: the length prefix, cap check, then the payload.
+/// Writes one request frame: the length prefix, the fixed fields, and
+/// for a blob request the blob — from the request's own buffer — and
+/// its CRC trailer, in one vectored write loop.
 ///
 /// # Errors
 ///
-/// [`WireError::Oversized`] for prefixes above `max_frame` (before any
-/// allocation), [`WireError::Truncated`] for a stream that ends
-/// mid-frame, [`WireError::Io`] for other transport failures.
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Vec<u8>, WireError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_frame {
-        return Err(WireError::Oversized { len: len as u64, max: max_frame });
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+/// Transport failures as [`WireError::Io`]; a payload past `u32::MAX`
+/// bytes as [`WireError::Oversized`].
+pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
+    request_parts(req).write_frame(w)
 }
 
-/// Writes one frame: length prefix then payload.
+/// Writes one response frame, like [`write_request`].
 ///
 /// # Errors
 ///
-/// Transport failures as [`WireError::Io`].
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| WireError::Oversized { len: payload.len() as u64, max: u32::MAX as usize })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+/// As [`write_request`].
+pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
+    response_parts(resp).write_frame(w)
 }
 
-/// A bounds-checked payload reader; every accessor fails with
-/// [`WireError::Truncated`] instead of slicing out of range.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    /// A length-prefixed UTF-8 key, capped at [`MAX_KEY`].
-    fn key(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        if len > MAX_KEY {
-            return Err(WireError::BadKey);
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadKey)
-    }
-
-    /// All remaining bytes as a CRC-framed blob: the last 4 bytes are
-    /// the [`checksum_frame`] of everything before them.
-    fn crc_blob(&mut self) -> Result<Vec<u8>, WireError> {
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let (blob, crc) = rest.split_at(rest.len() - 4);
-        if !verify_checksum(blob, crc) {
-            return Err(WireError::CrcMismatch);
-        }
-        self.pos = self.buf.len();
-        Ok(blob.to_vec())
-    }
-
-    /// The payload must be fully consumed; trailing garbage means the
-    /// frame does not say what its op tag claims.
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Truncated)
-        }
-    }
-}
-
-fn push_key(out: &mut Vec<u8>, key: &str) {
-    debug_assert!(key.len() <= MAX_KEY, "callers build keys, not attackers");
-    let len = key.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&key.as_bytes()[..len as usize]);
-}
-
-fn push_crc_blob(out: &mut Vec<u8>, blob: &[u8]) {
-    out.extend_from_slice(blob);
-    out.extend_from_slice(&checksum_frame(blob));
-}
-
-/// Encodes a request payload (no length prefix; pair with
-/// [`write_frame`]).
+/// Encodes a request payload: what [`write_request`] sends after the
+/// length prefix, in a `Vec` sized to it.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    match req {
-        Request::PutLocal { node, key, blob } => {
-            out.push(OP_PUT_LOCAL);
-            out.extend_from_slice(&node.to_le_bytes());
-            push_key(&mut out, key);
-            push_crc_blob(&mut out, blob);
-        }
-        Request::GetLocal { node, key } => {
-            out.push(OP_GET_LOCAL);
-            out.extend_from_slice(&node.to_le_bytes());
-            push_key(&mut out, key);
-        }
-        Request::DeleteLocal { node, key } => {
-            out.push(OP_DELETE_LOCAL);
-            out.extend_from_slice(&node.to_le_bytes());
-            push_key(&mut out, key);
-        }
-        Request::PutRemote { key, blob } => {
-            out.push(OP_PUT_REMOTE);
-            push_key(&mut out, key);
-            push_crc_blob(&mut out, blob);
-        }
-        Request::GetRemote { key } => {
-            out.push(OP_GET_REMOTE);
-            push_key(&mut out, key);
-        }
-        Request::Alive { node } => {
-            out.push(OP_ALIVE);
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Request::Nodes => out.push(OP_NODES),
-        Request::ListKeys { node } => {
-            out.push(OP_LIST_KEYS);
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Request::FailNode { node } => {
-            out.push(OP_FAIL_NODE);
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Request::ReplaceNode { node } => {
-            out.push(OP_REPLACE_NODE);
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Request::Join { node } => {
-            out.push(OP_JOIN);
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Request::Leave { node } => {
-            out.push(OP_LEAVE);
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Request::GetPlacement => out.push(OP_GET_PLACEMENT),
-        Request::Ping => out.push(OP_PING),
-    }
-    out
+    request_parts(req).payload()
 }
 
-/// Decodes a request payload.
+/// Encodes a response payload: what [`write_response`] sends after the
+/// length prefix, in a `Vec` sized to it.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    response_parts(resp).payload()
+}
+
+/// Reads one request frame. A blob lands in a buffer sized from the
+/// frame length and is checked against its trailer before it is
+/// returned.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] for a prefix above `max_frame` (before any
+/// allocation), [`WireError::Truncated`] for a stream that ends
+/// mid-frame or a field that overruns its frame, [`WireError::Io`] for
+/// other transport failures, and the other structured [`WireError`]s
+/// for malformed fields; never panics.
+pub fn read_request(r: &mut impl Read, max_frame: usize) -> Result<Request, WireError> {
+    read_message(r, max_frame, parse_request)?
+}
+
+/// Reads one response frame, like [`read_request`].
+///
+/// # Errors
+///
+/// As [`read_request`].
+pub fn read_response(r: &mut impl Read, max_frame: usize) -> Result<Response, WireError> {
+    read_message(r, max_frame, parse_response)?
+}
+
+/// Decodes a request payload (no length prefix).
 ///
 /// # Errors
 ///
 /// Structured [`WireError`]s for every malformed input; never panics.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor::new(payload);
-    let op = c.u8()?;
-    let req = match op {
-        OP_PUT_LOCAL => {
-            let node = c.u32()?;
-            let key = c.key()?;
-            let blob = c.crc_blob()?;
-            Request::PutLocal { node, key, blob }
-        }
-        OP_GET_LOCAL => Request::GetLocal { node: c.u32()?, key: c.key()? },
-        OP_DELETE_LOCAL => Request::DeleteLocal { node: c.u32()?, key: c.key()? },
-        OP_PUT_REMOTE => {
-            let key = c.key()?;
-            let blob = c.crc_blob()?;
-            Request::PutRemote { key, blob }
-        }
-        OP_GET_REMOTE => Request::GetRemote { key: c.key()? },
-        OP_ALIVE => Request::Alive { node: c.u32()? },
-        OP_NODES => Request::Nodes,
-        OP_LIST_KEYS => Request::ListKeys { node: c.u32()? },
-        OP_FAIL_NODE => Request::FailNode { node: c.u32()? },
-        OP_REPLACE_NODE => Request::ReplaceNode { node: c.u32()? },
-        OP_JOIN => Request::Join { node: c.u32()? },
-        OP_LEAVE => Request::Leave { node: c.u32()? },
-        OP_GET_PLACEMENT => Request::GetPlacement,
-        OP_PING => Request::Ping,
-        other => return Err(WireError::UnknownOp(other)),
-    };
-    c.finish()?;
-    Ok(req)
+    read_payload(&mut &payload[..], payload.len(), parse_request)?
 }
 
-/// Encodes a response payload (no length prefix; pair with
-/// [`write_frame`]).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    match resp {
-        Response::Ok => out.push(ST_OK),
-        Response::Blob(blob) => {
-            out.push(ST_BLOB);
-            push_crc_blob(&mut out, blob);
-        }
-        Response::NotFound => out.push(ST_NOT_FOUND),
-        Response::Bool(b) => {
-            out.push(ST_BOOL);
-            out.push(u8::from(*b));
-        }
-        Response::Count(n) => {
-            out.push(ST_COUNT);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Response::Keys(keys) => {
-            out.push(ST_KEYS);
-            out.extend_from_slice(&(keys.len().min(u32::MAX as usize) as u32).to_le_bytes());
-            for key in keys {
-                push_key(&mut out, key);
-            }
-        }
-        Response::Placement { epoch, data_nodes, parity_nodes, group_size } => {
-            out.push(ST_PLACEMENT);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&group_size.to_le_bytes());
-            push_nodes(&mut out, data_nodes);
-            push_nodes(&mut out, parity_nodes);
-        }
-        Response::Err(e) => {
-            out.push(ST_ERR);
-            encode_cluster_error(&mut out, e);
-        }
-    }
-    out
-}
-
-fn push_nodes(out: &mut Vec<u8>, nodes: &[u32]) {
-    out.extend_from_slice(&(nodes.len().min(u32::MAX as usize) as u32).to_le_bytes());
-    for node in nodes {
-        out.extend_from_slice(&node.to_le_bytes());
-    }
-}
-
-fn encode_cluster_error(out: &mut Vec<u8>, e: &ClusterError) {
-    match e {
-        ClusterError::NodeDown { node } => {
-            out.push(ERR_NODE_DOWN);
-            out.extend_from_slice(&(*node as u32).to_le_bytes());
-        }
-        ClusterError::NoSuchNode { node } => {
-            out.push(ERR_NO_SUCH_NODE);
-            out.extend_from_slice(&(*node as u32).to_le_bytes());
-        }
-        ClusterError::NoSuchBlob { key } => {
-            out.push(ERR_NO_SUCH_BLOB);
-            push_key(out, key);
-        }
-        ClusterError::OutOfMemory { node, requested, available } => {
-            out.push(ERR_OUT_OF_MEMORY);
-            out.extend_from_slice(&(*node as u32).to_le_bytes());
-            out.extend_from_slice(&requested.to_le_bytes());
-            out.extend_from_slice(&available.to_le_bytes());
-        }
-        ClusterError::Transport { detail } => {
-            out.push(ERR_TRANSPORT);
-            push_key(out, &detail.chars().take(512).collect::<String>());
-        }
-        // `ClusterError` is non_exhaustive: degrade unknown future
-        // variants to a transport error carrying their Display text.
-        other => {
-            out.push(ERR_TRANSPORT);
-            push_key(out, &other.to_string().chars().take(512).collect::<String>());
-        }
-    }
-}
-
-fn decode_cluster_error(c: &mut Cursor<'_>) -> Result<ClusterError, WireError> {
-    let tag = c.u8()?;
-    Ok(match tag {
-        ERR_NODE_DOWN => ClusterError::NodeDown { node: c.u32()? as usize },
-        ERR_NO_SUCH_NODE => ClusterError::NoSuchNode { node: c.u32()? as usize },
-        ERR_NO_SUCH_BLOB => ClusterError::NoSuchBlob { key: c.key()? },
-        ERR_OUT_OF_MEMORY => ClusterError::OutOfMemory {
-            node: c.u32()? as usize,
-            requested: c.u64()?,
-            available: c.u64()?,
-        },
-        ERR_TRANSPORT => ClusterError::Transport { detail: c.key()? },
-        other => return Err(WireError::UnknownStatus(other)),
-    })
-}
-
-/// A length-prefixed `u32` slot list. Like `Keys`, a hostile count
-/// cannot force an allocation beyond what the cap-checked payload can
-/// actually hold.
-fn take_nodes(c: &mut Cursor<'_>, payload_len: usize) -> Result<Vec<u32>, WireError> {
-    let count = c.u32()? as usize;
-    let mut nodes = Vec::with_capacity(count.min(payload_len / 4 + 1));
-    for _ in 0..count {
-        nodes.push(c.u32()?);
-    }
-    Ok(nodes)
-}
-
-/// Decodes a response payload.
+/// Decodes a response payload (no length prefix).
 ///
 /// # Errors
 ///
 /// Structured [`WireError`]s for every malformed input; never panics.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut c = Cursor::new(payload);
-    let status = c.u8()?;
-    let resp = match status {
-        ST_OK => Response::Ok,
-        ST_BLOB => Response::Blob(c.crc_blob()?),
-        ST_NOT_FOUND => Response::NotFound,
-        ST_BOOL => Response::Bool(c.u8()? != 0),
-        ST_COUNT => Response::Count(c.u32()?),
-        ST_KEYS => {
-            let count = c.u32()? as usize;
-            // A hostile count cannot force an allocation beyond what
-            // the (already cap-checked) payload can actually hold.
-            let mut keys = Vec::with_capacity(count.min(payload.len() / 2 + 1));
-            for _ in 0..count {
-                keys.push(c.key()?);
+    read_payload(&mut &payload[..], payload.len(), parse_response)?
+}
+
+/// Reads one frame and parses its payload with `parse`. The outer error
+/// is the stream failing, after which nothing can be answered on it;
+/// the inner one is a frame that arrived malformed. Every inner error
+/// but [`WireError::Truncated`] and [`WireError::Oversized`] has
+/// consumed exactly its frame, so the stream is at the next frame.
+pub(crate) fn read_message<R: Read, T>(
+    r: &mut R,
+    max_frame: usize,
+    parse: impl FnOnce(&mut Fields<'_, R>) -> Result<T, WireError>,
+) -> io::Result<Result<T, WireError>> {
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > max_frame {
+        return Ok(Err(WireError::Oversized { len: len as u64, max: max_frame }));
+    }
+    read_payload(r, len, parse)
+}
+
+fn read_payload<R: Read, T>(
+    r: &mut R,
+    len: usize,
+    parse: impl FnOnce(&mut Fields<'_, R>) -> Result<T, WireError>,
+) -> io::Result<Result<T, WireError>> {
+    let mut fields = Fields { r, left: len, failed: None };
+    let parsed = parse(&mut fields);
+    if let Some(e) = fields.failed {
+        return Err(e);
+    }
+    match parsed {
+        // Leftover bytes: the frame does not say what its tag claims.
+        Ok(_) if fields.left > 0 => Ok(Err(WireError::Truncated)),
+        Err(e) if e != WireError::Truncated => {
+            // An op-level error: skip to the next frame to stay in sync.
+            let left = fields.left as u64;
+            if io::copy(&mut fields.r.take(left), &mut io::sink())? < left {
+                return Err(io::ErrorKind::UnexpectedEof.into());
             }
-            Response::Keys(keys)
+            Ok(Err(e))
         }
-        ST_PLACEMENT => {
-            let epoch = c.u64()?;
-            let group_size = c.u32()?;
-            let data_nodes = take_nodes(&mut c, payload.len())?;
-            let parity_nodes = take_nodes(&mut c, payload.len())?;
-            Response::Placement { epoch, data_nodes, parity_nodes, group_size }
+        parsed => Ok(parsed),
+    }
+}
+
+/// The fields of one payload, read from a stream under the byte budget
+/// its length prefix announced.
+pub(crate) struct Fields<'r, R> {
+    r: &'r mut R,
+    left: usize,
+    /// The stream itself failed; `read_payload` reports this instead of
+    /// the error the parse returned.
+    failed: Option<io::Error>,
+}
+
+impl<R: Read> Fields<'_, R> {
+    /// Takes `n` bytes of the budget, or fails before any is read.
+    fn claim(&mut self, n: usize) -> Result<(), WireError> {
+        self.left = self.left.checked_sub(n).ok_or(WireError::Truncated)?;
+        Ok(())
+    }
+
+    fn fail(&mut self, e: io::Error) -> WireError {
+        self.failed = Some(e);
+        WireError::Truncated
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.claim(N)?;
+        let mut out = [0u8; N];
+        self.r.read_exact(&mut out).map_err(|e| self.fail(e))?;
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// `n` bytes into a buffer of exactly `n`, the one the caller keeps.
+    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, WireError> {
+        self.claim(n)?;
+        let mut out = Vec::with_capacity(n);
+        let read = Read::take(&mut *self.r, n as u64).read_to_end(&mut out);
+        match read {
+            Ok(got) if got == n => Ok(out),
+            Ok(_) => Err(self.fail(io::ErrorKind::UnexpectedEof.into())),
+            Err(e) => Err(self.fail(e)),
         }
-        ST_ERR => Response::Err(decode_cluster_error(&mut c)?),
+    }
+
+    /// A length-prefixed UTF-8 key; the length is checked against
+    /// [`MAX_KEY`] before any key byte is read.
+    fn key(&mut self) -> Result<String, WireError> {
+        let len = usize::from(self.u16()?);
+        if len > MAX_KEY {
+            return Err(WireError::BadKey);
+        }
+        String::from_utf8(self.bytes(len)?).map_err(|_| WireError::BadKey)
+    }
+
+    /// The rest of the frame as a blob and its CRC trailer, checked
+    /// before the blob is returned.
+    fn crc_blob(&mut self) -> Result<Vec<u8>, WireError> {
+        let len = self.left.checked_sub(4).ok_or(WireError::Truncated)?;
+        let blob = self.bytes(len)?;
+        if crc32(&blob) != u32::from_le_bytes(self.array()?) {
+            return Err(WireError::CrcMismatch);
+        }
+        Ok(blob)
+    }
+
+    /// A `u32` count, then that many items. A hostile count cannot
+    /// reserve more memory than the frame has bytes left.
+    fn list<T>(
+        &mut self,
+        item: fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let count = self.u32()? as usize;
+        let mut items = Vec::with_capacity(count.min(self.left / size_of::<T>().max(1)));
+        for _ in 0..count {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn cluster_error(&mut self) -> Result<ClusterError, WireError> {
+        Ok(match self.u8()? {
+            ERR_NODE_DOWN => ClusterError::NodeDown { node: self.u32()? as usize },
+            ERR_NO_SUCH_NODE => ClusterError::NoSuchNode { node: self.u32()? as usize },
+            ERR_NO_SUCH_BLOB => ClusterError::NoSuchBlob { key: self.key()? },
+            ERR_OUT_OF_MEMORY => ClusterError::OutOfMemory {
+                node: self.u32()? as usize,
+                requested: self.u64()?,
+                available: self.u64()?,
+            },
+            ERR_TRANSPORT => ClusterError::Transport { detail: self.key()? },
+            other => return Err(WireError::UnknownStatus(other)),
+        })
+    }
+}
+
+pub(crate) fn parse_request<R: Read>(f: &mut Fields<'_, R>) -> Result<Request, WireError> {
+    Ok(match f.u8()? {
+        OP_PUT_LOCAL => Request::PutLocal { node: f.u32()?, key: f.key()?, blob: f.crc_blob()? },
+        OP_GET_LOCAL => Request::GetLocal { node: f.u32()?, key: f.key()? },
+        OP_DELETE_LOCAL => Request::DeleteLocal { node: f.u32()?, key: f.key()? },
+        OP_PUT_REMOTE => Request::PutRemote { key: f.key()?, blob: f.crc_blob()? },
+        OP_GET_REMOTE => Request::GetRemote { key: f.key()? },
+        OP_ALIVE => Request::Alive { node: f.u32()? },
+        OP_NODES => Request::Nodes,
+        OP_LIST_KEYS => Request::ListKeys { node: f.u32()? },
+        OP_FAIL_NODE => Request::FailNode { node: f.u32()? },
+        OP_REPLACE_NODE => Request::ReplaceNode { node: f.u32()? },
+        OP_JOIN => Request::Join { node: f.u32()? },
+        OP_LEAVE => Request::Leave { node: f.u32()? },
+        OP_GET_PLACEMENT => Request::GetPlacement,
+        OP_PING => Request::Ping,
+        other => return Err(WireError::UnknownOp(other)),
+    })
+}
+
+fn parse_response<R: Read>(f: &mut Fields<'_, R>) -> Result<Response, WireError> {
+    Ok(match f.u8()? {
+        ST_OK => Response::Ok,
+        ST_BLOB => Response::Blob(f.crc_blob()?),
+        ST_NOT_FOUND => Response::NotFound,
+        ST_BOOL => Response::Bool(f.u8()? != 0),
+        ST_COUNT => Response::Count(f.u32()?),
+        ST_KEYS => Response::Keys(f.list(Fields::key)?),
+        ST_PLACEMENT => Response::Placement {
+            epoch: f.u64()?,
+            group_size: f.u32()?,
+            data_nodes: f.list(Fields::u32)?,
+            parity_nodes: f.list(Fields::u32)?,
+        },
+        ST_ERR => Response::Err(f.cluster_error()?),
         other => return Err(WireError::UnknownStatus(other)),
-    };
-    c.finish()?;
-    Ok(resp)
+    })
+}
+
+/// One message laid out for the wire: its fixed fields, and for a blob
+/// message the blob — borrowed, never copied — and its CRC trailer.
+struct Parts<'a> {
+    head: Vec<u8>,
+    blob: &'a [u8],
+    crc: Option<[u8; 4]>,
+}
+
+impl<'a> Parts<'a> {
+    fn new(tag: u8) -> Self {
+        // Room for a tag, a node and an engine key without regrowing.
+        let mut head = Vec::with_capacity(64);
+        head.push(tag);
+        Self { head, blob: &[], crc: None }
+    }
+
+    fn u8(mut self, v: u8) -> Self {
+        self.head.push(v);
+        self
+    }
+
+    fn u32(mut self, v: u32) -> Self {
+        self.head.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    fn u64(mut self, v: u64) -> Self {
+        self.head.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    fn key(mut self, key: &str) -> Self {
+        debug_assert!(key.len() <= MAX_KEY, "callers build keys, not attackers");
+        let len = key.len().min(u16::MAX as usize);
+        self.head.extend_from_slice(&(len as u16).to_le_bytes());
+        self.head.extend_from_slice(&key.as_bytes()[..len]);
+        self
+    }
+
+    fn list<T>(self, items: &[T], item: fn(Self, &T) -> Self) -> Self {
+        let count = items.len().min(u32::MAX as usize) as u32;
+        items.iter().fold(self.u32(count), item)
+    }
+
+    /// Ends the message with `blob` and its trailer.
+    fn blob(mut self, blob: &'a [u8]) -> Self {
+        self.blob = blob;
+        self.crc = Some(crc32(blob).to_le_bytes());
+        self
+    }
+
+    fn cluster_error(self, e: &ClusterError) -> Self {
+        match e {
+            ClusterError::NodeDown { node } => self.u8(ERR_NODE_DOWN).u32(*node as u32),
+            ClusterError::NoSuchNode { node } => self.u8(ERR_NO_SUCH_NODE).u32(*node as u32),
+            ClusterError::NoSuchBlob { key } => self.u8(ERR_NO_SUCH_BLOB).key(key),
+            ClusterError::OutOfMemory { node, requested, available } => {
+                self.u8(ERR_OUT_OF_MEMORY).u32(*node as u32).u64(*requested).u64(*available)
+            }
+            ClusterError::Transport { detail } => {
+                self.u8(ERR_TRANSPORT).key(&detail.chars().take(512).collect::<String>())
+            }
+            // `ClusterError` is non_exhaustive: degrade unknown future
+            // variants to a transport error carrying their Display text.
+            other => {
+                self.u8(ERR_TRANSPORT).key(&other.to_string().chars().take(512).collect::<String>())
+            }
+        }
+    }
+
+    fn slices(&self) -> [IoSlice<'_>; 3] {
+        let crc = self.crc.as_ref().map_or(&[][..], |crc| &crc[..]);
+        [IoSlice::new(&self.head), IoSlice::new(self.blob), IoSlice::new(crc)]
+    }
+
+    fn len(&self) -> usize {
+        self.slices().iter().map(|slice| slice.len()).sum()
+    }
+
+    fn payload(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        for slice in self.slices() {
+            out.extend_from_slice(&slice);
+        }
+        out
+    }
+
+    /// The length prefix and the payload in one vectored write loop: a
+    /// small frame is one `writev`, and a blob leaves from its own buffer.
+    fn write_frame(&self, w: &mut impl Write) -> Result<(), WireError> {
+        let len = self.len();
+        let prefix = u32::try_from(len)
+            .map_err(|_| WireError::Oversized { len: len as u64, max: u32::MAX as usize })?
+            .to_le_bytes();
+        let [head, blob, crc] = self.slices();
+        let mut slices = [IoSlice::new(&prefix), head, blob, crc];
+        let mut unsent = &mut slices[..];
+        while !unsent.is_empty() {
+            match w.write_vectored(unsent) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        w.flush()?;
+        Ok(())
+    }
+}
+
+fn request_parts(req: &Request) -> Parts<'_> {
+    match req {
+        Request::PutLocal { node, key, blob } => {
+            Parts::new(OP_PUT_LOCAL).u32(*node).key(key).blob(blob)
+        }
+        Request::GetLocal { node, key } => Parts::new(OP_GET_LOCAL).u32(*node).key(key),
+        Request::DeleteLocal { node, key } => Parts::new(OP_DELETE_LOCAL).u32(*node).key(key),
+        Request::PutRemote { key, blob } => Parts::new(OP_PUT_REMOTE).key(key).blob(blob),
+        Request::GetRemote { key } => Parts::new(OP_GET_REMOTE).key(key),
+        Request::Alive { node } => Parts::new(OP_ALIVE).u32(*node),
+        Request::Nodes => Parts::new(OP_NODES),
+        Request::ListKeys { node } => Parts::new(OP_LIST_KEYS).u32(*node),
+        Request::FailNode { node } => Parts::new(OP_FAIL_NODE).u32(*node),
+        Request::ReplaceNode { node } => Parts::new(OP_REPLACE_NODE).u32(*node),
+        Request::Join { node } => Parts::new(OP_JOIN).u32(*node),
+        Request::Leave { node } => Parts::new(OP_LEAVE).u32(*node),
+        Request::GetPlacement => Parts::new(OP_GET_PLACEMENT),
+        Request::Ping => Parts::new(OP_PING),
+    }
+}
+
+fn response_parts(resp: &Response) -> Parts<'_> {
+    match resp {
+        Response::Ok => Parts::new(ST_OK),
+        Response::Blob(blob) => Parts::new(ST_BLOB).blob(blob),
+        Response::NotFound => Parts::new(ST_NOT_FOUND),
+        Response::Bool(b) => Parts::new(ST_BOOL).u8(u8::from(*b)),
+        Response::Count(n) => Parts::new(ST_COUNT).u32(*n),
+        Response::Keys(keys) => Parts::new(ST_KEYS).list(keys, |p, key| p.key(key)),
+        Response::Placement { epoch, data_nodes, parity_nodes, group_size } => {
+            Parts::new(ST_PLACEMENT)
+                .u64(*epoch)
+                .u32(*group_size)
+                .list(data_nodes, |p, node| p.u32(*node))
+                .list(parity_nodes, |p, node| p.u32(*node))
+        }
+        Response::Err(e) => Parts::new(ST_ERR).cluster_error(e),
+    }
 }
 
 #[cfg(test)]
@@ -693,11 +752,14 @@ mod tests {
     }
 
     #[test]
-    fn frame_io_round_trips() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), b"hello");
+    fn frames_round_trip_and_are_prefixed_payloads() {
+        let req = Request::PutLocal { node: 1, key: "k".into(), blob: b"hello".to_vec() };
+        let mut frame = Vec::new();
+        write_request(&mut frame, &req).unwrap();
+        let payload = encode_request(&req);
+        assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(frame[4..], payload[..]);
+        assert_eq!(read_request(&mut &frame[..], MAX_FRAME).unwrap(), req);
     }
 
     #[test]
@@ -705,19 +767,16 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut r = &buf[..];
-        assert!(matches!(read_frame(&mut r, 1024), Err(WireError::Oversized { .. })));
+        assert!(matches!(read_request(&mut r, 1024), Err(WireError::Oversized { .. })));
     }
 
     #[test]
     fn truncated_frames_are_truncated_errors() {
         let mut full = Vec::new();
-        write_frame(&mut full, &encode_request(&Request::Ping)).unwrap();
+        write_request(&mut full, &Request::GetLocal { node: 1, key: "key".into() }).unwrap();
         for cut in 0..full.len() {
             let mut r = &full[..cut];
-            assert!(
-                matches!(read_frame(&mut r, MAX_FRAME), Err(WireError::Truncated)),
-                "cut at {cut}"
-            );
+            assert_eq!(read_request(&mut r, MAX_FRAME), Err(WireError::Truncated), "cut at {cut}");
         }
     }
 
@@ -761,5 +820,22 @@ mod tests {
         payload.extend_from_slice(&(MAX_KEY as u16 + 1).to_le_bytes());
         payload.extend(std::iter::repeat_n(b'x', MAX_KEY + 1));
         assert_eq!(decode_request(&payload), Err(WireError::BadKey));
+    }
+
+    /// An op-level error leaves the stream at the next frame; a framing
+    /// error does not promise to.
+    #[test]
+    fn op_level_errors_consume_exactly_their_frame() {
+        let mut stream = Vec::new();
+        for payload in [vec![0x55; 9], vec![OP_GET_REMOTE, 0xFF, 0xFF, b'x']] {
+            stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            stream.extend_from_slice(&payload);
+        }
+        write_request(&mut stream, &Request::Ping).unwrap();
+        let mut r = &stream[..];
+        assert_eq!(read_request(&mut r, MAX_FRAME), Err(WireError::UnknownOp(0x55)));
+        assert_eq!(read_request(&mut r, MAX_FRAME), Err(WireError::BadKey));
+        assert_eq!(read_request(&mut r, MAX_FRAME), Ok(Request::Ping));
+        assert!(r.is_empty());
     }
 }

@@ -12,10 +12,13 @@
 //!
 //! The wire protocol ([`codec`]) is a length-prefixed binary framing
 //! with per-blob CRC trailers (reusing `ecc_checkpoint`'s checksum
-//! frames), hardened against hostile input: oversized length prefixes
-//! are rejected before allocation, truncated or trailing-garbage
-//! frames and unknown tags decode to structured [`WireError`]s, and
-//! nothing in the decode path panics.
+//! frames). The codec streams: a blob is written from its own buffer
+//! and read into the one its receiver keeps, with no frame-sized copy
+//! in between. It is hardened against hostile input: oversized length
+//! prefixes are rejected before allocation, every field is read under
+//! the frame's byte budget, truncated or trailing-garbage frames and
+//! unknown tags read as structured [`WireError`]s, and nothing in the
+//! read path panics.
 //!
 //! The protocol also carries the elastic-membership control plane:
 //! `Join`, `Leave`, and `GetPlacement` ops let processes enter and

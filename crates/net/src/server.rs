@@ -18,7 +18,7 @@
 //! possible. Shutdown drops the queue's sender and pokes the listener,
 //! unblocking both ends.
 
-use std::io::BufWriter;
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,8 +29,7 @@ use std::time::Duration;
 use ecc_cluster::{Cluster, DataPlane, NodeId};
 
 use crate::codec::{
-    decode_request, encode_response, read_frame, write_frame, Request, Response, WireError,
-    MAX_FRAME,
+    parse_request, read_message, write_response, Request, Response, WireError, MAX_FRAME,
 };
 
 /// The placement view the membership wire ops carry: a mirror of
@@ -293,41 +292,46 @@ fn serve_connection<P: ServePlane>(
 ) -> Result<(), WireError> {
     stream.set_read_timeout(Some(cfg.socket_timeout))?;
     stream.set_write_timeout(Some(cfg.socket_timeout))?;
-    // A response leaves as a small length prefix followed by the
-    // payload; under Nagle the payload's tail segment waits out the
-    // client's delayed ACK (~40 ms per read). The client sets this too.
+    // Under Nagle a response's last segment waits out the client's
+    // delayed ACK (~40 ms per read). The client sets this too.
     stream.set_nodelay(true)?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = BufWriter::new(stream);
+    // The server owns this stream for its whole life, so read-ahead is
+    // never stranded: a small frame costs one `read`, and a blob past
+    // the buffer's size is read straight into its own buffer.
+    let mut reader = BufReader::with_capacity(64 << 10, &stream);
+    let mut writer = &stream;
     loop {
         if wedged.load(Ordering::SeqCst) {
             return Ok(()); // drop the connection without a response
         }
-        let payload = read_frame(&mut reader, cfg.max_frame)?;
+        if reader.fill_buf()?.is_empty() {
+            return Ok(()); // the peer hung up between frames
+        }
         if let Some(limit) = cfg.fail_after_requests {
             if served.fetch_add(1, Ordering::SeqCst) + 1 > limit {
                 wedged.store(true, Ordering::SeqCst);
                 return Ok(());
             }
         }
-        let response = match decode_request(&payload) {
+        // A stream that fails mid-frame is dropped without an answer.
+        let response = match read_message(&mut reader, cfg.max_frame, parse_request)? {
             Ok(req) => handle(plane, req),
             Err(err @ (WireError::Truncated | WireError::Oversized { .. })) => {
                 // Framing is broken; nothing after this byte can be
                 // trusted. Report and hang up.
                 let resp =
                     Response::Err(ecc_cluster::ClusterError::Transport { detail: err.to_string() });
-                let _ = write_frame(&mut writer, &encode_response(&resp));
+                let _ = write_response(&mut writer, &resp);
                 return Err(err);
             }
             Err(err) => {
-                // The frame boundary is intact (bad op, bad key, bad
-                // CRC): answer with a structured error and keep the
-                // connection.
+                // The reader consumed exactly the frame (bad op, bad
+                // key, bad CRC): answer with a structured error and
+                // keep the connection.
                 Response::Err(ecc_cluster::ClusterError::Transport { detail: err.to_string() })
             }
         };
-        write_frame(&mut writer, &encode_response(&response))?;
+        write_response(&mut writer, &response)?;
     }
 }
 

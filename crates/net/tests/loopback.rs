@@ -8,10 +8,15 @@
 //! checkpoint when the server dies mid-save, and an identical chaos
 //! fault log whatever the transport.
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
+
 use ecc_chaos::{run_campaign, run_campaign_on_plane, CampaignConfig, ChaosConfig, ChaosPlane};
-use ecc_checkpoint::{StateDict, Value};
+use ecc_checkpoint::{crc32, StateDict, Value};
 use ecc_cluster::{Cluster, ClusterError, ClusterSpec, DataPlane};
-use ecc_net::{CheckpointServer, RemotePlane, ServerConfig};
+use ecc_net::codec::{encode_request, read_response, Request, Response};
+use ecc_net::{CheckpointServer, RemotePlane, ServerConfig, MAX_FRAME};
 use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError};
 
 const NODES: usize = 4;
@@ -246,6 +251,104 @@ fn header_sized_reads_do_not_stall_on_nagle() {
     }
     let elapsed = started.elapsed();
     assert!(elapsed.as_millis() < 200, "20 reads of 25 KiB took {elapsed:?}");
+    server.shutdown();
+}
+
+/// A raw client connection with a read timeout, so a server that never
+/// answers fails the test instead of hanging it.
+fn raw_connect(addr: &str) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+    stream
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Whatever the server still sends before it closes the connection.
+fn rest_of(mut stream: TcpStream) -> Vec<u8> {
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("the server closes, it does not reset");
+    rest
+}
+
+/// An op-level error (bad trailer, over-long key, unknown op) consumes
+/// exactly its frame and costs one `Err`, so the next request on the
+/// same connection is served; a peer that hangs up mid-prefix gets no
+/// frame at all.
+#[test]
+fn op_level_errors_keep_the_connection_in_frame_sync() {
+    let (server, addr) = start_server();
+    let mut stream = raw_connect(&addr);
+
+    let mut bad_trailer =
+        encode_request(&Request::PutLocal { node: 0, key: "k".into(), blob: vec![7; 100] });
+    *bad_trailer.last_mut().expect("a trailer") ^= 0x01;
+    let mut long_key = vec![0x01]; // PutLocal
+    long_key.extend(0u32.to_le_bytes());
+    long_key.extend(5000u16.to_le_bytes());
+    long_key.extend(std::iter::repeat_n(b'k', 5000));
+    long_key.extend([1, 2, 3]);
+    long_key.extend(crc32(&[1, 2, 3]).to_le_bytes());
+    let mut unknown_op = vec![0x55];
+    unknown_op.extend([0xAB; 1024]);
+    let frames: Vec<u8> = [bad_trailer, long_key, unknown_op, encode_request(&Request::Ping)]
+        .iter()
+        .flat_map(|payload| framed(payload))
+        .collect();
+    stream.write_all(&frames).expect("send");
+
+    for expected in ["CRC", "key", "op tag"] {
+        match read_response(&mut stream, MAX_FRAME) {
+            Ok(Response::Err(ClusterError::Transport { detail })) => {
+                assert!(detail.contains(expected), "expected a {expected} error, got {detail}");
+            }
+            other => panic!("expected a structured {expected} error, got {other:?}"),
+        }
+    }
+    assert_eq!(read_response(&mut stream, MAX_FRAME), Ok(Response::Ok), "same connection");
+
+    stream.write_all(&[5, 0]).expect("half a prefix");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    assert_eq!(rest_of(stream), Vec::<u8>::new(), "no frame after a half-closed prefix");
+    server.shutdown();
+}
+
+/// A framing error — here a prefix past the cap — is answered with one
+/// `Err`, then the server hangs up: nothing after it can be trusted.
+#[test]
+fn a_framing_error_is_answered_once_then_hung_up() {
+    let (server, addr) = start_server();
+    let mut stream = raw_connect(&addr);
+    stream.write_all(&u32::MAX.to_le_bytes()).expect("send");
+    match read_response(&mut stream, MAX_FRAME) {
+        Ok(Response::Err(ClusterError::Transport { detail })) => {
+            assert!(detail.contains("exceeds cap"), "{detail}");
+        }
+        other => panic!("expected a structured refusal, got {other:?}"),
+    }
+    assert_eq!(rest_of(stream), Vec::<u8>::new(), "one answer, then the connection closes");
+    server.shutdown();
+}
+
+/// A connection that closes before its first byte is not a request:
+/// `fail_after_requests` counts only frames that began to arrive.
+#[test]
+fn hang_ups_between_frames_are_not_counted_as_requests() {
+    // One worker serves connections in the order they were accepted.
+    let cfg = ServerConfig { workers: 1, fail_after_requests: Some(2), ..ServerConfig::default() };
+    let cluster = Cluster::new(ClusterSpec::tiny_test(NODES, GPUS));
+    let server = CheckpointServer::serve(cluster, "127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr().to_string();
+    for _ in 0..3 {
+        drop(raw_connect(&addr));
+    }
+    let remote = RemotePlane::connect(&addr).expect("request 1 (Nodes) is served");
+    assert!(remote.ping(), "request 2 is served");
+    assert!(!remote.alive(0), "request 3 wedges the server");
     server.shutdown();
 }
 
