@@ -154,7 +154,7 @@ mod tests {
             "checkpoint.pack",
             "save.encode",
             "encode.stripe",
-            "reduce.stripe",
+            "xfer.store",
             "p2p.store",
         ] {
             assert!(a.contains(needle), "trace should mention {needle}");

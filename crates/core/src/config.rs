@@ -26,7 +26,6 @@ pub struct EcCheckConfig {
     fetch_backoff_base_ns: u64,
     fetch_backoff_cap_ns: u64,
     pipeline_buffer: usize,
-    pipeline_depth: usize,
     retain_last: usize,
     retain_every: u64,
 }
@@ -50,7 +49,6 @@ impl EcCheckConfig {
             fetch_backoff_base_ns: 200_000,
             fetch_backoff_cap_ns: 50_000_000,
             pipeline_buffer: 4 << 20,
-            pipeline_depth: 8,
             retain_last: 1,
             retain_every: 0,
         }
@@ -81,20 +79,12 @@ impl EcCheckConfig {
         self
     }
 
-    /// Overrides the pipeline stripe-buffer size in bytes: roughly how
-    /// many bytes of one data chunk each encode task consumes. Rounded
-    /// internally so stripe boundaries stay coding-aligned.
+    /// Overrides the pipeline stripe-buffer size in bytes: at most how
+    /// many bytes of one data chunk each encode task reads. A stripe is
+    /// also at most an eighth of the chunk, and is rounded (down, to no
+    /// fewer than 8 rows) so stripe boundaries stay coding-aligned.
     pub fn with_pipeline_buffer(mut self, bytes: usize) -> Self {
         self.pipeline_buffer = bytes;
-        self
-    }
-
-    /// Overrides the pipeline depth: how many stripes may be in flight
-    /// between the encode and transfer stages at once. Deeper pipelines
-    /// absorb more stage jitter at the cost of `depth` reusable
-    /// stripe-sized reduction buffers.
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(2);
         self
     }
 
@@ -179,11 +169,6 @@ impl EcCheckConfig {
     /// Pipeline stripe-buffer size in bytes.
     pub fn pipeline_buffer(&self) -> usize {
         self.pipeline_buffer
-    }
-
-    /// Pipeline depth (in-flight stripes between encode and transfer).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
     }
 
     /// How many newest sealed versions the tier-0 retention keeps.
@@ -284,21 +269,20 @@ mod tests {
             .with_coding_threads(0)
             .with_fetch_retries(5)
             .with_fetch_backoff(1_000, 8_000)
-            .with_pipeline_buffer(1 << 16)
-            .with_pipeline_depth(1);
+            .with_pipeline_buffer(1 << 16);
         assert_eq!((c.k(), c.m(), c.w()), (3, 1, 4));
         assert_eq!(c.packet_size(), 320);
         assert_eq!(c.coding_threads(), 1);
         assert_eq!(c.fetch_retries(), 5);
         assert_eq!((c.fetch_backoff_base_ns(), c.fetch_backoff_cap_ns()), (1_000, 8_000));
         assert_eq!(c.pipeline_buffer(), 1 << 16);
-        assert_eq!(c.pipeline_depth(), 2, "depth clamps to a working minimum");
     }
 
     #[test]
     fn default_pipeline_geometry_is_usable() {
         let c = EcCheckConfig::paper_defaults();
-        assert!(c.pipeline_buffer() > 0 && c.pipeline_depth() >= 2);
+        assert!(c.pipeline_buffer() > 0);
+        assert!(c.validate(4, 16).is_ok());
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub struct EcCheck {
     /// Profiled network-busy windows + wire bandwidth for idle-slot
     /// gating of a save's transfers (paper §IV-B-3).
     idle_profile: Option<(BusyWindows, Bandwidth)>,
-    /// Chaos fail point: the encode worker picking up global task `n`
-    /// panics (see [`EcCheck::set_fail_encode_task`]).
+    /// Chaos fail point: the encode worker picking up stripe `n` panics
+    /// (see [`EcCheck::set_fail_encode_task`]).
     fail_encode_task: Option<u64>,
     /// The health registry handed out by [`EcCheck::obs_hub`], if any.
     /// Checkpoint traffic doubles as liveness evidence: a successful
@@ -281,8 +281,8 @@ impl EcCheck {
 
     /// Arms (or disarms, with `None`) the save executor's encode-worker
     /// fail point — chaos tests save a healthy checkpoint first, then
-    /// kill a worker mid-steal on the next save: the worker that picks
-    /// up global task `n` (0-based, in pick-up order) panics,
+    /// kill a worker mid-save on the next one: the worker that picks up
+    /// stripe `n` (0-based; stripes are picked up in order) panics,
     /// exercising the executor's clean-failure path.
     #[doc(hidden)]
     pub fn set_fail_encode_task(&mut self, n: Option<u64>) {
@@ -610,10 +610,11 @@ impl EcCheck {
         }
     }
 
-    /// Steps 3c + 3d, the paper's coding pipeline (§IV-C): stripes stream
-    /// through encode → XOR-reduce → transfer on the coding threads, with
-    /// transfers gated into profiled network idle slots when a profile is
-    /// attached. See [`crate::pipeline`]'s module docs for the dataflow.
+    /// Steps 3c + 3d, the paper's coding pipeline (§IV-C): the coding
+    /// threads encode one stripe per task straight into the parity
+    /// chunks, then every chunk is stored, gated into profiled network
+    /// idle slots when a profile is attached. See [`crate::pipeline`]'s
+    /// module docs for the dataflow.
     fn encode_and_place(
         &mut self,
         cluster: &mut impl DataPlane,
@@ -628,18 +629,13 @@ impl EcCheck {
             self.idle_profile.as_ref().map(|(windows, wire)| SlotGate::new(windows.clone(), *wire));
         if let Some(t) = trace {
             // The worker count is deliberately absent: traces are
-            // byte-identical across stealing thread counts (see
+            // byte-identical across thread counts (see
             // `tests/pipeline_determinism.rs`); threads live in
             // `PipelineStats::encode_workers` instead.
             t.tracer.instant(
                 t.engine,
                 "save.pipeline",
-                format!(
-                    "buffer={} depth={} gated={}",
-                    self.config.pipeline_buffer(),
-                    self.config.pipeline_depth(),
-                    gate.is_some()
-                ),
+                format!("buffer={} gated={}", self.config.pipeline_buffer(), gate.is_some()),
             );
         }
         let result = pipeline::run(
@@ -651,7 +647,6 @@ impl EcCheck {
                 reduction: &self.reduction,
                 threads: self.config.coding_threads(),
                 buffer: self.config.pipeline_buffer(),
-                depth: self.config.pipeline_depth(),
                 recorder: &self.recorder,
                 trace: trace.as_ref(),
                 gate,
@@ -1316,17 +1311,18 @@ impl EcCheck {
             }
         }
         // Canonical store order: data columns ascending, then parity,
-        // the CRC of each patched chunk going into the manifest.
-        for (j, chunk) in &cols {
-            let node = self.placement.data_nodes()[*j];
-            manifest.chunks[node] = crc32(chunk);
-            cluster.put_local(node, &chunk_key(version), chunk.clone())?;
+        // the CRC of each patched chunk going into the manifest and the
+        // chunk itself moved into its put.
+        for (j, chunk) in cols {
+            let node = self.placement.data_nodes()[j];
+            manifest.chunks[node] = crc32(&chunk);
+            cluster.put_local(node, &chunk_key(version), chunk)?;
             trace_store(&trace, node, &format!("data chunk {j}"));
         }
-        for (i, parity) in parities.iter().enumerate() {
+        for (i, parity) in parities.into_iter().enumerate() {
             let node = self.placement.parity_nodes()[i];
-            manifest.chunks[node] = crc32(parity);
-            cluster.put_local(node, &chunk_key(version), parity.clone())?;
+            manifest.chunks[node] = crc32(&parity);
+            cluster.put_local(node, &chunk_key(version), parity)?;
             trace_store(&trace, node, &format!("parity chunk {i}"));
         }
 

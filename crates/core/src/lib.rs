@@ -10,12 +10,12 @@
 //! The public API mirrors the paper's three entry points:
 //!
 //! * [`EcCheck::initialize`] — chooses the encoding matrix, selects data
-//!   and parity nodes with the sweep-line placement (§IV-B-1), plans XOR
-//!   reduction targets (§IV-B-2), and sizes the buffer pools.
+//!   and parity nodes with the sweep-line placement (§IV-B-1), and plans
+//!   XOR reduction targets (§IV-B-2).
 //! * [`EcCheck::save`] — the checkpoint's first three steps: DtoH
-//!   offload, decompose + broadcast headers, pipelined encode →
-//!   XOR-reduce → P2P (§III-A, Fig. 5). The fourth, the low-frequency
-//!   copy to remote storage, is [`store::drain_version`] — run by an
+//!   offload, decompose + broadcast headers, striped encode (the
+//!   XOR-reduction folded into it) → P2P (§III-A, Fig. 5). The fourth,
+//!   the low-frequency copy to remote storage, is [`store::drain_version`] — run by an
 //!   attached [`Drainer`] or called from the training loop. Nothing
 //!   reaches remote storage otherwise.
 //! * [`EcCheck::load`] — the two recovery workflows: resend when all

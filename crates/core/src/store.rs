@@ -412,7 +412,8 @@ pub fn read_header(
 #[derive(Debug)]
 pub struct Repaired {
     /// Every chunk of the version by chunk id: the verified ones as
-    /// given, the others rebuilt and held to their manifest entry.
+    /// given (the same buffers, moved through), the others rebuilt and
+    /// held to their manifest entry.
     pub chunks: Vec<Vec<u8>>,
     /// Lost nodes that were down and so were not seeded; the next
     /// repair that finds them up seeds them.
@@ -459,17 +460,14 @@ pub fn repair_version(
     headers: &[Vec<u8>],
     lost: &[usize],
 ) -> Result<Repaired, EcCheckError> {
-    let refs: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
-    let chunks = code.reconstruct_all(&refs)?;
+    let rebuilt: Vec<bool> = shards.iter().map(Option::is_none).collect();
+    let chunks = code.reconstruct_all(shards)?;
     for (node, &crc) in manifest.chunks.iter().enumerate() {
         let id = placement.chunk_of(node);
-        if shards[id].is_none() && crc32(&chunks[id]) != crc {
+        if rebuilt[id] && crc32(&chunks[id]) != crc {
             return Err(EcCheckError::CorruptChunk { node });
         }
     }
-    // The fetched copies are done with: free them before the seeding
-    // clones chunks again.
-    drop(shards);
     let record = manifest.encode();
     let mut repaired = Repaired { chunks, skipped: Vec::new(), put_bytes: 0 };
     'nodes: for &node in lost {

@@ -1,3 +1,16 @@
+//! The systematic erasure code and the one executor under it.
+//!
+//! Every encode, decode, repair and parity delta runs a fused XOR
+//! schedule through `run_fused_stripe`, which writes rows
+//! `[lo, lo + rows)` of each output sub-packet into slices the caller
+//! owns. Whole-chunk calls (`run_fused_on`) hand it the sub-packets of
+//! the chunks they return; the save executor hands it, through
+//! [`ErasureCode::encode_stripe_into`], one stripe's rows of the parity
+//! chunks it stores. No path concatenates or copies an output after the
+//! fact, and `reconstruct_all` moves the chunks it is given straight
+//! through. The unfused op-at-a-time executor (`run_schedule_on`) stays
+//! as the differential oracle of `fused_equiv_prop.rs`.
+
 use ecc_gf::{BitMatrix, GaloisField, Matrix};
 use ecc_telemetry::{Counter, Recorder};
 use ecc_trace::{Tracer, TrackId, CODING_PID};
@@ -15,8 +28,6 @@ pub(crate) struct CodeMetrics {
     pub(crate) encode_parity_bytes: Counter,
     pub(crate) encode_xor_ops: Counter,
     pub(crate) kernel_bytes: Counter,
-    column_calls: Counter,
-    column_bytes: Counter,
     decode_calls: Counter,
     decode_bytes: Counter,
     decode_rebuilt_chunks: Counter,
@@ -32,8 +43,6 @@ impl CodeMetrics {
             encode_parity_bytes: recorder.counter("erasure.encode.parity_bytes"),
             encode_xor_ops: recorder.counter("erasure.encode.xor_ops"),
             kernel_bytes: kernel_bytes_counter(recorder),
-            column_calls: recorder.counter("erasure.column.calls"),
-            column_bytes: recorder.counter("erasure.column.bytes"),
             decode_calls: recorder.counter("erasure.decode.calls"),
             decode_bytes: recorder.counter("erasure.decode.bytes"),
             decode_rebuilt_chunks: recorder.counter("erasure.decode.rebuilt_chunks"),
@@ -41,6 +50,10 @@ impl CodeMetrics {
         }
     }
 }
+
+/// Why a rebuilt chunk is always there for a missing slot: the decode
+/// rebuilds exactly the missing ones, in slot order.
+const REBUILT: &str = "one rebuilt chunk per missing slot";
 
 /// Per-kernel byte counter (`kernel.<name>.bytes`), plus a one-shot
 /// `kernel.selected` event so traces show which SIMD path ran. The name
@@ -86,13 +99,11 @@ pub struct ErasureCode {
     /// crate's tests, as the differential oracle.
     smart_fused: FusedSchedule,
     dumb_fused: FusedSchedule,
-    /// Single-column smart schedules, one per data chunk: `columns[j]`
-    /// produces the contribution of data chunk `j` alone to every parity
-    /// chunk. By GF(2) linearity, XORing the `k` contributions equals a
-    /// full encode — the decomposition the pipelined save executor and
-    /// incremental updates are built on.
-    columns: Vec<XorSchedule>,
-    columns_fused: Vec<FusedSchedule>,
+    /// Fused single-column smart schedules, one per data chunk:
+    /// `columns[j]` maps data chunk `j` alone onto every parity chunk.
+    /// By GF(2) linearity a change of chunk `j` changes the parity by
+    /// exactly that image — what [`ErasureCode::parity_delta`] runs.
+    columns: Vec<FusedSchedule>,
     metrics: Option<CodeMetrics>,
     tracer: Option<(Tracer, TrackId)>,
 }
@@ -135,17 +146,16 @@ impl ErasureCode {
             XorSchedule::from_bitmatrix(&bits, params.k(), params.m(), w, ScheduleKind::Smart);
         let dumb =
             XorSchedule::from_bitmatrix(&bits, params.k(), params.m(), w, ScheduleKind::Dumb);
-        let columns: Vec<XorSchedule> = (0..params.k())
+        let columns = (0..params.k())
             .map(|chunk| {
                 let column =
                     Matrix::from_fn(params.m(), 1, |i, _| generator.get(params.k() + i, chunk));
                 let col_bits = BitMatrix::from_gf_matrix(&column, &gf);
-                XorSchedule::from_bitmatrix(&col_bits, 1, params.m(), w, ScheduleKind::Smart)
+                XorSchedule::from_bitmatrix(&col_bits, 1, params.m(), w, ScheduleKind::Smart).fuse()
             })
             .collect();
         let smart_fused = smart.fuse();
         let dumb_fused = dumb.fuse();
-        let columns_fused = columns.iter().map(XorSchedule::fuse).collect();
         Ok(Self {
             params,
             gf,
@@ -155,7 +165,6 @@ impl ErasureCode {
             smart_fused,
             dumb_fused,
             columns,
-            columns_fused,
             metrics: None,
             tracer: None,
         })
@@ -319,6 +328,59 @@ impl ErasureCode {
         Ok(parity)
     }
 
+    /// Encodes one *stripe* of the `k` data chunks — rows `[lo, lo + rows)`
+    /// of each of their `w` sub-packets, read in place — straight into
+    /// caller-owned parity slices: `out[i * w + r]` receives those rows of
+    /// sub-packet `r` of parity chunk `i`, so `out` is `m · w` slices of
+    /// `rows` bytes each. The fused smart schedule runs, so each parity
+    /// row is the XOR-reduction of its `k` column contributions, folded in
+    /// one sweep. Stripes are independent: encoding stripes that tile the
+    /// sub-packet into slices of preallocated parity chunks is
+    /// bit-identical to [`ErasureCode::encode`] (property-tested in
+    /// `fused_equiv_prop.rs`). The save executor runs one call per task.
+    ///
+    /// Records `erasure.encode.xor_ops` and `kernel.<name>.bytes` for the
+    /// stripe. The per-encode totals (`erasure.encode.{calls,bytes,
+    /// parity_bytes,ns}`) are the caller's, which knows when the encode is
+    /// whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ErasureError::BadChunkLength`] under the conditions of
+    /// [`ErasureCode::encode`], and [`ErasureError::InvalidParams`] when
+    /// `out` is not `m · w` non-empty slices of one length or the stripe
+    /// runs past the sub-packet.
+    pub fn encode_stripe_into(
+        &self,
+        data: &[&[u8]],
+        lo: usize,
+        out: &mut [&mut [u8]],
+    ) -> Result<(), ErasureError> {
+        let ps = self.validate_chunks(data, self.params.k())?;
+        let (m, w) = (self.params.m(), self.params.w() as usize);
+        let rows = out.first().map_or(0, |o| o.len());
+        if out.len() != m * w
+            || rows == 0
+            || out.iter().any(|o| o.len() != rows)
+            || rows > ps.saturating_sub(lo)
+        {
+            return Err(ErasureError::InvalidParams {
+                detail: format!(
+                    "stripe output must be m * w = {} slices of one non-zero length within \
+                     [{lo}, {ps}), got {} slices",
+                    m * w,
+                    out.len()
+                ),
+            });
+        }
+        run_fused_stripe(&self.smart_fused, data, ps, lo, out);
+        if let Some(metrics) = &self.metrics {
+            metrics.encode_xor_ops.add(self.smart.xor_count() as u64);
+            metrics.kernel_bytes.add((data.len() * w * rows) as u64);
+        }
+        Ok(())
+    }
+
     /// Reconstructs all `k` data chunks from any `k` surviving chunks.
     ///
     /// `shards[i]` is `Some` when chunk `i` (data for `i < k`, parity
@@ -350,6 +412,21 @@ impl ErasureCode {
         shards: &[Option<&[u8]>],
         fused: bool,
     ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        let mut rebuilt = self.rebuild_data(shards, fused)?.into_iter();
+        let data = shards[..self.params.k()].iter();
+        Ok(data
+            .map(|&s| s.map_or_else(|| rebuilt.next().expect(REBUILT), <[u8]>::to_vec))
+            .collect())
+    }
+
+    /// Rebuilds the missing data chunks of `shards`, in index order,
+    /// from the first `k` present ones (paper Eqn. 5), and records
+    /// `erasure.decode.*` whether or not a chunk was missing.
+    fn rebuild_data(
+        &self,
+        shards: &[Option<&[u8]>],
+        fused: bool,
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
         let (k, n) = (self.params.k(), self.params.n());
         if shards.len() != n {
             return Err(ErasureError::BadChunkLength {
@@ -370,7 +447,7 @@ impl ErasureCode {
         let span = self.tracer.as_ref().map(|(tracer, track)| {
             tracer.span(*track, "erasure.decode", format!("{} missing", missing.len()))
         });
-        let mut out: Vec<Option<Vec<u8>>> = (0..k).map(|i| shards[i].map(|s| s.to_vec())).collect();
+        let mut rebuilt = Vec::new();
         if !missing.is_empty() {
             let sub = self.generator.select_rows(&survivors);
             let inv = sub.inverted(&self.gf)?;
@@ -381,16 +458,13 @@ impl ErasureCode {
                 XorSchedule::from_bitmatrix(&bits, k, missing.len(), w, ScheduleKind::Smart);
             // Ad-hoc decode schedules are fused on the fly (grouping is
             // linear in the op count, noise next to the inversion).
-            let rebuilt = if fused {
+            rebuilt = if fused {
                 run_fused_on(&schedule.fuse(), &survivor_slices, ps)
             } else {
                 run_schedule_on(&schedule, &survivor_slices, ps)
             };
             if let Some(m) = &self.metrics {
                 m.decode_xor_ops.add(schedule.xor_count() as u64);
-            }
-            for (slot, chunk) in missing.iter().zip(rebuilt) {
-                out[*slot] = Some(chunk);
             }
         }
         drop(span);
@@ -401,42 +475,51 @@ impl ErasureCode {
             m.decode_rebuilt_chunks.add(missing.len() as u64);
             m.kernel_bytes.add((k * survivor_slices[0].len()) as u64);
         }
-        Ok(out.into_iter().map(|c| c.expect("all data chunks filled")).collect())
+        Ok(rebuilt)
     }
 
-    /// Reconstructs *all* `n` chunks (data and parity), reusing surviving
-    /// chunks and recomputing the rest — the step that restores full fault
-    /// tolerance after a failure (paper §III-B recovery task 2).
+    /// Reconstructs *all* `n` chunks (data and parity) — the step that
+    /// restores full fault tolerance after a failure (paper §III-B
+    /// recovery task 2). The shards are taken by value and every present
+    /// one is moved through as the same buffer; only the missing chunks
+    /// are computed: the data as [`ErasureCode::decode`] would, the
+    /// parity from the data. Records `erasure.decode.*` like `decode`,
+    /// the rebuilt parity included.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ErasureCode::decode`].
-    pub fn reconstruct_all(&self, shards: &[Option<&[u8]>]) -> Result<Vec<Vec<u8>>, ErasureError> {
+    pub fn reconstruct_all(
+        &self,
+        shards: Vec<Option<Vec<u8>>>,
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
         let (k, n) = (self.params.k(), self.params.n());
-        let data = self.decode(shards)?;
-        let data_refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let missing_parity: Vec<usize> = (k..n).filter(|&i| shards[i].is_none()).collect();
-        let mut parity: Vec<Option<Vec<u8>>> =
-            (k..n).map(|i| shards[i].map(|s| s.to_vec())).collect();
+        let refs: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+        let data_rebuilt = self.rebuild_data(&refs, true)?;
+        let missing_parity: Vec<usize> = (k..n).filter(|&i| refs[i].is_none()).collect();
+        let mut parity_rebuilt = Vec::new();
         if !missing_parity.is_empty() {
+            let mut rebuilt = data_rebuilt.iter().map(Vec::as_slice);
+            let data: Vec<&[u8]> = refs[..k]
+                .iter()
+                .map(|&s| s.unwrap_or_else(|| rebuilt.next().expect(REBUILT)))
+                .collect();
             let rows = self.generator.select_rows(&missing_parity);
             let bits = BitMatrix::from_gf_matrix(&rows, &self.gf);
             let w = self.params.w() as usize;
-            let ps = data[0].len() / w;
             let schedule =
                 XorSchedule::from_bitmatrix(&bits, k, missing_parity.len(), w, ScheduleKind::Smart);
-            let rebuilt = run_fused_on(&schedule.fuse(), &data_refs, ps);
+            parity_rebuilt = run_fused_on(&schedule.fuse(), &data, data[0].len() / w);
             if let Some(m) = &self.metrics {
                 m.decode_xor_ops.add(schedule.xor_count() as u64);
                 m.decode_rebuilt_chunks.add(missing_parity.len() as u64);
             }
-            for (slot, chunk) in missing_parity.iter().zip(rebuilt) {
-                parity[*slot - k] = Some(chunk);
-            }
         }
-        let mut all = data;
-        all.extend(parity.into_iter().map(|c| c.expect("all parity chunks filled")));
-        Ok(all)
+        let mut rebuilt = data_rebuilt.into_iter().chain(parity_rebuilt);
+        Ok(shards
+            .into_iter()
+            .map(|s| s.unwrap_or_else(|| rebuilt.next().expect(REBUILT)))
+            .collect())
     }
 
     /// The `n × k` decode matrix `G · G_S^{-1}` for a survivor set: row `c`
@@ -593,52 +676,55 @@ pub(crate) fn run_schedule_stripe(
     parity_subs
 }
 
-/// [`run_schedule_on`] for a fused schedule — the default encode
-/// executor.
+/// [`run_schedule_on`] for a fused schedule — the executor under every
+/// encode, decode, repair and parity delta. Each returned chunk is
+/// allocated once and its `w` sub-packets are handed to
+/// [`run_fused_stripe`] as the output slices, so nothing is
+/// concatenated afterwards.
 pub(crate) fn run_fused_on(fused: &FusedSchedule, sources: &[&[u8]], ps: usize) -> Vec<Vec<u8>> {
-    let (m, w) = (fused.m(), fused.w());
-    let parity_subs = run_fused_stripe(fused, sources, ps, 0, ps);
-    (0..m)
-        .map(|i| {
-            let mut chunk = Vec::with_capacity(w * ps);
-            for r in 0..w {
-                chunk.extend_from_slice(&parity_subs[i * w + r]);
-            }
-            chunk
-        })
-        .collect()
+    let mut chunks: Vec<Vec<u8>> = (0..fused.m()).map(|_| vec![0u8; fused.w() * ps]).collect();
+    let mut subs: Vec<&mut [u8]> = chunks.iter_mut().flat_map(|c| c.chunks_mut(ps)).collect();
+    run_fused_stripe(fused, sources, ps, 0, &mut subs);
+    chunks
 }
 
-/// [`run_schedule_stripe`] for a fused schedule: every chain executes as
-/// one [`ecc_gf::Kernel::xor_chain`] sweep per L2 block, so each
-/// destination block is written once per parity set and stays in
-/// registers while its sources stream through. Bit-identical to the
-/// unfused executor (fusion only regroups an XOR-linear computation;
-/// property-tested in `fused_equiv_prop.rs`).
+/// Executes a fused schedule over the rows `[lo, lo + rows)` of every
+/// source sub-packet, writing output sub-packet `o` over those rows into
+/// the caller-owned `out[o]` (`m · w` slices of `rows` bytes each).
+/// Every chain executes as one [`ecc_gf::Kernel::xor_chain`] sweep per
+/// L2 block, so each destination block is written once per parity set
+/// and stays in registers while its sources stream through. Because XOR
+/// schedules act independently on each byte column, executing disjoint
+/// stripes (on any threads, in any order) into slices of the same
+/// output chunks is identical to one full-width execution — the
+/// primitive both the paper's thread-pool technique (§IV-A) and the save
+/// executor are built on. Bit-identical to the unfused executor (fusion
+/// only regroups an XOR-linear computation; property-tested in
+/// `fused_equiv_prop.rs`).
 pub(crate) fn run_fused_stripe(
     fused: &FusedSchedule,
     sources: &[&[u8]],
     ps: usize,
     lo: usize,
-    hi: usize,
-) -> Vec<Vec<u8>> {
+    out: &mut [&mut [u8]],
+) {
     let (k, m, w) = (fused.k(), fused.m(), fused.w());
+    let rows = out.first().map_or(0, |o| o.len());
     debug_assert_eq!(sources.len(), k);
-    debug_assert!(lo <= hi && hi <= ps);
-    let stripe = hi - lo;
+    debug_assert_eq!(out.len(), m * w);
+    debug_assert!(out.iter().all(|o| o.len() == rows) && lo + rows <= ps);
     let parity_base = k * w;
-    let mut parity_subs: Vec<Vec<u8>> = vec![vec![0u8; stripe]; m * w];
     let kernel = ecc_gf::kernel::active_kernel();
     let block = schedule_block_len(k, m, w);
     let mut blo = 0usize;
-    while blo < stripe {
-        let bhi = (blo + block).min(stripe);
+    while blo < rows {
+        let bhi = (blo + block).min(rows);
         for chain in fused.chains() {
             let dst = chain.dst - parity_base;
-            // Move the destination buffer out (a Vec header swap) so the
-            // chain's sources may borrow sibling parity rows — smart
-            // derivations read previously completed rows.
-            let mut dst_buf = std::mem::take(&mut parity_subs[dst]);
+            // Move the destination slice out so the chain's sources may
+            // borrow sibling output rows — smart derivations read
+            // previously completed rows.
+            let dst_slice = std::mem::take(&mut out[dst]);
             let srcs: Vec<&[u8]> = chain
                 .srcs
                 .iter()
@@ -652,17 +738,16 @@ pub(crate) fn run_fused_stripe(
                             dst,
                             "chain must not read its own destination"
                         );
-                        &parity_subs[src - parity_base][blo..bhi]
+                        &out[src - parity_base][blo..bhi]
                     }
                 })
                 .collect();
-            kernel.xor_chain(&mut dst_buf[blo..bhi], &srcs, chain.assign);
+            kernel.xor_chain(&mut dst_slice[blo..bhi], &srcs, chain.assign);
             drop(srcs);
-            parity_subs[dst] = dst_buf;
+            out[dst] = dst_slice;
         }
         blo = bhi;
     }
-    parity_subs
 }
 
 #[cfg(test)]
@@ -823,12 +908,56 @@ mod tests {
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let parity = code.encode(&refs).unwrap();
         // Lose data chunk 1 and parity chunk 0.
-        let shards: Vec<Option<&[u8]>> = vec![Some(&data[0]), None, None, Some(&parity[1])];
-        let all = code.reconstruct_all(&shards).unwrap();
+        let shards = vec![Some(data[0].clone()), None, None, Some(parity[1].clone())];
+        let all = code.reconstruct_all(shards).unwrap();
         assert_eq!(all[0], data[0]);
         assert_eq!(all[1], data[1]);
         assert_eq!(all[2], parity[0]);
         assert_eq!(all[3], parity[1]);
+    }
+
+    /// A present shard comes back as the very buffer that went in: an
+    /// intact repair copies no chunk.
+    #[test]
+    fn reconstruct_all_moves_present_shards_through() {
+        let code = ErasureCode::cauchy_good(CodeParams::new(3, 2, 8).unwrap()).unwrap();
+        let data = random_chunks(3, 128, 5);
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let mut chunks = data.clone();
+        chunks.extend(code.encode(&refs).unwrap());
+        for lost in [vec![], vec![1], vec![0, 4], vec![3, 4]] {
+            let shards: Vec<Option<Vec<u8>>> =
+                (0..5).map(|i| (!lost.contains(&i)).then(|| chunks[i].clone())).collect();
+            let ptrs: Vec<Option<*const u8>> =
+                shards.iter().map(|s| s.as_ref().map(|c| c.as_ptr())).collect();
+            let all = code.reconstruct_all(shards).unwrap();
+            assert_eq!(all, chunks, "lost {lost:?}");
+            for (i, ptr) in ptrs.iter().enumerate() {
+                if let Some(ptr) = ptr {
+                    assert_eq!(all[i].as_ptr(), *ptr, "lost {lost:?}: chunk {i} was copied");
+                }
+            }
+        }
+    }
+
+    /// `reconstruct_all` records the decode telemetry `decode` does, plus
+    /// the parity it rebuilds.
+    #[test]
+    fn reconstruct_all_records_decode_metrics() {
+        let mut code = ErasureCode::cauchy_good(CodeParams::new(2, 2, 8).unwrap()).unwrap();
+        let recorder = Recorder::new();
+        code.set_recorder(&recorder);
+        let data = random_chunks(2, 128, 6);
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let parity = code.encode(&refs).unwrap();
+        // Lose data chunk 0 and parity chunk 1.
+        let shards = vec![None, Some(data[1].clone()), Some(parity[0].clone()), None];
+        code.reconstruct_all(shards).unwrap();
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("erasure.decode.calls"), 1);
+        assert_eq!(snap.counter("erasure.decode.bytes"), 2 * 128);
+        assert_eq!(snap.counter("erasure.decode.rebuilt_chunks"), 2);
+        assert!(snap.counter("erasure.decode.xor_ops") > 0);
     }
 
     #[test]
@@ -929,84 +1058,7 @@ impl ErasureCode {
         // Single-column generator: parity rows restricted to `chunk`,
         // pre-built at construction time (see `Self::columns`).
         let ps = delta.len() / self.params.w() as usize;
-        Ok(run_fused_on(&self.columns_fused[chunk], &[delta], ps))
-    }
-
-    /// [`ErasureCode::parity_delta`] for one *stripe* of a full data
-    /// chunk, reading the stripe in place and writing into a
-    /// caller-owned flat buffer: with the chunk holding `w` sub-packets
-    /// of `ps_total = chunk.len() / w` bytes each, sub-packet `r` of the
-    /// stripe is `chunk[r * ps_total + lo ..][..rows]`. This saves the
-    /// caller the gather copy a contiguous region would require — the
-    /// save pipeline's encode stage reads every stripe straight out of
-    /// the original chunk, recycling `out` through a bounded ring so
-    /// steady-state encoding allocates nothing.
-    ///
-    /// Bit-identical to gathering the stripe and calling
-    /// [`ErasureCode::parity_delta`] on it, with the `m` contribution
-    /// chunks back to back in `out` (`m * w * rows` bytes, output chunk
-    /// `i` sub-packet `r` at `out[(i*w + r) * rows ..]`). XORing the `k`
-    /// column contributions together is bit-identical to
-    /// [`ErasureCode::encode`] (GF(2) linearity), stripe by stripe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErasureError::InvalidParams`] for an out-of-range
-    /// chunk index, a stripe outside the packet dimension, `rows` not a
-    /// positive multiple of 8, or a mis-sized `out`, and
-    /// [`ErasureError::BadChunkLength`] for a misaligned `chunk`.
-    pub fn encode_column_stripe_into(
-        &self,
-        chunk_index: usize,
-        chunk: &[u8],
-        lo: usize,
-        rows: usize,
-        out: &mut [u8],
-    ) -> Result<(), ErasureError> {
-        let k = self.params.k();
-        if chunk_index >= k {
-            return Err(ErasureError::InvalidParams {
-                detail: format!("chunk index {chunk_index} out of range (k = {k})"),
-            });
-        }
-        if chunk.is_empty() || !chunk.len().is_multiple_of(self.params.alignment()) {
-            return Err(ErasureError::BadChunkLength {
-                detail: format!(
-                    "chunk length {} must be a positive multiple of {}",
-                    chunk.len(),
-                    self.params.alignment()
-                ),
-            });
-        }
-        let w = self.params.w() as usize;
-        let ps_total = chunk.len() / w;
-        if rows == 0 || !rows.is_multiple_of(8) || lo + rows > ps_total {
-            return Err(ErasureError::InvalidParams {
-                detail: format!(
-                    "stripe [{lo}, {}) with rows {rows} must be a positive multiple of 8 \
-                     within the packet dimension {ps_total}",
-                    lo + rows
-                ),
-            });
-        }
-        let m = self.params.m();
-        if out.len() != m * w * rows {
-            return Err(ErasureError::InvalidParams {
-                detail: format!(
-                    "column output must be m * w * rows = {} bytes, got {}",
-                    m * w * rows,
-                    out.len()
-                ),
-            });
-        }
-        run_fused_strided(&self.columns_fused[chunk_index], chunk, ps_total, lo, out, rows);
-        if let Some(metrics) = &self.metrics {
-            metrics.column_calls.incr();
-            metrics.column_bytes.add((w * rows) as u64);
-            metrics.encode_xor_ops.add(self.columns[chunk_index].xor_count() as u64);
-            metrics.kernel_bytes.add((w * rows) as u64);
-        }
-        Ok(())
+        Ok(run_fused_on(&self.columns[chunk], &[delta], ps))
     }
 
     fn validate_column_region(&self, chunk: usize, region: &[u8]) -> Result<(), ErasureError> {
@@ -1026,58 +1078,6 @@ impl ErasureCode {
             });
         }
         Ok(())
-    }
-}
-
-/// Executes a fused single-source (`k = 1`) schedule with the `m`
-/// output chunks laid out back to back in one flat buffer: output chunk
-/// `i`, sub-packet `r` lives at `out[(i*w + r) * ps ..][..ps]`. The
-/// source sub-packets are read through a stride — sub-packet `r` is
-/// `source[r * src_stride + src_offset ..][..ps]` — so one stripe of a
-/// full chunk is read in place. Every chain runs as a single
-/// [`ecc_gf::Kernel::xor_chain`] sweep over its stripe.
-pub(crate) fn run_fused_strided(
-    fused: &FusedSchedule,
-    source: &[u8],
-    src_stride: usize,
-    src_offset: usize,
-    out: &mut [u8],
-    ps: usize,
-) {
-    let w = fused.w();
-    debug_assert_eq!(fused.k(), 1);
-    debug_assert!(ps <= src_stride && src_offset + ps <= src_stride);
-    debug_assert_eq!(source.len(), w * src_stride);
-    debug_assert_eq!(out.len(), fused.m() * w * ps);
-    let parity_base = w; // k = 1, so source sub-packets occupy [0, w).
-    let kernel = ecc_gf::kernel::active_kernel();
-    // Pre-split the flat output into its sub-packet regions so a chain
-    // can hold its destination mutably while borrowing sibling rows as
-    // sources (smart derivations read previously completed rows); the
-    // destination slice is moved out for the sweep and put back after.
-    let mut subs: Vec<&mut [u8]> = out.chunks_mut(ps).collect();
-    for chain in fused.chains() {
-        let dst = chain.dst - parity_base;
-        let dst_slice = std::mem::take(&mut subs[dst]);
-        let srcs: Vec<&[u8]> = chain
-            .srcs
-            .iter()
-            .map(|&src| {
-                if src < parity_base {
-                    &source[src * src_stride + src_offset..][..ps]
-                } else {
-                    debug_assert_ne!(
-                        src - parity_base,
-                        dst,
-                        "chain must not read its own destination"
-                    );
-                    &*subs[src - parity_base]
-                }
-            })
-            .collect();
-        kernel.xor_chain(dst_slice, &srcs, chain.assign);
-        drop(srcs);
-        subs[dst] = dst_slice;
     }
 }
 
@@ -1128,9 +1128,8 @@ mod delta_tests {
         assert!(code.parity_delta(0, &[]).is_err());
     }
 
-    /// XORing the per-column flat contributions together reproduces the
-    /// full encode bit-exactly — the identity the pipelined save's
-    /// encode → XOR-reduce split rests on.
+    /// XORing the per-column contributions together reproduces the full
+    /// encode bit-exactly — the GF(2) linearity a delta save rests on.
     #[test]
     fn xor_of_column_contributions_equals_full_encode() {
         for (k, m, w) in [(2usize, 2usize, 8u8), (4, 2, 8), (3, 3, 8), (2, 2, 4), (2, 2, 16)] {
@@ -1140,27 +1139,20 @@ mod delta_tests {
             let data: Vec<Vec<u8>> = (0..k).map(|i| filled(len, i as u8)).collect();
             let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
             let expected = code.encode(&refs).unwrap();
-            let mut acc = vec![0u8; m * len];
-            let mut contrib = vec![0u8; m * len];
+            let mut acc = vec![vec![0u8; len]; m];
             for (j, chunk) in data.iter().enumerate() {
-                code.encode_column_stripe_into(j, chunk, 0, len / w as usize, &mut contrib)
-                    .unwrap();
-                xor_into(&mut acc, &contrib);
+                for (a, contrib) in acc.iter_mut().zip(code.parity_delta(j, chunk).unwrap()) {
+                    xor_into(a, &contrib);
+                }
             }
-            for (i, parity) in expected.iter().enumerate() {
-                assert_eq!(
-                    &acc[i * len..(i + 1) * len],
-                    parity.as_slice(),
-                    "k={k} m={m} w={w} parity {i}"
-                );
-            }
+            assert_eq!(acc, expected, "k={k} m={m} w={w}");
         }
     }
 
     /// Column contributions are themselves column-wise: encoding a row
     /// stripe of the input equals the same row stripe of the full-width
     /// contribution, so stripes computed independently and scattered back
-    /// reassemble bit-exactly (the pipeline's unit of work).
+    /// reassemble bit-exactly.
     #[test]
     fn column_contribution_stripes_concatenate_exactly() {
         let params = CodeParams::new(3, 2, 8).unwrap();
@@ -1194,66 +1186,22 @@ mod delta_tests {
         }
     }
 
-    /// The in-place stripe reader is bit-identical to gathering the
-    /// stripe into a contiguous region and encoding that — the identity
-    /// that lets the save pipeline skip the gather copy entirely.
     #[test]
-    fn strided_stripe_encode_matches_gathered_encode() {
-        for (k, m, w8) in [(2usize, 2usize, 8u8), (4, 2, 8), (3, 3, 8)] {
-            let params = CodeParams::new(k, m, w8).unwrap();
-            let code = ErasureCode::cauchy_good(params).unwrap();
-            let w = params.w() as usize;
-            let len = 6 * params.alignment();
-            let ps = len / w;
-            for col in 0..k {
-                let chunk = filled(len, (17 * col + 3) as u8);
-                for rows in [8usize, 16, ps] {
-                    let mut lo = 0usize;
-                    while lo < ps {
-                        let hi = (lo + rows).min(ps);
-                        let stripe_rows = hi - lo;
-                        let mut gathered = Vec::with_capacity(w * stripe_rows);
-                        for c in 0..w {
-                            gathered.extend_from_slice(&chunk[c * ps + lo..c * ps + hi]);
-                        }
-                        let want = code.parity_delta(col, &gathered).unwrap().concat();
-                        let mut got = vec![0u8; m * w * stripe_rows];
-                        code.encode_column_stripe_into(col, &chunk, lo, stripe_rows, &mut got)
-                            .unwrap();
-                        assert_eq!(got, want, "k={k} m={m} col={col} rows={rows} lo={lo}");
-                        lo = hi;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn strided_stripe_encode_rejects_bad_geometry() {
+    fn encode_stripe_into_rejects_bad_geometry() {
         let code = ErasureCode::cauchy_good(CodeParams::new(2, 2, 8).unwrap()).unwrap();
-        let chunk = vec![0u8; 128]; // ps_total = 16
-        let mut out = vec![0u8; 2 * 8 * 8];
-        assert!(code.encode_column_stripe_into(2, &chunk, 0, 8, &mut out).is_err()); // chunk idx
-        assert!(code.encode_column_stripe_into(0, &chunk[..127], 0, 8, &mut out).is_err()); // align
-        assert!(code.encode_column_stripe_into(0, &chunk, 0, 12, &mut out).is_err()); // rows % 8
-        assert!(code.encode_column_stripe_into(0, &chunk, 16, 8, &mut out).is_err()); // past end
-        assert!(code.encode_column_stripe_into(0, &chunk, 0, 8, &mut out[..64]).is_err()); // out len
-        assert!(code.encode_column_stripe_into(0, &chunk, 8, 8, &mut out).is_ok());
-    }
-
-    /// The flat-buffer runner agrees with the Vec-of-chunks delta path.
-    #[test]
-    fn flat_and_chunked_column_paths_agree() {
-        let code = ErasureCode::cauchy_good(CodeParams::new(4, 3, 8).unwrap()).unwrap();
-        let len = 192;
-        for j in 0..4 {
-            let delta = filled(len, j as u8);
-            let chunked = code.parity_delta(j, &delta).unwrap();
-            let mut flat = vec![0xFFu8; 3 * len];
-            code.encode_column_stripe_into(j, &delta, 0, len / 8, &mut flat).unwrap();
-            for (i, chunk) in chunked.iter().enumerate() {
-                assert_eq!(&flat[i * len..(i + 1) * len], chunk.as_slice(), "j={j} parity {i}");
-            }
-        }
+        let chunk = vec![0u8; 128]; // ps = 16
+        let mut parity = [0u8; 2 * 8 * 8];
+        let mut out: Vec<&mut [u8]> = parity.chunks_mut(8).collect();
+        assert!(code.encode_stripe_into(&[&chunk], 0, &mut out).is_err()); // chunk count
+        let data: [&[u8]; 2] = [&chunk, &chunk[..127]];
+        assert!(code.encode_stripe_into(&data, 0, &mut out).is_err()); // alignment
+        let data: [&[u8]; 2] = [&chunk, &chunk];
+        assert!(code.encode_stripe_into(&data, 16, &mut out).is_err()); // past the end
+        assert!(code.encode_stripe_into(&data, 0, &mut out[..15]).is_err()); // slice count
+        let mut ragged: Vec<&mut [u8]> = parity.chunks_mut(8).collect();
+        ragged[3] = &mut [];
+        assert!(code.encode_stripe_into(&data, 0, &mut ragged).is_err()); // slice lengths
+        let mut out: Vec<&mut [u8]> = parity.chunks_mut(8).collect();
+        assert!(code.encode_stripe_into(&data, 8, &mut out).is_ok());
     }
 }

@@ -7,7 +7,9 @@
 //! executor *and* to an independent symbol-level matrix-multiply oracle
 //! built straight from the generator coefficients and `GaloisField`
 //! arithmetic — under **every** kernel the runtime dispatcher can
-//! select, scalar included.
+//! select, scalar included. Encoding stripe by stripe into slices of
+//! preallocated parity (`encode_stripe_into`, the save executor's
+//! primitive) is held to the same two references.
 //!
 //! The unfused executor is not part of the crate's API — it exists
 //! only as this suite's reference — so the suite is a unit-test module.
@@ -132,6 +134,56 @@ proptest! {
             prop_assert_eq!(
                 &fused_dec, &data,
                 "decode lost data under {} (erased {:?})", kernel.name(), &erased
+            );
+        }
+        force_kernel(before).unwrap();
+    }
+
+    /// Encoding every stripe of an arbitrary cut of the sub-packet —
+    /// stripes of `rows` rows, the last one short — with
+    /// `encode_stripe_into` into slices of preallocated parity chunks
+    /// equals `encode` and the unfused executor, under every kernel. The
+    /// parity starts as garbage, so every byte must be written, not
+    /// accumulated.
+    #[test]
+    fn prop_stripes_encoded_in_place_match_encode_under_every_kernel(
+        k in 2usize..=5,
+        m in 1usize..=3,
+        w_pick in 0usize..=1,
+        len_mult in 1usize..=9,
+        rows_seed in any::<usize>(),
+        payload_seed in any::<u64>(),
+    ) {
+        let w = [8u8, 16][w_pick];
+        let params = CodeParams::new(k, m, w).unwrap();
+        let code = ErasureCode::cauchy_good(params).unwrap();
+        let len = params.alignment() * len_mult;
+        let ps = len / usize::from(w);
+        let rows = 1 + rows_seed % ps;
+        let data = random_chunks(k, len, payload_seed);
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+
+        let _forcing = forcing();
+        let before = active_kernel().name();
+        for kernel in available_kernels() {
+            force_kernel(kernel.name()).unwrap();
+            let mut parity = vec![vec![0xA5u8; len]; m];
+            for lo in (0..ps).step_by(rows) {
+                let hi = (lo + rows).min(ps);
+                let mut out: Vec<&mut [u8]> = parity
+                    .iter_mut()
+                    .flat_map(|chunk| chunk.chunks_mut(ps).map(move |sub| &mut sub[lo..hi]))
+                    .collect();
+                code.encode_stripe_into(&refs, lo, &mut out).unwrap();
+            }
+            prop_assert_eq!(
+                &parity, &code.encode(&refs).unwrap(),
+                "stripes != encode under {} (k={} m={} w={} len={} rows={})",
+                kernel.name(), k, m, w, len, rows
+            );
+            prop_assert_eq!(
+                &parity, &code.encode_unfused(&refs, ScheduleKind::Smart).unwrap(),
+                "stripes != unfused under {}", kernel.name()
             );
         }
         force_kernel(before).unwrap();

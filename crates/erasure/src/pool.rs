@@ -221,7 +221,9 @@ impl CodingPool {
         let clock = trace.as_ref().map(|(tracer, _, _)| tracer.clone());
         let (tasks, _steals) = run_stealing(self.threads, &bounds, |_, lo, hi| {
             let begin = clock.as_ref().map(Tracer::now_ns);
-            let subs = run_fused_stripe(fused, data, ps, lo, hi);
+            let mut subs = vec![vec![0u8; hi - lo]; params.m() * w];
+            let mut out: Vec<&mut [u8]> = subs.iter_mut().map(Vec::as_mut_slice).collect();
+            run_fused_stripe(fused, data, ps, lo, &mut out);
             let times = begin.map(|b| (b, clock.as_ref().expect("begin implies clock").now_ns()));
             (subs, times)
         });

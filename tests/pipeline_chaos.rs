@@ -1,9 +1,9 @@
-//! Chaos stress for the pipelined save executor.
+//! Chaos stress for the save executor.
 //!
-//! The pipelined path moves chunk placement onto a stage that runs
-//! while encoding is still in flight, so its failure behavior needs its
-//! own scrutiny: a data-plane fault mid-save must surface as a clean
-//! `save` error that leaves the *previous* checkpoint loadable, and the
+//! The executor encodes on worker threads and stores from the calling
+//! thread, so its failure behavior needs its own scrutiny: a dead
+//! worker or a data-plane fault mid-save must surface as a clean `save`
+//! error that leaves the *previous* checkpoint loadable, and the
 //! recovery contract (≤ m faults → bit-exact, > m → clean refusal)
 //! must hold over saves written by the executor under fault pressure.
 
@@ -87,18 +87,35 @@ fn node_crash_mid_save_fails_cleanly_and_keeps_the_old_checkpoint() {
     }
 }
 
+/// The stripe count of a healthy save of `dicts(8, _)` under
+/// `pipelined_config`: the length of the task stream a fail point can
+/// land in.
+fn healthy_stripes() -> u64 {
+    let spec = ClusterSpec::tiny_test(4, 2);
+    let mut plane = Cluster::new(spec);
+    let mut ecc = EcCheck::initialize(&spec, pipelined_config(1)).unwrap();
+    let report = ecc.save(&mut plane, &dicts(8, 1)).expect("fault-free save succeeds");
+    report.pipeline.expect("every save carries stage stats").stripes as u64
+}
+
 #[test]
 fn worker_killed_mid_steal_fails_cleanly_and_keeps_the_old_checkpoint() {
-    // Kill an encode worker at its n-th task pick-up — right after a
-    // pop or steal, before it touches window or ring state — and sweep
-    // n across the whole task stream so the panic lands while peers are
-    // blocked on every kind of shared state: deque stealing, the
-    // bounded contribution ring, the admission window. Each save must
-    // fail with `StageFailed` (never hang on the bounded rings, never
-    // commit a half-encoded version), and the previous checkpoint must
-    // load bit-exactly afterwards.
+    // Kill an encode worker at its n-th stripe pick-up and sweep n
+    // across the whole stripe stream, so the panic lands while peers
+    // are mid-encode, waiting on the queue or already done. Each save
+    // must fail with `StageFailed` (never hang, never commit a
+    // half-encoded version), and the previous checkpoint must load
+    // bit-exactly afterwards.
+    let stripes = healthy_stripes();
+    let mut fail_points: Vec<u64> = (0..stripes).step_by(3).chain([stripes - 1]).collect();
+    fail_points.dedup();
+    assert!(stripes >= 8, "the shape must produce a real stripe stream, got {stripes}");
+    assert!(
+        fail_points.iter().all(|&n| n < stripes),
+        "a fail point past the {stripes}-stripe stream never fires"
+    );
     for threads in [1usize, 2, 4, 8] {
-        for fail_at in (0..24u64).step_by(3) {
+        for &fail_at in &fail_points {
             let spec = ClusterSpec::tiny_test(4, 2);
             let good = dicts(8, 1);
             let mut plane = ChaosPlane::new(Cluster::new(spec), ChaosConfig::quiet(11));
@@ -126,6 +143,37 @@ fn worker_killed_mid_steal_fails_cleanly_and_keeps_the_old_checkpoint() {
                 ecc.load(&mut plane).expect("previous checkpoint must survive");
             assert_eq!(report.version, 1, "threads={threads} fail_at={fail_at}");
             assert_eq!(restored, good, "threads={threads} fail_at={fail_at}");
+        }
+    }
+}
+
+#[test]
+fn a_failed_encode_stores_no_chunk_of_the_new_version() {
+    // The encode finishes before the first put, so a worker that dies at
+    // any stripe leaves no chunk of version 2 on any node — not even the
+    // data chunks, which need no encoding.
+    let stripes = healthy_stripes();
+    for threads in [1usize, 4] {
+        for fail_at in [0, stripes / 2, stripes - 1] {
+            let spec = ClusterSpec::tiny_test(4, 2);
+            let mut plane = Cluster::new(spec);
+            let mut ecc = EcCheck::initialize(&spec, pipelined_config(threads)).unwrap();
+            let sealed = ecc.save(&mut plane, &dicts(8, 1)).expect("fault-free save succeeds");
+            ecc.set_fail_encode_task(Some(fail_at));
+            let failed = ecc.save(&mut plane, &dicts(8, 2));
+            assert!(
+                matches!(failed, Err(EcCheckError::StageFailed { .. })),
+                "threads={threads} fail_at={fail_at}: {:?}",
+                failed.map(|r| r.version)
+            );
+            let next = keys::chunk_key(sealed.version + 1);
+            for node in 0..spec.nodes() {
+                assert_eq!(
+                    plane.get_local(node, &next),
+                    None,
+                    "threads={threads} fail_at={fail_at}: node {node} holds {next}"
+                );
+            }
         }
     }
 }

@@ -1,15 +1,15 @@
-//! Determinism of the pipelined save executor's observability.
+//! Determinism of the save executor's observability.
 //!
-//! The executor runs on real worker threads with work-stealing deques,
-//! so nothing about thread scheduling may leak into the measurements:
-//! under a manual clock, a run's telemetry snapshot *and* exported
-//! Chrome trace must be byte-identical across runs and across
+//! The executor runs on real worker threads that take stripes off one
+//! shared queue, so nothing about thread scheduling may leak into the
+//! measurements: under a manual clock, a run's telemetry snapshot *and*
+//! exported Chrome trace must be byte-identical across runs and across
 //! worker-thread counts (counters count work, not threads; encode spans
-//! are recorded per task, re-emitted by the driver in task order on a
-//! single thread-count-independent track). A steal storm — many tiny
-//! stripes, far more workers than stripes — must lose and duplicate
-//! nothing. The idle-slot gate accounts in virtual time, so a gated
-//! save is held to the same standard.
+//! are recorded per stripe, re-emitted after the join in stripe order
+//! on a single thread-count-independent track). A steal storm — many
+//! tiny stripes, far more workers than stripes — must lose and
+//! duplicate nothing. The idle-slot gate accounts in virtual time, so a
+//! gated save is held to the same standard.
 
 use std::sync::Arc;
 
@@ -44,8 +44,7 @@ fn run_once(threads: usize) -> (String, String) {
     let cfg = EcCheckConfig::paper_defaults()
         .with_packet_size(1024)
         .with_coding_threads(threads)
-        .with_pipeline_buffer(128)
-        .with_pipeline_depth(3);
+        .with_pipeline_buffer(128);
     let mut ecc = EcCheck::initialize(&spec, cfg).unwrap();
     let clock = Arc::new(ManualClock::new());
     ecc.set_recorder(Recorder::with_clock(clock.clone()));
@@ -80,11 +79,11 @@ fn snapshot_and_trace_are_byte_identical_across_runs_at_every_thread_count() {
 
 #[test]
 fn snapshot_and_trace_are_byte_identical_across_stealing_thread_counts() {
-    // Work-stealing moves tasks between workers nondeterministically,
-    // but the observability contract is stronger than run-determinism:
-    // the deferred, task-ordered span re-emission on a single `encode`
+    // Which worker takes which stripe is a scheduling accident, but the
+    // observability contract is stronger than run-determinism: the
+    // deferred, stripe-ordered span re-emission on a single `encode`
     // track makes the whole trace identical whether 1 or 8 workers ran
-    // the deques (steal counts live in `SaveReport::pipeline` only).
+    // the queue (busy times live in `SaveReport::pipeline` only).
     let (snap_one, trace_one) = run_once(1);
     for threads in [2usize, 4, 8] {
         let (snap, trace) = run_once(threads);
@@ -96,19 +95,18 @@ fn snapshot_and_trace_are_byte_identical_across_stealing_thread_counts() {
 #[test]
 fn steal_storm_loses_and_duplicates_nothing() {
     // Many tiny stripes with threads >> stripes: every worker races the
-    // others' deques dry. A lost task would wedge the reducer (k
-    // contributions per stripe never arrive); a double-executed Contrib
-    // would XOR a stripe into its accumulator twice and cancel it,
-    // corrupting parity — so a bit-exact reload proves exactly-once
-    // execution, and the stats must agree with the 1-thread run.
+    // others for the queue. A lost stripe would leave its parity rows
+    // zero and its row CRCs out of the stitched manifest entries, and a
+    // duplicated one would stitch its CRCs twice — so a bit-exact reload
+    // (every chunk held to its entry) proves exactly-once execution, and
+    // the stats must agree with the 1-thread run.
     let run = |threads: usize| {
         let spec = ClusterSpec::tiny_test(4, 2);
         let mut cluster = Cluster::new(spec);
         let cfg = EcCheckConfig::paper_defaults()
             .with_packet_size(1024)
             .with_coding_threads(threads)
-            .with_pipeline_buffer(64)
-            .with_pipeline_depth(2);
+            .with_pipeline_buffer(64);
         let mut ecc = EcCheck::initialize(&spec, cfg).unwrap();
         let clock = Arc::new(ManualClock::new());
         ecc.set_recorder(Recorder::with_clock(clock.clone()));
@@ -121,7 +119,7 @@ fn steal_storm_loses_and_duplicates_nothing() {
     };
     let (base, snap_base) = run(1);
     assert!(base.stripes >= 4, "shape must produce a real stripe stream, got {}", base.stripes);
-    assert_eq!(base.encode_steals, 0, "a single worker has nobody to steal from");
+    assert_eq!(base.encode_tasks, base.stripes as u64, "one task per stripe");
     for threads in [4usize, 16, 64] {
         let (stats, snap) = run(threads);
         assert_eq!(stats.stripes, base.stripes, "stripe count drifted at {threads} threads");
@@ -130,7 +128,7 @@ fn steal_storm_loses_and_duplicates_nothing() {
             "task count drifted at {threads} threads"
         );
         assert_eq!(stats.stripe_rows, base.stripe_rows);
-        assert_eq!(stats.encode_workers, threads);
+        assert_eq!(stats.encode_workers, threads.min(stats.stripes), "workers cap at stripes");
         assert_eq!(snap, snap_base, "telemetry drifted at {threads} threads");
     }
 }
@@ -139,7 +137,7 @@ fn steal_storm_loses_and_duplicates_nothing() {
 fn telemetry_snapshot_does_not_depend_on_the_thread_count() {
     // Counters count stripes, pieces and bytes — functions of the save's
     // geometry, never of how many workers happened to execute them.
-    // Scheduling-dependent values (busy ns, ring/window waits) live in
+    // Scheduling-dependent values (busy ns) live in
     // `SaveReport::pipeline`, not in the recorder.
     let (snap_one, _) = run_once(1);
     let (snap_eight, _) = run_once(8);

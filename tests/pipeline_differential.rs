@@ -1,8 +1,8 @@
-//! Differential harness for the pipelined save executor.
+//! Differential harness for the save executor.
 //!
-//! The executor schedules the encode → XOR-reduce → transfer work of a
-//! save across threads, stripes and rings; it must never change *what*
-//! a save stores. These tests hold it to a test-side oracle — one
+//! The executor spreads the encode of a save across threads, one task
+//! per stripe, each writing straight into the parity chunks it stores;
+//! it must never change *what* a save stores. These tests hold it to a test-side oracle — one
 //! straight-line pass over the same state built from public crate APIs
 //! alone — for every code shape, stripe-buffer size and thread count:
 //! every node must hold exactly the oracle's chunk bytes under the same
@@ -217,9 +217,9 @@ fn pipelined_saves_report_stage_accounting() {
     assert!(snap.counter("ecc.pipeline.stripes") > 0, "stripes must be counted");
     assert!(
         snap.counter("ecc.pipeline.encode_tasks") >= snap.counter("ecc.pipeline.stripes"),
-        "each stripe takes at least one encode task per data chunk"
+        "each stripe takes at least one encode task"
     );
-    // The column-at-a-time encode keeps the aggregate totals complete:
+    // The stripe-at-a-time encode keeps the aggregate totals complete:
     // k data chunks in, m parity chunks out.
     let chunk_len = pipe.cluster.get_local(0, &keys::chunk_key(1)).expect("chunk stored").len();
     assert_eq!(snap.counter("erasure.encode.bytes"), 2 * chunk_len as u64);
@@ -237,15 +237,13 @@ proptest! {
         extra in 0usize..4000,
         buffer in 16usize..6000,
         threads in 1usize..8,
-        depth in 2usize..6,
     ) {
         let pipe = run_saves(
             4,
             1,
             base_config(2, 2)
                 .with_coding_threads(threads)
-                .with_pipeline_buffer(buffer)
-                .with_pipeline_depth(depth),
+                .with_pipeline_buffer(buffer),
             1,
             extra,
         );
