@@ -183,6 +183,12 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// A length-prefixed UTF-8 string.
+    pub(crate) fn str(&mut self) -> Result<&'a str, CheckpointError> {
+        let len = self.varint()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| CheckpointError::BadUtf8)
+    }
+
     pub(crate) fn varint(&mut self) -> Result<u64, CheckpointError> {
         let mut value = 0u64;
         let mut shift = 0u32;
@@ -208,17 +214,14 @@ pub(crate) fn read_value(c: &mut Cursor<'_>) -> Result<Value, CheckpointError> {
             Ok(Value::Float(f64::from_le_bytes(raw)))
         }
         TAG_BOOL => Ok(Value::Bool(c.u8()? != 0)),
-        TAG_STR => {
-            let len = c.varint()? as usize;
-            let s = std::str::from_utf8(c.take(len)?).map_err(|_| CheckpointError::BadUtf8)?;
-            Ok(Value::Str(s.to_string()))
-        }
+        TAG_STR => Ok(Value::Str(c.str()?.to_string())),
         TAG_BYTES => {
             let len = c.varint()? as usize;
             Ok(Value::Bytes(c.take(len)?.to_vec()))
         }
         TAG_TENSOR => {
-            let dtype = DType::from_tag(c.u8()?).ok_or(CheckpointError::BadTag { tag: 0xFF })?;
+            let tag = c.u8()?;
+            let dtype = DType::from_tag(tag).ok_or(CheckpointError::BadTag { tag })?;
             let rank = c.varint()? as usize;
             let mut shape = Vec::with_capacity(rank.min(64));
             for _ in 0..rank {
@@ -228,28 +231,38 @@ pub(crate) fn read_value(c: &mut Cursor<'_>) -> Result<Value, CheckpointError> {
             let data = c.take(len)?.to_vec();
             Ok(Value::Tensor(Tensor::from_bytes(dtype, &shape, data)?))
         }
-        TAG_LIST => {
-            let count = c.varint()? as usize;
-            let mut items = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                items.push(read_value(c)?);
-            }
-            Ok(Value::List(items))
-        }
-        TAG_DICT => {
-            let count = c.varint()? as usize;
-            let mut dict = StateDict::new();
-            for _ in 0..count {
-                let klen = c.varint()? as usize;
-                let key = std::str::from_utf8(c.take(klen)?)
-                    .map_err(|_| CheckpointError::BadUtf8)?
-                    .to_string();
-                dict.insert(key, read_value(c)?);
-            }
-            Ok(Value::Dict(dict))
-        }
+        TAG_LIST => read_list(c, read_value).map(Value::List),
+        TAG_DICT => read_dict(c, read_value).map(Value::Dict),
         tag => Err(CheckpointError::BadTag { tag }),
     }
+}
+
+/// Reads a list body — a count, then each item read by `item`.
+pub(crate) fn read_list<'a>(
+    c: &mut Cursor<'a>,
+    mut item: impl FnMut(&mut Cursor<'a>) -> Result<Value, CheckpointError>,
+) -> Result<Vec<Value>, CheckpointError> {
+    let count = c.varint()? as usize;
+    let mut items = Vec::with_capacity(count.min(4096));
+    for _ in 0..count {
+        items.push(item(c)?);
+    }
+    Ok(items)
+}
+
+/// Reads a dict body — a count, then each key and its value read by
+/// `value` — and builds the dict in one pass.
+pub(crate) fn read_dict<'a>(
+    c: &mut Cursor<'a>,
+    mut value: impl FnMut(&mut Cursor<'a>) -> Result<Value, CheckpointError>,
+) -> Result<StateDict, CheckpointError> {
+    let count = c.varint()? as usize;
+    let mut entries = Vec::with_capacity(count.min(4096));
+    for _ in 0..count {
+        let key = c.str()?.to_string();
+        entries.push((key, value(c)?));
+    }
+    Ok(StateDict::from_entries(entries))
 }
 
 pub(crate) fn write_varint(mut v: u64, out: &mut Vec<u8>) {
