@@ -5,8 +5,10 @@
 //! `[lo, hi)` of every sub-packet of every chunk. [`run`] cuts the packet
 //! dimension into stripes, allocates the `m` parity chunks the save will
 //! store, and splits them — before any task runs — into each stripe's
-//! `m · w` disjoint row slices. Up to `coding_threads` scoped workers then
-//! take stripes in order off one shared queue. A task encodes its stripe from
+//! `m · w` disjoint row slices. The stripe executor of `ecc-erasure`
+//! ([`ecc_erasure::stripes`], which [`ecc_erasure::CodingPool`] runs on
+//! too) then hands the stripes in order to up to `coding_threads` scoped
+//! workers sharing one queue. A task encodes its stripe from
 //! all `k` data chunks, read in place, straight into its slices
 //! ([`ErasureCode::encode_stripe_into`]). The fused schedule's chains fold
 //! the `k` column contributions of a parity row in one sweep, so the
@@ -26,9 +28,10 @@
 //!
 //! Stripe size is `rows = min(pipeline_buffer / w, ps / 8)` rows of each
 //! `ps`-byte sub-packet, rounded down to the code's 8-row alignment (at
-//! least 8). The buffer caps the bytes one task touches; the eighth gives
-//! the workers at least eight tasks to share whenever a sub-packet has 64
-//! rows. Both are sizes: the stripe cut never depends on the thread count.
+//! least 8), [`Geometry`]'s rule. The buffer caps the bytes one task
+//! touches; the eighth gives the workers at least eight tasks to share
+//! whenever a sub-packet has 64 rows. Both are sizes: the stripe cut never
+//! depends on the thread count.
 //!
 //! Determinism: everything observable through the recorder snapshot or a
 //! [`ManualClock`](ecc_telemetry::ManualClock)-driven trace is invariant
@@ -39,10 +42,9 @@
 //! thread count, and every telemetry counter counts work (stripes, row
 //! checksums, bytes). Busy times land in [`PipelineStats`] instead.
 
-use std::sync::Mutex;
-
 use ecc_checkpoint::{crc32, crc32_combine};
 use ecc_cluster::DataPlane;
+use ecc_erasure::stripes::{self, Geometry};
 use ecc_erasure::ErasureCode;
 use ecc_sim::SlotGate;
 use ecc_telemetry::Recorder;
@@ -157,39 +159,9 @@ pub(crate) struct PipelineOutcome {
     pub place_end_ns: u64,
 }
 
-/// Stripe geometry of a chunk of `w · ps` bytes.
-#[derive(Debug, Clone, Copy)]
-struct Geometry {
-    k: usize,
-    m: usize,
-    w: usize,
-    /// Sub-packet length: `chunk_len / w`, a positive multiple of 8
-    /// (packet sizes are multiples of `w · 8`).
-    ps: usize,
-    /// Rows of a full stripe (a multiple of 8, so every stripe stays
-    /// coding-aligned).
-    rows: usize,
-    stripes: usize,
-}
-
-impl Geometry {
-    fn new(k: usize, m: usize, w: usize, chunk_len: usize, buffer: usize) -> Self {
-        let ps = chunk_len / w;
-        let rows = ((buffer / w).min(ps / 8) / 8 * 8).max(8);
-        Self { k, m, w, ps, rows, stripes: ps.div_ceil(rows) }
-    }
-
-    /// `[lo, hi)` row range of stripe `b` within the packet dimension.
-    fn rows_of(&self, stripe: usize) -> (usize, usize) {
-        let lo = stripe * self.rows;
-        (lo, (lo + self.rows).min(self.ps))
-    }
-}
-
 /// One encoded stripe: the CRC of each of its `(k + m) · w` row slices
 /// (chunk-major, then sub-packet) and the task's span.
 struct StripeDone {
-    stripe: usize,
     crcs: Vec<u32>,
     begin_ns: u64,
     end_ns: u64,
@@ -240,34 +212,33 @@ pub(crate) fn run(
     // The parity chunks this save stores, cut into each stripe's row
     // slices (parity-major, then sub-packet) that its task fills.
     let mut parity: Vec<Vec<u8>> = (0..geo.m).map(|_| vec![0u8; chunk_len]).collect();
-    let encoded = {
-        let mut slices: Vec<Vec<&mut [u8]>> =
-            (0..geo.stripes).map(|_| Vec::with_capacity(geo.m * geo.w)).collect();
-        for sub in parity.iter_mut().flat_map(|chunk| chunk.chunks_mut(geo.ps)) {
-            for (stripe, rows) in sub.chunks_mut(geo.rows).enumerate() {
-                slices[stripe].push(rows);
-            }
+    let data: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
+    let encoded = stripes::run(threads, geo.split(&mut parity), |stripe, mut out| {
+        // Stripes leave the queue in order, so the n-th pick-up is
+        // stripe n.
+        if fail_encode_task == Some(stripe as u64) {
+            panic!("injected fail point: encode worker dies at stripe pick-up {stripe}");
         }
-        let data: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
-        encode_stripes(&geo, code, &data, slices, workers, recorder, fail_encode_task)
-    };
-    let Some(mut done) = encoded else {
+        let begin_ns = recorder.now_ns();
+        let (lo, hi) = geo.rows_of(stripe);
+        code.encode_stripe_into(&data, lo, &mut out)
+            .expect("stripes tile the packet dimension by construction");
+        let data_rows =
+            data.iter().flat_map(|chunk| (0..geo.w).map(move |c| &chunk[c * geo.ps..][lo..hi]));
+        let crcs = data_rows.chain(out.iter().map(|row| &**row)).map(crc32).collect();
+        StripeDone { crcs, begin_ns, end_ns: recorder.now_ns() }
+    });
+    let Some(done) = encoded else {
         return Err(EcCheckError::StageFailed {
             detail: "an encode worker panicked mid-save".to_string(),
         });
     };
-    done.sort_unstable_by_key(|d| d.stripe);
     let encode_begin = done.iter().map(|d| d.begin_ns).min().unwrap_or(wall_begin);
     let encode_end = done.iter().map(|d| d.end_ns).max().unwrap_or(encode_begin);
     let encode_busy_ns = done.iter().map(|d| d.end_ns.saturating_sub(d.begin_ns)).sum();
     if let (Some(t), Some(tr)) = (trace, &tracks) {
-        for d in &done {
-            t.tracer.begin_at(
-                tr.encode,
-                "encode.stripe",
-                format!("stripe={}", d.stripe),
-                d.begin_ns,
-            );
+        for (stripe, d) in done.iter().enumerate() {
+            t.tracer.begin_at(tr.encode, "encode.stripe", format!("stripe={stripe}"), d.begin_ns);
             t.tracer.end_at(tr.encode, d.end_ns);
         }
     }
@@ -276,9 +247,9 @@ pub(crate) fn run(
     let transfer_begin = recorder.now_ns();
     let crcs: Vec<u32> = (0..geo.k + geo.m)
         .map(|id| {
-            let rows = (0..geo.w).flat_map(|c| done.iter().map(move |d| (c, d)));
-            rows.fold(crc32(&[]), |acc, (c, d)| {
-                let (lo, hi) = geo.rows_of(d.stripe);
+            let rows = (0..geo.w).flat_map(|c| done.iter().enumerate().map(move |d| (c, d)));
+            rows.fold(crc32(&[]), |acc, (c, (stripe, d))| {
+                let (lo, hi) = geo.rows_of(stripe);
                 crc32_combine(acc, d.crcs[id * geo.w + c], (hi - lo) as u64)
             })
         })
@@ -370,81 +341,9 @@ pub(crate) fn run(
     })
 }
 
-/// Encodes every stripe on `workers` scoped threads that take stripes in
-/// order off one shared queue, each into its own `slices`. `None` when a
-/// worker panicked: the encode is incomplete and nothing may be stored.
-fn encode_stripes(
-    geo: &Geometry,
-    code: &ErasureCode,
-    data: &[&[u8]],
-    slices: Vec<Vec<&mut [u8]>>,
-    workers: usize,
-    recorder: &Recorder,
-    fail_at: Option<u64>,
-) -> Option<Vec<StripeDone>> {
-    let queue = Mutex::new(slices.into_iter().enumerate());
-    let task = || {
-        let mut done = Vec::new();
-        loop {
-            let Some((stripe, mut out)) =
-                queue.lock().expect("no worker panics holding the stripe queue").next()
-            else {
-                return done;
-            };
-            // Stripes leave the queue in order, so the n-th pick-up is
-            // stripe n.
-            if fail_at == Some(stripe as u64) {
-                panic!("injected fail point: encode worker dies at stripe pick-up {stripe}");
-            }
-            let begin_ns = recorder.now_ns();
-            let (lo, hi) = geo.rows_of(stripe);
-            code.encode_stripe_into(data, lo, &mut out)
-                .expect("stripes tile the packet dimension by construction");
-            let data_rows =
-                data.iter().flat_map(|chunk| (0..geo.w).map(move |c| &chunk[c * geo.ps..][lo..hi]));
-            let crcs = data_rows.chain(out.iter().map(|row| &**row)).map(crc32).collect();
-            done.push(StripeDone { stripe, crcs, begin_ns, end_ns: recorder.now_ns() });
-        }
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(task)).collect();
-        let joined: Result<Vec<Vec<StripeDone>>, _> =
-            handles.into_iter().map(|handle| handle.join()).collect();
-        joined.ok().map(|done| done.into_iter().flatten().collect())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geometry_covers_every_row_exactly_once() {
-        for (chunk_len, w, buffer) in [
-            (256usize, 8usize, 64usize),
-            (4096, 8, 4096),
-            (768, 4, 100),
-            (64, 8, 1 << 20),
-            (1 << 20, 8, 4 << 20),
-        ] {
-            let geo = Geometry::new(2, 2, w, chunk_len, buffer);
-            assert!(geo.rows.is_multiple_of(8), "rows {} must stay aligned", geo.rows);
-            let mut covered = 0;
-            for b in 0..geo.stripes {
-                let (lo, hi) = geo.rows_of(b);
-                assert_eq!(lo, covered, "stripes must tile the packet dimension");
-                assert!(hi > lo);
-                covered = hi;
-            }
-            assert_eq!(covered, geo.ps, "chunk_len={chunk_len} w={w} buffer={buffer}");
-            // The buffer caps a stripe; a sub-packet of 64 rows or more
-            // always yields at least eight.
-            assert!(geo.rows <= (buffer / w).max(8), "chunk_len={chunk_len} buffer={buffer}");
-            if geo.ps >= 64 {
-                assert!(geo.stripes >= 8, "chunk_len={chunk_len}: {} stripes", geo.stripes);
-            }
-        }
-    }
 
     #[test]
     fn occupancy_is_bounded_and_zero_safe() {

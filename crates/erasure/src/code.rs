@@ -6,8 +6,10 @@
 //! owns. Whole-chunk calls (`run_fused_on`) hand it the sub-packets of
 //! the chunks they return; the save executor hands it, through
 //! [`ErasureCode::encode_stripe_into`], one stripe's rows of the parity
-//! chunks it stores. No path concatenates or copies an output after the
-//! fact, and `reconstruct_all` moves the chunks it is given straight
+//! chunks it stores, and [`crate::CodingPool`] one stripe's rows of the
+//! chunks it returns. A decode plans once (`decode_plan`: survivors,
+//! missing ids, one matrix inversion), whoever runs it. No path
+//! concatenates or copies an output after the fact, and `reconstruct_all` moves the chunks it is given straight
 //! through. The unfused op-at-a-time executor (`run_schedule_on`) stays
 //! as the differential oracle of `fused_equiv_prop.rs`.
 
@@ -23,11 +25,11 @@ use crate::{cauchy, region, vandermonde, CodeParams, ErasureError};
 #[derive(Debug, Clone)]
 pub(crate) struct CodeMetrics {
     pub(crate) recorder: Recorder,
-    pub(crate) encode_calls: Counter,
-    pub(crate) encode_bytes: Counter,
-    pub(crate) encode_parity_bytes: Counter,
-    pub(crate) encode_xor_ops: Counter,
-    pub(crate) kernel_bytes: Counter,
+    encode_calls: Counter,
+    encode_bytes: Counter,
+    encode_parity_bytes: Counter,
+    encode_xor_ops: Counter,
+    kernel_bytes: Counter,
     decode_calls: Counter,
     decode_bytes: Counter,
     decode_rebuilt_chunks: Counter,
@@ -49,6 +51,17 @@ impl CodeMetrics {
             decode_xor_ops: recorder.counter("erasure.decode.xor_ops"),
         }
     }
+
+    /// Records one whole encode of `data` into `parity` by a schedule of
+    /// `xor_ops` XORs, however it was executed.
+    pub(crate) fn record_encode(&self, data: &[&[u8]], parity: &[Vec<u8>], xor_ops: usize) {
+        let payload: u64 = data.iter().map(|c| c.len() as u64).sum();
+        self.encode_calls.incr();
+        self.encode_bytes.add(payload);
+        self.encode_parity_bytes.add(parity.iter().map(|c| c.len() as u64).sum());
+        self.encode_xor_ops.add(xor_ops as u64);
+        self.kernel_bytes.add(payload);
+    }
 }
 
 /// Why a rebuilt chunk is always there for a missing slot: the decode
@@ -58,7 +71,7 @@ const REBUILT: &str = "one rebuilt chunk per missing slot";
 /// Per-kernel byte counter (`kernel.<name>.bytes`), plus a one-shot
 /// `kernel.selected` event so traces show which SIMD path ran. The name
 /// is resolved at attach time from the dispatched kernel.
-pub(crate) fn kernel_bytes_counter(recorder: &Recorder) -> Counter {
+fn kernel_bytes_counter(recorder: &Recorder) -> Counter {
     let name = ecc_gf::kernel::active_kernel().name();
     recorder.event("kernel.selected", name);
     recorder.counter(&format!("kernel.{name}.bytes"))
@@ -318,12 +331,7 @@ impl ErasureCode {
         drop(span);
         drop(timer);
         if let Some(m) = &self.metrics {
-            let payload: u64 = data.iter().map(|c| c.len() as u64).sum();
-            m.encode_calls.incr();
-            m.encode_bytes.add(payload);
-            m.encode_parity_bytes.add(parity.iter().map(|c| c.len() as u64).sum());
-            m.encode_xor_ops.add(self.schedule(kind).xor_count() as u64);
-            m.kernel_bytes.add(payload);
+            m.record_encode(data, &parity, self.schedule(kind).xor_count());
         }
         Ok(parity)
     }
@@ -412,11 +420,8 @@ impl ErasureCode {
         shards: &[Option<&[u8]>],
         fused: bool,
     ) -> Result<Vec<Vec<u8>>, ErasureError> {
-        let mut rebuilt = self.rebuild_data(shards, fused)?.into_iter();
-        let data = shards[..self.params.k()].iter();
-        Ok(data
-            .map(|&s| s.map_or_else(|| rebuilt.next().expect(REBUILT), <[u8]>::to_vec))
-            .collect())
+        let rebuilt = self.rebuild_data(shards, fused)?;
+        Ok(with_rebuilt(shards, self.params.k(), rebuilt))
     }
 
     /// Rebuilds the missing data chunks of `shards`, in index order,
@@ -427,6 +432,26 @@ impl ErasureCode {
         shards: &[Option<&[u8]>],
         fused: bool,
     ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        let plan = self.decode_plan(shards)?;
+        Ok(self.rebuild_with(&plan, |schedule| {
+            // Ad-hoc decode schedules are fused on the fly (grouping is
+            // linear in the op count, noise next to the inversion).
+            if fused {
+                run_fused_on(&schedule.fuse(), &plan.survivors, plan.ps)
+            } else {
+                run_schedule_on(schedule, &plan.survivors, plan.ps)
+            }
+        }))
+    }
+
+    /// Plans the decode of `shards`: checks the slots, picks the first
+    /// `k` present shards as survivors, and inverts their generator rows
+    /// once into the schedule that rebuilds the missing data chunks.
+    /// Shared by [`ErasureCode::decode`] and [`crate::CodingPool::decode`].
+    pub(crate) fn decode_plan<'a>(
+        &self,
+        shards: &[Option<&'a [u8]>],
+    ) -> Result<DecodePlan<'a>, ErasureError> {
         let (k, n) = (self.params.k(), self.params.n());
         if shards.len() != n {
             return Err(ErasureError::BadChunkLength {
@@ -437,45 +462,46 @@ impl ErasureCode {
         if present.len() < k {
             return Err(ErasureError::TooFewSurvivors { needed: k, available: present.len() });
         }
-        let survivors: Vec<usize> = present.into_iter().take(k).collect();
-        let survivor_slices: Vec<&[u8]> =
-            survivors.iter().map(|&i| shards[i].expect("survivor present")).collect();
-        let ps = self.validate_chunks(&survivor_slices, k)?;
-
+        let ids: Vec<usize> = present.into_iter().take(k).collect();
+        let survivors: Vec<&[u8]> =
+            ids.iter().map(|&i| shards[i].expect("survivor present")).collect();
+        let ps = self.validate_chunks(&survivors, k)?;
         let missing: Vec<usize> = (0..k).filter(|&i| shards[i].is_none()).collect();
+        let mut schedule = None;
+        if !missing.is_empty() {
+            let inv = self.generator.select_rows(&ids).inverted(&self.gf)?;
+            let bits = BitMatrix::from_gf_matrix(&inv.select_rows(&missing), &self.gf);
+            let w = self.params.w() as usize;
+            schedule =
+                Some(XorSchedule::from_bitmatrix(&bits, k, missing.len(), w, ScheduleKind::Smart));
+        }
+        Ok(DecodePlan { survivors, ps, missing, schedule })
+    }
+
+    /// Rebuilds the plan's missing chunks with `rebuild`, given the
+    /// plan's schedule (not called when nothing is missing), under the
+    /// `erasure.decode` span and timer, and records one decode.
+    pub(crate) fn rebuild_with(
+        &self,
+        plan: &DecodePlan<'_>,
+        rebuild: impl FnOnce(&XorSchedule) -> Vec<Vec<u8>>,
+    ) -> Vec<Vec<u8>> {
         let timer = self.metrics.as_ref().map(|m| m.recorder.timer("erasure.decode.ns"));
         let span = self.tracer.as_ref().map(|(tracer, track)| {
-            tracer.span(*track, "erasure.decode", format!("{} missing", missing.len()))
+            tracer.span(*track, "erasure.decode", format!("{} missing", plan.missing.len()))
         });
-        let mut rebuilt = Vec::new();
-        if !missing.is_empty() {
-            let sub = self.generator.select_rows(&survivors);
-            let inv = sub.inverted(&self.gf)?;
-            let rows = inv.select_rows(&missing);
-            let bits = BitMatrix::from_gf_matrix(&rows, &self.gf);
-            let w = self.params.w() as usize;
-            let schedule =
-                XorSchedule::from_bitmatrix(&bits, k, missing.len(), w, ScheduleKind::Smart);
-            // Ad-hoc decode schedules are fused on the fly (grouping is
-            // linear in the op count, noise next to the inversion).
-            rebuilt = if fused {
-                run_fused_on(&schedule.fuse(), &survivor_slices, ps)
-            } else {
-                run_schedule_on(&schedule, &survivor_slices, ps)
-            };
-            if let Some(m) = &self.metrics {
-                m.decode_xor_ops.add(schedule.xor_count() as u64);
-            }
-        }
+        let rebuilt = plan.schedule.as_ref().map_or_else(Vec::new, rebuild);
         drop(span);
         drop(timer);
         if let Some(m) = &self.metrics {
+            let bytes = (plan.survivors.len() * plan.survivors[0].len()) as u64;
+            m.decode_xor_ops.add(plan.schedule.as_ref().map_or(0, |s| s.xor_count() as u64));
             m.decode_calls.incr();
-            m.decode_bytes.add((k * survivor_slices[0].len()) as u64);
-            m.decode_rebuilt_chunks.add(missing.len() as u64);
-            m.kernel_bytes.add((k * survivor_slices[0].len()) as u64);
+            m.decode_bytes.add(bytes);
+            m.decode_rebuilt_chunks.add(plan.missing.len() as u64);
+            m.kernel_bytes.add(bytes);
         }
-        Ok(rebuilt)
+        rebuilt
     }
 
     /// Reconstructs *all* `n` chunks (data and parity) — the step that
@@ -549,7 +575,11 @@ impl ErasureCode {
         Ok(self.generator.mul(&inv, &self.gf)?)
     }
 
-    fn validate_chunks(&self, chunks: &[&[u8]], expect: usize) -> Result<usize, ErasureError> {
+    pub(crate) fn validate_chunks(
+        &self,
+        chunks: &[&[u8]],
+        expect: usize,
+    ) -> Result<usize, ErasureError> {
         if chunks.len() != expect {
             return Err(ErasureError::BadChunkLength {
                 detail: format!("expected {expect} chunks, got {}", chunks.len()),
@@ -573,11 +603,38 @@ impl ErasureCode {
     }
 }
 
+/// What one decode needs, built once by [`ErasureCode::decode_plan`].
+pub(crate) struct DecodePlan<'a> {
+    /// The first `k` present shards, in slot order.
+    pub(crate) survivors: Vec<&'a [u8]>,
+    /// Sub-packet length of every shard.
+    pub(crate) ps: usize,
+    /// The missing data chunk ids, in slot order.
+    pub(crate) missing: Vec<usize>,
+    /// The schedule rebuilding `missing` from `survivors`; `None` when
+    /// no data chunk is missing.
+    pub(crate) schedule: Option<XorSchedule>,
+}
+
+/// The `k` data chunks of `shards`: the present ones copied, the missing
+/// ones taken from `rebuilt` in slot order.
+pub(crate) fn with_rebuilt(
+    shards: &[Option<&[u8]>],
+    k: usize,
+    rebuilt: Vec<Vec<u8>>,
+) -> Vec<Vec<u8>> {
+    let mut rebuilt = rebuilt.into_iter();
+    shards[..k]
+        .iter()
+        .map(|&s| s.map_or_else(|| rebuilt.next().expect(REBUILT), <[u8]>::to_vec))
+        .collect()
+}
+
 /// Executes an XOR schedule over real byte regions.
 ///
 /// `sources` are the schedule's `k` input chunks, each `w · ps` bytes; the
-/// return value holds the schedule's `m` output chunks. Exposed at crate
-/// level so the thread pool can drive per-stripe executions.
+/// return value holds the schedule's `m` output chunks. The unfused
+/// oracle of the fused executors.
 pub(crate) fn run_schedule_on(
     schedule: &XorSchedule,
     sources: &[&[u8]],
@@ -619,10 +676,9 @@ fn schedule_block_len(k: usize, m: usize, w: usize) -> usize {
 /// Executes a schedule over the byte range `[lo, hi)` of every sub-packet.
 ///
 /// Because XOR schedules act independently on each byte column, executing
-/// disjoint stripes on different threads and concatenating the results is
-/// identical to a single full-width execution — this is the primitive the
-/// paper's thread-pool technique (§IV-A) is built on. Returns the `m·w`
-/// parity sub-packet stripes, each `hi - lo` bytes.
+/// disjoint stripes and concatenating the results is identical to a
+/// single full-width execution. Returns the `m·w` parity sub-packet
+/// stripes, each `hi - lo` bytes.
 ///
 /// Internally the stripe is processed in L2-sized blocks (the full op
 /// list runs per block before advancing — see [`schedule_block_len`]);
@@ -697,8 +753,8 @@ pub(crate) fn run_fused_on(fused: &FusedSchedule, sources: &[&[u8]], ps: usize) 
 /// schedules act independently on each byte column, executing disjoint
 /// stripes (on any threads, in any order) into slices of the same
 /// output chunks is identical to one full-width execution — the
-/// primitive both the paper's thread-pool technique (§IV-A) and the save
-/// executor are built on. Bit-identical to the unfused executor (fusion
+/// primitive every task of the stripe executor ([`crate::stripes::run`])
+/// runs, for the save and for [`crate::CodingPool`] alike. Bit-identical to the unfused executor (fusion
 /// only regroups an XOR-linear computation; property-tested in
 /// `fused_equiv_prop.rs`).
 pub(crate) fn run_fused_stripe(

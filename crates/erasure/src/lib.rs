@@ -15,8 +15,10 @@
 //!   a bit-matrix.
 //! * [`ErasureCode`] — systematic encode of `k` data chunks into `m`
 //!   parity chunks, and any-k decode, over real byte regions.
-//! * [`CodingPool`] — the paper's thread-pool technique: region coding
-//!   split into sub-tasks executed by worker threads.
+//! * [`stripes`] — the paper's thread-pool technique: the stripe rule and
+//!   the one executor whose workers take stripes off a shared queue. The
+//!   save runs on it, and so does [`CodingPool`], a whole encode or decode
+//!   coded stripe by stripe.
 //!
 //! # Examples
 //!
@@ -49,6 +51,7 @@ mod params;
 mod pool;
 pub mod region;
 mod schedule;
+pub mod stripes;
 pub mod vandermonde;
 
 pub use code::ErasureCode;
