@@ -6,19 +6,20 @@
 //! * **At most `m` chunk-class faults** (node crashes, lost or
 //!   corrupted chunks) → `load` must return the checkpoint
 //!   **bit-exactly**.
-//! * **More than `m`**, or a worker's header — or the version's
-//!   manifest — lost from *every* node →
-//!   `load` must fail with a clean
-//!   [`eccheck::EcCheckError::Unrecoverable`] naming what was lost.
+//! * **More than `m`**, or the version's manifest record — which
+//!   carries every worker's header — lost from *every* node → `load`
+//!   must fail with a clean [`eccheck::EcCheckError::Unrecoverable`]
+//!   naming what was lost.
 //! * **Never garbage**: whatever the fault mix — including faults that
 //!   strike mid-recovery — a successful `load` must return exactly
 //!   what was saved.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ecc_checkpoint::{DType, StateDict, Tensor, Value};
 use ecc_cluster::{Cluster, ClusterSpec, DataPlane, FailureModel, NodeId};
 use ecc_obs::{ObsHub, SloSpec};
+use ecc_telemetry::push_json_string;
 use eccheck::store::{self, WorkerDirtySet};
 use eccheck::{keys, EcCheck, EcCheckConfig, EcCheckError, RecoveryWorkflow};
 use rand::rngs::StdRng;
@@ -50,12 +51,12 @@ pub struct CampaignConfig {
     pub p_corrupt_chunk: f64,
     /// Probability that one crash strikes mid-load instead of before.
     pub p_midload_crash: f64,
-    /// Probability of corrupting one worker's header on all nodes but
+    /// Probability of corrupting the manifest record on all nodes but
     /// one (recovery must fall back to the spared copy).
-    pub p_header_attack: f64,
-    /// Probability of destroying one worker's header on *every* node
-    /// (recovery must refuse, naming the worker).
-    pub p_header_total_loss: f64,
+    pub p_record_attack: f64,
+    /// Probability of corrupting the manifest record on *every* node
+    /// (recovery must refuse).
+    pub p_record_total_loss: f64,
     /// In-flight drop probability per `put_local` during save/restore.
     pub p_drop_put: f64,
     /// In-flight corruption probability per `put_local`.
@@ -88,8 +89,8 @@ impl CampaignConfig {
             failure_domain: 2,
             p_corrupt_chunk: 0.15,
             p_midload_crash: 0.2,
-            p_header_attack: 0.2,
-            p_header_total_loss: 0.05,
+            p_record_attack: 0.2,
+            p_record_total_loss: 0.05,
             p_drop_put: 0.02,
             p_corrupt_put: 0.02,
             p_duplicate_put: 0.05,
@@ -131,9 +132,9 @@ pub struct RoundOutcome {
     /// Nodes whose chunk was destroyed or tainted before the load
     /// (crashes, at-rest corruption, dropped/corrupted chunk puts).
     pub chunk_casualties: Vec<NodeId>,
-    /// Whether some worker's header, or the version's manifest, was
-    /// damaged on every node.
-    pub header_catastrophe: bool,
+    /// Whether the version's manifest record was damaged on every
+    /// node.
+    pub record_catastrophe: bool,
     /// Whether a crash was scheduled to strike mid-load. Ambiguous
     /// rounds only assert the never-garbage half of the contract.
     pub ambiguous: bool,
@@ -225,12 +226,13 @@ impl CampaignReport {
 
     /// A one-object JSON summary of the run.
     pub fn summary_json(&self) -> String {
-        let violations = self
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", v.replace('"', "'")))
-            .collect::<Vec<_>>()
-            .join(", ");
+        let mut violations = String::new();
+        for (i, v) in self.violations.iter().enumerate() {
+            if i > 0 {
+                violations.push_str(", ");
+            }
+            push_json_string(&mut violations, v);
+        }
         format!(
             "{{\"seed\": {}, \"rounds\": {}, \"recovered\": {}, \"refused\": {}, \
              \"faults\": {}, \"violations\": [{}]}}\n",
@@ -379,16 +381,13 @@ pub fn run_campaign_on_plane<P: DataPlane>(
     let mut violations = Vec::new();
 
     for (round, mut events) in schedule.rounds.into_iter().enumerate() {
-        // Occasionally attack one worker's replicated header too.
-        if rng.gen_bool(cfg.p_header_total_loss) {
-            let worker = rng.gen_range(0..world);
-            events
-                .push(ChaosEvent::CorruptHeaderCopies { worker, nodes: (0..cfg.nodes).collect() });
-        } else if rng.gen_bool(cfg.p_header_attack) {
-            let worker = rng.gen_range(0..world);
+        // Occasionally attack the replicated manifest record too.
+        if rng.gen_bool(cfg.p_record_total_loss) {
+            events.push(ChaosEvent::CorruptRecordCopies((0..cfg.nodes).collect()));
+        } else if rng.gen_bool(cfg.p_record_attack) {
             let spared = rng.gen_range(0..cfg.nodes);
             let nodes = (0..cfg.nodes).filter(|&n| n != spared).collect();
-            events.push(ChaosEvent::CorruptHeaderCopies { worker, nodes });
+            events.push(ChaosEvent::CorruptRecordCopies(nodes));
         }
 
         let dicts = round_dicts(world, seed, round);
@@ -397,10 +396,8 @@ pub fn run_campaign_on_plane<P: DataPlane>(
         let version = report.version;
 
         // Fault accounting: which chunks are destroyed or tainted, and
-        // which nodes' copy of each worker's header, and of the
-        // manifest, is damaged.
+        // which nodes' copy of the manifest record is damaged.
         let mut casualties: BTreeSet<NodeId> = BTreeSet::new();
-        let mut header_damage: BTreeMap<usize, BTreeSet<NodeId>> = BTreeMap::new();
         let mut manifest_damage: BTreeSet<NodeId> = BTreeSet::new();
         for fault in &plane.fault_log()[log_before_save..] {
             if !matches!(fault.kind, FaultKind::DropPut | FaultKind::CorruptPut) {
@@ -411,8 +408,6 @@ pub fn run_campaign_on_plane<P: DataPlane>(
             }
             if keys::is_chunk_class(&fault.key) {
                 casualties.insert(fault.node);
-            } else if let Some(worker) = keys::header_worker(&fault.key) {
-                header_damage.entry(worker).or_default().insert(fault.node);
             } else if fault.key == keys::manifest_key(version) {
                 manifest_damage.insert(fault.node);
             }
@@ -441,10 +436,10 @@ pub fn run_campaign_on_plane<P: DataPlane>(
                         }
                     }
                 }
-                ChaosEvent::CorruptHeaderCopies { worker, nodes } => {
+                ChaosEvent::CorruptRecordCopies(nodes) => {
                     for &node in nodes {
-                        if plane.corrupt_blob(node, &keys::header_key(version, *worker)) {
-                            header_damage.entry(*worker).or_default().insert(node);
+                        if plane.corrupt_blob(node, &keys::manifest_key(version)) {
+                            manifest_damage.insert(node);
                         }
                     }
                 }
@@ -454,13 +449,10 @@ pub fn run_campaign_on_plane<P: DataPlane>(
                 }
             }
         }
-        // A crashed node loses its copy of every worker's header and
-        // of the manifest; with no intact manifest on any alive node
-        // nothing in tier 0 can be verified.
-        let lost_everywhere =
-            |damaged: &BTreeSet<NodeId>| damaged.union(&crashed).count() == cfg.nodes;
-        let header_catastrophe =
-            lost_everywhere(&manifest_damage) || header_damage.values().any(lost_everywhere);
+        // A crashed node loses its copy of the manifest record; with no
+        // intact copy on any alive node nothing in tier 0 can be
+        // verified, and there is no tier 1 to fall back on.
+        let record_catastrophe = manifest_damage.union(&crashed).count() == cfg.nodes;
 
         let faults = casualties.len();
         let result = match ecc.load(&mut plane) {
@@ -470,11 +462,16 @@ pub fn run_campaign_on_plane<P: DataPlane>(
                         "seed {seed} round {round}: load returned GARBAGE state \
                          ({faults} chunk faults, ambiguous={ambiguous})"
                     ));
-                } else if !ambiguous && faults > cfg.m && !header_catastrophe {
+                } else if !ambiguous && faults > cfg.m && !record_catastrophe {
                     violations.push(format!(
                         "seed {seed} round {round}: recovered despite {faults} > m = {} \
                          chunk faults — fault accounting or engine bug",
                         cfg.m
+                    ));
+                } else if !ambiguous && record_catastrophe {
+                    violations.push(format!(
+                        "seed {seed} round {round}: recovered although no intact manifest \
+                         record survived on any node"
                     ));
                 }
                 RoundResult::Recovered {
@@ -483,7 +480,7 @@ pub fn run_campaign_on_plane<P: DataPlane>(
                 }
             }
             Err(EcCheckError::Unrecoverable { survivors, needed, lost_workers }) => {
-                if !ambiguous && faults <= cfg.m && !header_catastrophe {
+                if !ambiguous && faults <= cfg.m && !record_catastrophe {
                     violations.push(format!(
                         "seed {seed} round {round}: refused a recoverable scenario \
                          ({faults} <= m = {} chunk faults, casualties {casualties:?})",
@@ -505,7 +502,7 @@ pub fn run_campaign_on_plane<P: DataPlane>(
             round,
             version,
             chunk_casualties: casualties.into_iter().collect(),
-            header_catastrophe,
+            record_catastrophe,
             ambiguous,
             result,
         });
@@ -721,7 +718,7 @@ pub fn run_tiered_campaign(cfg: &CampaignConfig, seed: u64) -> CampaignReport {
             round,
             version,
             chunk_casualties: casualties.into_iter().collect(),
-            header_catastrophe: false,
+            record_catastrophe: false,
             ambiguous: false,
             result,
         });
@@ -884,5 +881,17 @@ mod tests {
         let fetches = report.fetch_log_json();
         assert!(fetches.starts_with('[') && fetches.trim_end().ends_with(']'));
         assert!(fetches.contains("\"tier\": \"peer\""));
+    }
+
+    #[test]
+    fn summary_json_escapes_every_violation() {
+        let mut report =
+            run_campaign(&CampaignConfig { rounds: 1, ..CampaignConfig::standard() }, 2);
+        let violation = "node \\1 said \"no\"\nthen\t\u{1}stopped";
+        report.violations = vec![violation.to_string(), "plain".to_string()];
+        let summary = ecc_trace::json::parse(&report.summary_json()).expect("valid JSON");
+        let parsed = summary.get("violations").and_then(|v| v.as_arr()).expect("an array");
+        let parsed: Vec<_> = parsed.iter().map(|v| v.as_str()).collect();
+        assert_eq!(parsed, [Some(violation), Some("plain")]);
     }
 }

@@ -9,7 +9,7 @@
 //!   seeded faults at the blob-storage boundary: node crashes (including
 //!   crashes scheduled to strike mid-`save` or mid-`load`), dropped and
 //!   duplicated P2P transfers, bit-flip corruption of stored chunks and
-//!   headers, and transiently-failing `get_local` reads. Every injected
+//!   manifest records, and transiently-failing `get_local` reads. Every injected
 //!   fault is logged as a [`FaultRecord`] and surfaced through telemetry
 //!   counters and trace instants.
 //! * [`scenario`] schedules faults over whole recovery rounds on top of

@@ -19,15 +19,11 @@ pub enum ChaosEvent {
     /// Flip bits in the stored erasure-code chunk of each listed node
     /// (silent at-rest corruption; no crash).
     CorruptChunks(Vec<NodeId>),
-    /// Flip bits in `worker`'s replicated header copy on each listed
-    /// node. With at least one intact copy left, recovery must
-    /// fall back to it.
-    CorruptHeaderCopies {
-        /// The worker whose header is attacked.
-        worker: usize,
-        /// Nodes whose copy is damaged.
-        nodes: Vec<NodeId>,
-    },
+    /// Flip bits in the manifest record — every chunk's CRC and every
+    /// worker's header — on each listed node. With at least one intact
+    /// copy left, recovery must fall back to it; with none, it must
+    /// refuse.
+    CorruptRecordCopies(Vec<NodeId>),
     /// Crash `node` once the plane's op counter advances `after_ops`
     /// storage operations into the load — failure *during* recovery.
     CrashDuringLoad {
@@ -224,9 +220,7 @@ mod tests {
         assert!(ChaosEvent::CrashDuringLoad { node: 0, after_ops: 3 }
             .chunk_casualties()
             .is_empty());
-        assert!(ChaosEvent::CorruptHeaderCopies { worker: 1, nodes: vec![0] }
-            .chunk_casualties()
-            .is_empty());
+        assert!(ChaosEvent::CorruptRecordCopies(vec![0]).chunk_casualties().is_empty());
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! Step 1 of ECCheck's encoding protocol splits a `state_dict` into three
 //! components: non-tensor key-value pairs (a dict of scalars, strings and
-//! RNG blobs), tensor keys (paths + dtypes + shapes), and the raw tensor
+//! RNG blobs), tensor keys (dtypes + shapes), and the raw tensor
 //! data. Only the first two — a few tens of kilobytes — are ever
 //! serialized and broadcast; the gigabytes of tensor data flow into the
 //! erasure coder as contiguous memory, untouched.
 //!
 //! The header is `varint(count) ‖ tensor keys ‖ skeleton`, and one pass
-//! writes or reads it. [`decompose_views`] walks a borrowed `state_dict`
+//! writes or reads it. A tensor key is `dtype ‖ varint(rank) ‖ dims`:
+//! no path, because the skeleton's dict keys and list positions already
+//! say where each tensor sits. [`decompose_views`] walks a borrowed `state_dict`
 //! once, appending each tensor's key and each skeleton record as it goes
 //! and returning a view of every tensor's bytes; [`reassemble_region`]
 //! reads a header once and builds the `state_dict` straight from it,
@@ -16,7 +18,6 @@
 //! [`Decomposition`] is the owned form: [`decompose`] copies the views,
 //! [`Decomposition::reassemble`] runs the same reader over its buffers.
 
-use std::fmt::Write as _;
 use std::ops::Range;
 
 use crate::serialize::{read_dict, read_list, read_value, write_value, write_varint, Cursor};
@@ -27,22 +28,17 @@ const SKEL_TENSOR: u8 = 0x11;
 const SKEL_LIST: u8 = 0x12;
 const SKEL_DICT: u8 = 0x13;
 
-/// Path, dtype and shape of one tensor extracted from a `state_dict` —
-/// an entry of the protocol's "tensor keys" list.
+/// Dtype and shape of one tensor extracted from a `state_dict` — an
+/// entry of the protocol's "tensor keys" list, in DFS order. Where the
+/// tensor sits is the skeleton's business: its `i`-th tensor ref names
+/// the `i`-th key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TensorKey {
-    path: String,
     dtype: DType,
     shape: Vec<usize>,
 }
 
 impl TensorKey {
-    /// Dot/bracket path of the tensor inside the `state_dict`
-    /// (e.g. `optimizer.state[0].exp_avg`).
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
     /// Element type.
     pub fn dtype(&self) -> DType {
         self.dtype
@@ -72,7 +68,7 @@ impl TensorKey {
 /// sd.insert("iteration", Value::Int(3));
 /// sd.insert("w", Value::Tensor(Tensor::zeros(DType::F16, &[8])));
 /// let d = decompose(&sd);
-/// assert_eq!(d.tensor_keys()[0].path(), "w");
+/// assert_eq!(d.tensor_keys()[0].shape(), [8]);
 /// assert_eq!(d.tensor_bytes(), 16);
 /// assert_eq!(d.reassemble()?, sd);
 /// # Ok::<(), ecc_checkpoint::CheckpointError>(())
@@ -131,7 +127,7 @@ pub fn decompose_views(sd: &StateDict) -> (Vec<u8>, Vec<&[u8]>) {
 /// [`CheckpointError::ExtentOutOfRange`] when the header names more
 /// tensor bytes than `region` holds.
 pub fn reassemble_region(header: &[u8], region: &[u8]) -> Result<StateDict, CheckpointError> {
-    let (table, skeleton) = KeyTable::read(header, |_, _, _| {})?;
+    let (table, skeleton) = KeyTable::read(header, |_, _| {})?;
     let total = table.entries.iter().try_fold(0usize, |sum, entry| sum.checked_add(entry.len));
     if total.is_none_or(|total| total > region.len()) {
         return Err(CheckpointError::ExtentOutOfRange {
@@ -149,22 +145,18 @@ pub fn reassemble_region(header: &[u8], region: &[u8]) -> Result<StateDict, Chec
 
 /// The one walk of a borrowed `state_dict`: each tensor's key entry
 /// goes to `keys`, each skeleton record to `skeleton`, each tensor's
-/// bytes to `views`. `path` is the current node's, pushed on the way
-/// down and truncated on the way back.
+/// bytes to `views`.
 #[derive(Default)]
 struct Writer<'a> {
     keys: Vec<u8>,
     skeleton: Vec<u8>,
     views: Vec<&'a [u8]>,
-    path: String,
 }
 
 impl<'a> Writer<'a> {
     fn value(&mut self, value: &'a Value) {
         match value {
             Value::Tensor(t) => {
-                write_varint(self.path.len() as u64, &mut self.keys);
-                self.keys.extend_from_slice(self.path.as_bytes());
                 self.keys.push(t.dtype().tag());
                 write_varint(t.shape().len() as u64, &mut self.keys);
                 for &d in t.shape() {
@@ -177,12 +169,8 @@ impl<'a> Writer<'a> {
             Value::List(items) => {
                 self.skeleton.push(SKEL_LIST);
                 write_varint(items.len() as u64, &mut self.skeleton);
-                let len = self.path.len();
-                for (i, item) in items.iter().enumerate() {
-                    // Writing to a `String` cannot fail.
-                    let _ = write!(self.path, "[{i}]");
+                for item in items {
                     self.value(item);
-                    self.path.truncate(len);
                 }
             }
             Value::Dict(d) => self.dict(d),
@@ -196,16 +184,10 @@ impl<'a> Writer<'a> {
     fn dict(&mut self, d: &'a StateDict) {
         self.skeleton.push(SKEL_DICT);
         write_varint(d.len() as u64, &mut self.skeleton);
-        let len = self.path.len();
         for (k, v) in d.iter() {
             write_varint(k.len() as u64, &mut self.skeleton);
             self.skeleton.extend_from_slice(k.as_bytes());
-            if len > 0 {
-                self.path.push('.');
-            }
-            self.path.push_str(k);
             self.value(v);
-            self.path.truncate(len);
         }
     }
 }
@@ -226,18 +208,17 @@ struct KeyTable {
 
 impl KeyTable {
     /// Reads the key table at the front of `header`, handing each
-    /// tensor's path (checked as UTF-8, not kept), dtype and shape to
-    /// `key`, and leaves the cursor at the skeleton. A shape is held to
-    /// what `Tensor::from_bytes` multiplies, in the same order.
-    fn read<'h>(
-        header: &'h [u8],
-        mut key: impl FnMut(&'h str, DType, &[usize]),
-    ) -> Result<(Self, Cursor<'h>), CheckpointError> {
+    /// tensor's dtype and shape to `key`, and leaves the cursor at the
+    /// skeleton. A shape is held to what `Tensor::from_bytes`
+    /// multiplies, in the same order.
+    fn read(
+        header: &[u8],
+        mut key: impl FnMut(DType, &[usize]),
+    ) -> Result<(Self, Cursor<'_>), CheckpointError> {
         let mut c = Cursor::new(header);
         let n = c.varint()? as usize;
         let mut table = Self { entries: Vec::with_capacity(n.min(header.len())), dims: Vec::new() };
-        for _ in 0..n {
-            let path = c.str()?;
+        for i in 0..n {
             let tag = c.u8()?;
             let dtype = DType::from_tag(tag).ok_or(CheckpointError::BadTag { tag })?;
             let start = table.dims.len();
@@ -248,10 +229,12 @@ impl KeyTable {
             let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
             let len = numel.and_then(|n| n.checked_mul(dtype.size())).ok_or_else(|| {
                 CheckpointError::BadTensor {
-                    detail: format!("{path}: shape {shape:?} of {dtype} overflows a byte count"),
+                    detail: format!(
+                        "tensor {i}: shape {shape:?} of {dtype} overflows a byte count"
+                    ),
                 }
             })?;
-            key(path, dtype, shape);
+            key(dtype, shape);
             table.entries.push(KeyEntry { dtype, shape: start..table.dims.len(), len });
         }
         Ok((table, c))
@@ -312,8 +295,8 @@ impl KeyTable {
 /// The header's key table as owned [`TensorKey`]s, read flat, and its skeleton.
 fn tensor_keys(header: &[u8]) -> Result<(Vec<TensorKey>, KeyTable, Cursor<'_>), CheckpointError> {
     let mut keys = Vec::new();
-    let (table, skeleton) = KeyTable::read(header, |path, dtype, shape| {
-        keys.push(TensorKey { path: path.to_string(), dtype, shape: shape.to_vec() });
+    let (table, skeleton) = KeyTable::read(header, |dtype, shape| {
+        keys.push(TensorKey { dtype, shape: shape.to_vec() });
     })?;
     Ok((keys, table, skeleton))
 }
@@ -358,8 +341,7 @@ impl Decomposition {
             if key.byte_len() != buf.len() {
                 return Err(CheckpointError::Reassembly {
                     detail: format!(
-                        "tensor {i} ({}) expects {} bytes, buffer has {}",
-                        key.path(),
+                        "tensor {i} expects {} bytes, buffer has {}",
                         key.byte_len(),
                         buf.len()
                     ),
@@ -402,7 +384,7 @@ impl Decomposition {
     /// Returns a [`CheckpointError`] on a malformed header, or when a
     /// tensor is referenced twice.
     pub fn reassemble(&self) -> Result<StateDict, CheckpointError> {
-        let (table, skeleton) = KeyTable::read(&self.header, |_, _, _| {})?;
+        let (table, skeleton) = KeyTable::read(&self.header, |_, _| {})?;
         table.fill_dict(skeleton, self.data.iter().map(|d| Some(d.as_slice())).collect())
     }
 }
@@ -450,10 +432,16 @@ mod tests {
     fn decompose_extracts_tensors_in_dfs_order() {
         let sd = sample_dict();
         let d = decompose(&sd);
-        let paths: Vec<&str> = d.tensor_keys().iter().map(TensorKey::path).collect();
+        let keys: Vec<(DType, &[usize])> =
+            d.tensor_keys().iter().map(|k| (k.dtype(), k.shape())).collect();
         assert_eq!(
-            paths,
-            vec!["model.weight", "optimizer.exp_avg", "optimizer.exp_avg_sq", "mixed[1]"]
+            keys,
+            [
+                (DType::F16, &[3][..]),
+                (DType::F32, &[4, 4]),
+                (DType::F32, &[4, 4]),
+                (DType::I64, &[2])
+            ]
         );
         assert_eq!(d.tensor_bytes(), 6 + 64 + 64 + 16);
     }
@@ -551,7 +539,7 @@ mod tests {
     fn forged_header(shapes: &[&[u64]]) -> Vec<u8> {
         let mut out = vec![shapes.len() as u8];
         for shape in shapes {
-            out.extend_from_slice(&[1, b'w', DType::U8.tag(), shape.len() as u8]);
+            out.extend_from_slice(&[DType::U8.tag(), shape.len() as u8]);
             for &d in *shape {
                 write_varint(d, &mut out);
             }

@@ -12,17 +12,17 @@ pub enum EcCheckError {
     },
     /// Too many nodes failed: fewer than `k` intact chunks survive (a
     /// corrupted chunk counts as lost) and no usable remote copy exists
-    /// (the catastrophic case of paper §III-A), or a worker's header is
-    /// gone from every survivor.
+    /// (the catastrophic case of paper §III-A) — also when no copy of
+    /// the version's manifest record, and so of its headers, verifies.
     Unrecoverable {
         /// Surviving intact chunk count.
         survivors: usize,
         /// Chunks needed.
         needed: usize,
         /// Workers whose `state_dict` cannot be reconstructed: members
-        /// of data groups with no surviving (and undecodable) chunk,
-        /// or workers whose header vanished from every survivor. Empty
-        /// when the loss could not be attributed to specific workers.
+        /// of data groups with no surviving (and undecodable) chunk
+        /// (every worker when no manifest copy verifies). Empty when
+        /// the loss could not be attributed to specific workers.
         lost_workers: Vec<usize>,
     },
     /// No checkpoint has been saved yet.

@@ -1,9 +1,10 @@
 //! The engine's blob-key namespace.
 //!
 //! Every blob the engine stores on the data plane lives under a
-//! versioned key built here: per version a node holds its one `chunk`,
-//! every worker's `hdr/{w}` and the `manifest` that carries the CRC-32
-//! of all of them (see [`crate::store::Manifest`]). The helpers are
+//! versioned key built here: per version a node holds two, its one
+//! `chunk` and the `manifest` that carries every chunk's CRC-32 and
+//! every worker's header (see [`crate::store::Manifest`]); tier 1 holds
+//! each node's chunk and one manifest. The helpers are
 //! public so fault-injection layers (e.g. `ecc-chaos`) and targeted
 //! tests can address a specific stored blob without duplicating format
 //! strings.
@@ -15,14 +16,10 @@ pub fn chunk_key(version: u64) -> String {
     format!("ecc/v{version}/chunk")
 }
 
-/// Key of `worker`'s broadcast decomposition header for `version`.
-pub fn header_key(version: u64, worker: usize) -> String {
-    format!("ecc/v{version}/hdr/{worker}")
-}
-
 /// Key of the manifest for `version`: the self-checked record of every
-/// chunk's and every header's CRC-32, identical on every node and
-/// written after everything it names — its presence seals the version.
+/// chunk's CRC-32 and every worker's header, identical on every node
+/// and written after the chunks it names — its presence seals the
+/// version.
 pub fn manifest_key(version: u64) -> String {
     format!("ecc/v{version}/manifest")
 }
@@ -30,11 +27,6 @@ pub fn manifest_key(version: u64) -> String {
 /// Remote-storage key of `node`'s chunk for `version`.
 pub fn remote_chunk_key(version: u64, node: usize) -> String {
     format!("remote/ecc/v{version}/chunk/{node}")
-}
-
-/// Remote-storage key of `worker`'s header for `version`.
-pub fn remote_header_key(version: u64, worker: usize) -> String {
-    format!("remote/ecc/v{version}/hdr/{worker}")
 }
 
 /// Remote-storage key of the manifest for `version`.
@@ -84,18 +76,6 @@ pub fn is_chunk_class(key: &str) -> bool {
     key.contains("/chunk")
 }
 
-/// Extracts the worker a header-class key addresses, if any.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::header_key(2, 5)), Some(5));
-/// assert_eq!(eccheck::keys::header_worker(&eccheck::keys::chunk_key(2)), None);
-/// ```
-pub fn header_worker(key: &str) -> Option<usize> {
-    key.split_once("/hdr/")?.1.parse().ok()
-}
-
 /// Extracts the version a key addresses, if it is an engine key.
 ///
 /// # Examples
@@ -142,14 +122,7 @@ mod tests {
 
     #[test]
     fn keys_are_distinct_and_versioned() {
-        let keys = [
-            chunk_key(3),
-            header_key(3, 0),
-            manifest_key(3),
-            remote_chunk_key(3, 1),
-            remote_header_key(3, 0),
-            remote_manifest_key(3),
-        ];
+        let keys = [chunk_key(3), manifest_key(3), remote_chunk_key(3, 1), remote_manifest_key(3)];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
                 assert_ne!(a, b);
@@ -162,16 +135,7 @@ mod tests {
     fn classification() {
         assert!(is_chunk_class(&chunk_key(1)));
         assert!(is_chunk_class(&remote_chunk_key(1, 0)));
-        assert!(!is_chunk_class(&header_key(1, 0)));
         assert!(!is_chunk_class(&manifest_key(1)));
-    }
-
-    #[test]
-    fn header_worker_extraction() {
-        assert_eq!(header_worker(&header_key(4, 11)), Some(11));
-        assert_eq!(header_worker(&remote_header_key(4, 3)), Some(3));
-        assert_eq!(header_worker(&chunk_key(4)), None);
-        assert_eq!(header_worker("ecc/v1/hdr/notanumber"), None);
     }
 
     #[test]

@@ -24,13 +24,13 @@ fn seed_checkpoint(cluster: &mut Cluster, ctl: &PlacementController) {
     let parity = code.encode(&refs).unwrap();
     let placement = ctl.placement();
     let slots = placement.data_nodes().iter().chain(placement.parity_nodes());
-    let mut manifest = Manifest { chunks: vec![0; K + M], headers: vec![0; 8] };
+    let mut chunks = vec![0; K + M];
     for (&slot, chunk) in slots.zip(data.iter().chain(&parity)) {
-        manifest.chunks[slot] = ecc_checkpoint::crc32(chunk);
+        chunks[slot] = ecc_checkpoint::crc32(chunk);
         cluster.put_local(slot, &chunk_key(1), chunk.clone()).unwrap();
     }
     for slot in 0..K + M {
-        cluster.put_local(slot, &manifest_key(1), manifest.encode()).unwrap();
+        cluster.put_local(slot, &manifest_key(1), Manifest::seal(&chunks, &[[0u8; 0]; 8])).unwrap();
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use ecc_telemetry::Event;
+use ecc_telemetry::{push_json_string, Event};
 
 /// How loud an event is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -159,34 +159,18 @@ impl EventRing {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"at_ns\":{},\"severity\":\"{}\",\"name\":{},\"detail\":{}}}",
+                "{{\"at_ns\":{},\"severity\":\"{}\",\"name\":",
                 e.at_ns,
-                e.severity.as_str(),
-                json_string(&e.name),
-                json_string(&e.detail)
+                e.severity.as_str()
             ));
+            push_json_string(&mut out, &e.name);
+            out.push_str(",\"detail\":");
+            push_json_string(&mut out, &e.detail);
+            out.push('}');
         }
         out.push_str(&format!("],\"evicted\":{}}}", self.evicted));
         out
     }
-}
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

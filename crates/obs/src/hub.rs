@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use ecc_cluster::{HealthRegistry, HealthTransition, NodeHealth};
 use ecc_telemetry::{Recorder, Snapshot};
 
-use crate::events::{classify, json_string, EventRing, ObsEvent};
+use crate::events::{classify, EventRing, ObsEvent};
 use crate::expo::{sanitize_metric_name, ExpositionBuilder, MetricValue};
 use crate::slo::{SloSpec, SloTracker};
 use crate::window::{SlidingWindow, DEFAULT_WINDOW_NS};
@@ -384,7 +384,7 @@ impl ObsHub {
         let scrapes = self.state.lock().expect("obs hub state poisoned").scrapes;
         format!(
             "{{\"status\":{},\"ready\":{},\"nodes\":{nodes},\"scrapes\":{scrapes}}}",
-            json_string(if degraded { "degraded" } else { "ok" }),
+            if degraded { "\"degraded\"" } else { "\"ok\"" },
             self.is_ready()
         )
     }

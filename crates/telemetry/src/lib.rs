@@ -21,7 +21,7 @@ mod clock;
 mod snapshot;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use snapshot::{fmt_ns, fmt_rate, Event, HistogramSnapshot, Snapshot};
+pub use snapshot::{fmt_ns, fmt_rate, push_json_string, Event, HistogramSnapshot, Snapshot};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -237,7 +237,11 @@ pub fn fmt_rate(bytes_per_sec: f64) -> String {
     format!("{value:.2} {}", UNITS[unit])
 }
 
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`,
+/// `\` and every control character escaped. The trace exporter, the
+/// observability feeds and the chaos reports write their strings
+/// through it too.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -8,28 +8,14 @@
 //! timelines serialize byte-identically: processes ascend by pid, tracks
 //! by tid, and each track's events keep their recorded order.
 
+use ecc_telemetry::push_json_string;
+
 use crate::{Record, Tracer};
 
 /// Formats a nanosecond instant as the microsecond `ts` value the Chrome
 /// trace format expects, with exact (3-decimal) precision.
 fn ts_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn push_event(out: &mut String, first: &mut bool, body: impl FnOnce(&mut String)) {

@@ -121,17 +121,17 @@ fn crash_between_gather_and_restore_is_survivable() {
         plane.heal(0);
         (plane, ecc)
     };
-    // A dry run counts the load's storage ops; the last ten are node
-    // 0's eight headers, manifest and chunk.
+    // A dry run counts the load's storage ops; the last two are node
+    // 0's manifest and chunk.
     let (mut dry, ecc) = degraded();
     let before = dry.op();
     ecc.load(&mut dry).unwrap();
     let load_ops = dry.op() - before;
 
-    // Five ops before the end the engine has gathered everything and
-    // is re-seeding node 0 — the fault-tolerant-restore window.
+    // At the second op from the end the engine has gathered everything
+    // and is re-seeding node 0 — the fault-tolerant-restore window.
     let (mut plane, ecc) = degraded();
-    plane.schedule_crash_at_op(0, plane.op() + load_ops - 5);
+    plane.schedule_crash_at_op(0, plane.op() + load_ops - 1);
     let (restored, report) = ecc.load(&mut plane).unwrap();
     assert_eq!(restored, current, "mid-load crash corrupted the restored state");
     assert_eq!(report.restore_skipped, vec![0]);

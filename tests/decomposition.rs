@@ -3,9 +3,9 @@
 //! laid region → `state_dict`).
 //!
 //! * The header bytes are a stored format: for every shard of the
-//!   benchmark's model grids they are pinned to what the owned
-//!   `decompose` wrote before the borrowing walk existed, and the path
-//!   grammar and leaf tags are pinned byte for byte on a small dict.
+//!   benchmark's model grids their CRCs are pinned, and the path-free
+//!   key table, the skeleton's dict keys and list positions, and the
+//!   leaf tags are pinned byte for byte on a small dict.
 //! * The one-pass writer and reader are held to the tree codec the
 //!   format was first written with ([`oracle`]): the same header bytes
 //!   for arbitrary nested dicts, and the same verdict and value for
@@ -42,7 +42,6 @@ mod oracle {
 
     #[derive(Debug, Clone)]
     pub struct Key {
-        pub path: String,
         pub dtype: DType,
         pub shape: Vec<usize>,
     }
@@ -63,47 +62,25 @@ mod oracle {
 
     /// The tensor keys, the skeleton and a view of each tensor, DFS order.
     pub fn split(sd: &StateDict) -> (Vec<Key>, Skeleton, Vec<&[u8]>) {
-        fn value<'a>(
-            v: &'a Value,
-            path: String,
-            keys: &mut Vec<Key>,
-            views: &mut Vec<&'a [u8]>,
-        ) -> Skeleton {
+        fn value<'a>(v: &'a Value, keys: &mut Vec<Key>, views: &mut Vec<&'a [u8]>) -> Skeleton {
             match v {
                 Value::Tensor(t) => {
-                    keys.push(Key { path, dtype: t.dtype(), shape: t.shape().to_vec() });
+                    keys.push(Key { dtype: t.dtype(), shape: t.shape().to_vec() });
                     views.push(t.bytes());
                     Skeleton::TensorRef(keys.len() - 1)
                 }
-                Value::List(items) => Skeleton::List(
-                    items
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| value(v, format!("{path}[{i}]"), keys, views))
-                        .collect(),
-                ),
-                Value::Dict(d) => dict(d, &path, keys, views),
+                Value::List(items) => {
+                    Skeleton::List(items.iter().map(|v| value(v, keys, views)).collect())
+                }
+                Value::Dict(d) => dict(d, keys, views),
                 other => Skeleton::Leaf(other.clone()),
             }
         }
-        fn dict<'a>(
-            d: &'a StateDict,
-            path: &str,
-            keys: &mut Vec<Key>,
-            views: &mut Vec<&'a [u8]>,
-        ) -> Skeleton {
-            Skeleton::Dict(
-                d.iter()
-                    .map(|(k, v)| {
-                        let child =
-                            if path.is_empty() { k.to_string() } else { format!("{path}.{k}") };
-                        (k.to_string(), value(v, child, keys, views))
-                    })
-                    .collect(),
-            )
+        fn dict<'a>(d: &'a StateDict, keys: &mut Vec<Key>, views: &mut Vec<&'a [u8]>) -> Skeleton {
+            Skeleton::Dict(d.iter().map(|(k, v)| (k.to_string(), value(v, keys, views))).collect())
         }
         let (mut keys, mut views) = (Vec::new(), Vec::new());
-        let skeleton = dict(sd, "", &mut keys, &mut views);
+        let skeleton = dict(sd, &mut keys, &mut views);
         (keys, skeleton, views)
     }
 
@@ -146,8 +123,6 @@ mod oracle {
         let mut out = Vec::new();
         varint(keys.len() as u64, &mut out);
         for key in keys {
-            varint(key.path.len() as u64, &mut out);
-            out.extend_from_slice(key.path.as_bytes());
             out.push(tag(key.dtype));
             varint(key.shape.len() as u64, &mut out);
             key.shape.iter().for_each(|&d| varint(d as u64, &mut out));
@@ -307,13 +282,12 @@ mod oracle {
         let mut c = Cursor { bytes: header, pos: 0 };
         let mut keys = Vec::new();
         for _ in 0..c.varint()? {
-            let path = c.string()?;
             let (dtype, shape) = (c.dtype()?, c.shape()?);
             let numel = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
             if numel.and_then(|n| n.checked_mul(dtype.size())).is_none() {
                 return Err(fail("shape overflows a byte count"));
             }
-            keys.push(Key { path, dtype, shape });
+            keys.push(Key { dtype, shape });
         }
         let skeleton = c.skeleton(keys.len())?;
         if c.pos != header.len() {
@@ -354,15 +328,15 @@ fn benchmark_shards(
     shards
 }
 
-/// The CRC of every shard's header CRC, computed at the commit before
-/// `decompose` stopped cloning the dict it walks.
+/// The CRC of every shard's header CRC, computed when the key table
+/// stopped storing paths.
 #[test]
 fn benchmark_shard_headers_are_byte_identical_to_the_seed() {
     for (name, grid, model, pinned) in [
-        ("mem_small", (4, 2, 1), (16, 4, 10, 64, 16), 0xBD26_26BFu32),
-        ("mem_large", (4, 2, 1), (48, 4, 10, 128, 16), 0x9A14_26F7),
-        ("tcp_large", (4, 2, 1), (48, 4, 10, 128, 16), 0x9A14_26F7),
-        ("tiered_wide", (4, 3, 1), (48, 4, 15, 128, 16), 0x399E_067F),
+        ("mem_small", (4, 2, 1), (16, 4, 10, 64, 16), 0xA07C_253Du32),
+        ("mem_large", (4, 2, 1), (48, 4, 10, 128, 16), 0x38FF_08E1),
+        ("tcp_large", (4, 2, 1), (48, 4, 10, 128, 16), 0x38FF_08E1),
+        ("tiered_wide", (4, 3, 1), (48, 4, 15, 128, 16), 0xB769_157B),
     ] {
         let mut crcs = Vec::new();
         for sd in benchmark_shards(grid, model) {
@@ -384,9 +358,11 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// The path grammar (`.key`, `[i]`) and the leaf tags, byte for byte:
-/// `opt[0].m` through a list of dicts, a `Str` and a `Bool` leaf, an
-/// empty dict, an empty list and a zero-length tensor.
+/// The key table and the skeleton that says where each tensor sits,
+/// byte for byte: `opt[0].m` through a list of dicts, a `Str` and a
+/// `Bool` leaf, an empty dict, an empty list and a zero-length tensor.
+/// A key is `dtype ‖ rank ‖ dims`, with no path: the skeleton's dict
+/// keys and list positions carry it.
 #[test]
 fn header_bytes_of_the_path_grammar_are_pinned() {
     let moment = |byte: u8| -> StateDict {
@@ -407,11 +383,11 @@ fn header_bytes_of_the_path_grammar_are_pinned() {
     assert_eq!(
         hex(&header),
         concat!(
-            // 3 keys: "opt[0].m" f32 [2], "opt[1].m" f32 [2], "z" u8 [0].
+            // 3 keys: f32 [2] (opt[0].m), f32 [2] (opt[1].m), u8 [0] (z).
             "03",
-            "086f70745b305d2e6d020102",
-            "086f70745b315d2e6d020102",
-            "017a060100",
+            "020102",
+            "020102",
+            "060100",
             // {opt: [{m: #0}, {m: #1}], name: "gpt", flag: true,
             //  empty: {}, none: [], z: #2}
             "1306",
@@ -440,7 +416,7 @@ fn header_bytes_of_the_path_grammar_are_pinned() {
 /// header's key table and in the serializer's tensor record alike.
 #[test]
 fn a_bad_dtype_tag_names_the_byte_it_read() {
-    let mut keys = vec![1, 1, b'w', 0x42, 1, 4];
+    let mut keys = vec![1, 0x42, 1, 4];
     keys.extend_from_slice(&[oracle::SKEL_DICT, 1, 1, b'w', oracle::SKEL_TENSOR, 0]);
     assert_eq!(reassemble_region(&keys, &[0; 4]), Err(CheckpointError::BadTag { tag: 0x42 }));
     let record = [0x06, 0x42, 1, 4, 4, 0, 0, 0, 0];
@@ -512,7 +488,7 @@ fn arb_value(key: &'static str) -> impl Strategy<Value = Value> {
 }
 
 /// Arbitrary top-level dicts; short keys so that empty and shared keys
-/// (and with them `[i]` and `.key` path edges) come up often.
+/// come up often.
 fn arb_dict() -> impl Strategy<Value = StateDict> {
     proptest::collection::vec(("[a-c]{0,2}", arb_value("[a-c]{0,2}")), 0..5)
         .prop_map(|entries| entries.into_iter().collect())
@@ -570,7 +546,7 @@ fn hostile(sd: &StateDict, kind: u8, at: usize, byte: u8) -> (Vec<u8>, Vec<u8>) 
         }
         4 => {
             let extra = usize::from(byte % 5);
-            keys.push(oracle::Key { path: "extra".into(), dtype: DType::U8, shape: vec![extra] });
+            keys.push(oracle::Key { dtype: DType::U8, shape: vec![extra] });
             region.extend(std::iter::repeat_n(byte, if at.is_multiple_of(2) { extra } else { 0 }));
         }
         6 => skeleton = Skeleton::List(vec![skeleton]),
