@@ -9,7 +9,11 @@
 //! * the seam delta × rebalance: a rebuilt node holds the post-delta
 //!   bytes;
 //! * a rebuilt chunk is compared with its manifest entry *before* it is
-//!   stored.
+//!   stored;
+//! * a delta whose last record put failed leaves node 0 with the old
+//!   record: the drain, the rebalance, the next delta and the restore
+//!   all judge the version by the new one, and each chunk is read once;
+//! * a copy-only rebalance reads each chunk once, in its m-fault check.
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -19,7 +23,7 @@ use ecc_chaos::{ChaosConfig, ChaosPlane};
 use ecc_checkpoint::StateDict;
 use ecc_cluster::{Cluster, ClusterError, ClusterSpec, DataPlane, NodeId};
 use ecc_membership::{MembershipError, PlacementController};
-use eccheck::keys::manifest_key;
+use eccheck::keys::{chunk_key, manifest_key, remote_chunk_key, remote_manifest_key};
 use eccheck::store::{drain_version, Manifest};
 use eccheck::{EcCheck, EcCheckConfig, EcCheckError, RecoveryWorkflow, WorkerDirtySet};
 
@@ -262,5 +266,115 @@ fn a_rebuilt_chunk_is_held_to_its_manifest_entry_before_it_is_stored() {
         );
         assert_eq!(plane.local_keys(victim), Vec::<String>::new(), "nothing was stored");
         assert_eq!(ctl.epoch(), 0);
+    }
+}
+
+/// A `save_delta` of one worker whose last put fails: that put is node
+/// 0's record (the commit descends), so every chunk and every other
+/// node's record hold the delta and node 0 holds the saved record.
+/// Returns the dicts the delta wrote.
+fn stale_record_on_node_0<P: DataPlane>(
+    shape @ (k, m, gpus): (usize, usize, usize),
+    wrap: fn(Cluster) -> P,
+) -> (EcCheck, PlacementController, FailNthPut<P>, Vec<StateDict>) {
+    let (mut ecc, ctl, mut plane, mut dicts) = saved(shape, wrap);
+    let saved_record = plane.get_local(0, &manifest_key(1)).expect("sealed");
+    let dirty = gpus + 1;
+    dicts[dirty] = worker_dict(dirty, 7 ^ 0x5A);
+    // One data chunk, m parity chunks, then k + m records.
+    plane.fail_at = Some(1 + m + (k + m) - 1);
+    let set = [WorkerDirtySet { worker: dirty, state: &dicts[dirty] }];
+    let cut = ecc.save_delta(&mut plane, &set);
+    assert!(matches!(cut, Err(EcCheckError::Cluster(ClusterError::Transport { .. }))), "{cut:?}");
+    assert_eq!(plane.fail_at, None, "the last put failed");
+    let record = |node| plane.get_local(node, &manifest_key(1)).expect("sealed");
+    assert_eq!(record(0), saved_record, "node 0 kept the saved record");
+    assert!((1..k + m).all(|node| record(node) != saved_record), "the others hold the delta's");
+    (ecc, ctl, plane, dicts)
+}
+
+/// The chunk gets `plane` served since `before` entries of its fetch
+/// log.
+fn chunk_gets<P: DataPlane>(plane: &ChaosPlane<P>, before: usize) -> usize {
+    plane.fetch_log()[before..].iter().filter(|fetch| fetch.key == chunk_key(1)).count()
+}
+
+#[test]
+fn a_drain_after_a_delta_that_left_node_0_stale_copies_the_new_record() {
+    for shape @ (k, m, gpus) in SHAPES {
+        let (n, world) = (k + m, (k + m) * gpus);
+        let (ecc, _, mut plane, dicts) = stale_record_on_node_0(shape, on_memory);
+        let drained = drain_version(&mut plane, 1, world, ecc.recorder()).expect("sealed");
+        assert_eq!((drained.chunks_copied, drained.skipped_corrupt), (n, 0));
+        assert_eq!(plane.get_remote(&remote_manifest_key(1)), plane.get_local(1, &manifest_key(1)));
+        for node in 0..n {
+            let copied = plane.get_remote(&remote_chunk_key(1, node));
+            assert_eq!(copied, plane.get_local(node, &chunk_key(1)), "node {node}");
+        }
+        (0..=m).for_each(|node| lose_on_memory(&mut plane.inner, node));
+        let (restored, report) = ecc.load(&mut plane).expect("tier 1 serves");
+        assert_eq!((restored, report.workflow), (dicts, RecoveryWorkflow::Remote));
+    }
+}
+
+#[test]
+fn a_rebalance_after_a_delta_that_left_node_0_stale_rebuilds_the_new_state() {
+    for shape @ (k, m, _) in SHAPES {
+        let n = k + m;
+        let (mut ecc, mut ctl, mut plane, dicts) = stale_record_on_node_0(shape, on_memory);
+        churn(&mut ctl, &mut plane, lose_on_memory, n - 1);
+        let report = ctl.rebalance(&mut plane).expect("the m-fault check passes");
+        assert_eq!((report.epoch, report.moves_rebuilt), (1, 1));
+        refresh(&mut ecc, &ctl);
+        // Every restore below needs the rebuilt chunk of node n − 1.
+        (0..m).for_each(|node| lose_on_memory(&mut plane.inner, node));
+        assert_eq!(ecc.load(&mut plane).expect("m faults").0, dicts, "k={k} m={m}");
+    }
+}
+
+#[test]
+fn a_delta_after_a_delta_that_left_node_0_stale_patches_the_new_record() {
+    for shape @ (k, m, _) in SHAPES {
+        let (mut ecc, _, mut plane, mut dicts) = stale_record_on_node_0(shape, on_memory);
+        for dirty in [0, dicts.len() - 1] {
+            dicts[dirty] = worker_dict(dirty, 7 ^ 0x3C);
+            let set = [WorkerDirtySet { worker: dirty, state: &dicts[dirty] }];
+            ecc.save_delta(&mut plane, &set).expect("the new record verifies");
+            assert_eq!(ecc.load(&mut plane).expect("intact").0, dicts, "k={k} m={m}");
+        }
+        (0..m).for_each(|node| lose_on_memory(&mut plane.inner, node));
+        assert_eq!(ecc.load(&mut plane).expect("m faults").0, dicts, "k={k} m={m}");
+    }
+}
+
+/// Node 0's stale record refuses the version, node 1's serves: the
+/// restore judges both by one read of each chunk.
+#[test]
+fn a_restore_past_a_stale_record_reads_each_chunk_once() {
+    for shape @ (k, m, _) in SHAPES {
+        let (ecc, _, mut plane, dicts) = stale_record_on_node_0(shape, on_chaos);
+        let before = plane.inner.fetch_log().len();
+        assert_eq!(ecc.load(&mut plane).expect("node 1's record serves").0, dicts);
+        assert_eq!(chunk_gets(&plane.inner, before), k + m, "k={k} m={m}");
+    }
+}
+
+/// A graceful leave stages the slot's bytes; the rebalance copies them
+/// to the replacement and reads each chunk once, in its m-fault check.
+#[test]
+fn a_leave_and_join_rebalance_reads_each_chunk_once() {
+    for shape @ (k, m, _) in SHAPES {
+        let (mut ecc, mut ctl, mut plane, dicts) = saved(shape, on_chaos);
+        let slot = k + m - 1;
+        ctl.leave(&plane, slot).expect("active and alive");
+        lose_on_chaos(&mut plane.inner, slot);
+        ctl.join(slot).expect("a leaving slot admits a replacement");
+        let before = plane.inner.fetch_log().len();
+        let report = ctl.rebalance(&mut plane).expect("copy-only");
+        assert_eq!((report.moves_copied, report.versions.as_slice()), (1, &[1][..]));
+        assert_eq!(chunk_gets(&plane.inner, before), k + m, "k={k} m={m}");
+        assert!(report.chunk_bytes <= report.bound_bytes && report.bound_bytes > 0);
+        refresh(&mut ecc, &ctl);
+        assert_eq!(ecc.load(&mut plane).expect("copied").0, dicts, "k={k} m={m}");
     }
 }

@@ -12,7 +12,7 @@
 //! Timing is *not* modelled here — see [`crate::timing`]; this module is
 //! the correctness plane.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ecc_checkpoint::{crc32, decompose_views, reassemble_region, CheckpointError, StateDict};
 use ecc_cluster::{ClusterError, ClusterSpec, DataPlane, HealthConfig, HealthRegistry};
@@ -22,13 +22,11 @@ use ecc_sim::{Bandwidth, BusyWindows, SlotGate};
 use ecc_telemetry::Recorder;
 use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 
-use crate::keys::{
-    chunk_key, committed_epoch, manifest_key, remote_chunk_key, remote_manifest_key,
-};
+use crate::keys::{chunk_key, committed_epoch, manifest_key};
 use crate::pipeline::{self, PipelineJob, PipelineOutcome};
 use crate::store::{
-    read_manifest, read_verified, repair_version, DrainHandle, Manifest, Repaired, RetentionPolicy,
-    Tier, Verified, VersionIndex, WorkerDirtySet,
+    gather, repair_version, sealed, DrainHandle, Gathered, Manifest, Repaired, RetentionPolicy,
+    Verified, VersionIndex, WorkerDirtySet,
 };
 use crate::{
     select_data_parity_nodes, DeltaReport, EcCheckConfig, EcCheckError, LoadReport, Placement,
@@ -429,11 +427,7 @@ impl EcCheck {
         cluster: &impl DataPlane,
         version: u64,
     ) -> Result<(), EcCheckError> {
-        let key = manifest_key(version);
-        let sealed = (0..cluster.nodes())
-            .any(|node| cluster.alive(node) && cluster.get_local(node, &key).is_some())
-            || cluster.get_remote(&remote_manifest_key(version)).is_some();
-        if !sealed {
+        if !sealed(cluster, version) {
             return Err(EcCheckError::NoCheckpoint);
         }
         self.version = version;
@@ -728,7 +722,7 @@ impl EcCheck {
         version: u64,
     ) -> Result<(Vec<StateDict>, LoadReport), EcCheckError> {
         self.ensure_fresh_epoch(cluster)?;
-        let (k, n) = (self.config.k(), self.spec.nodes());
+        let (k, n, world) = (self.config.k(), self.spec.nodes(), self.spec.world_size());
         self.recorder.counter("ecc.load.calls").incr();
         let load_timer = self.recorder.timer("ecc.load.ns");
         let trace = self.trace.clone();
@@ -737,23 +731,51 @@ impl EcCheck {
             .map(|t| t.tracer.span(t.engine, "ecc.load", format!("version={version}")));
 
         let gather_span = trace.as_ref().map(|t| t.tracer.span(t.engine, "load.gather", ""));
-        let local = self.gather_tier(cluster, version, false, &trace);
-        drop(gather_span);
-        let (Ok((_, found)) | Err(found)) = &local;
-        self.recorder.counter("ecc.load.survivors").add(found.survivors() as u64);
-
-        let (from_remote, manifest, local) = match local {
-            Ok((manifest, local)) => (false, manifest, local),
-            // Catastrophic: more than m chunks are gone from memory.
-            Err(local) => match self.gather_tier(cluster, version, true, &trace) {
-                Ok((manifest, remote)) => {
-                    let Gathered { failed_nodes, corrupt_nodes, .. } = local;
-                    (true, manifest, Gathered { failed_nodes, corrupt_nodes, ..remote })
-                }
-                Err(remote) => return Err(self.unrecoverable(&local, &remote)),
-            },
+        let all: Vec<usize> = (0..n).collect();
+        let primary = (0..n).find(|&node| cluster.alive(node));
+        let retries = self.config.fetch_retries();
+        let serves = |found: &Gathered| {
+            if primary != Some(found.from) {
+                self.recorder.counter("ecc.load.manifest_fallbacks").incr();
+            }
+            found.intact() >= k
         };
-        let Gathered { shards, failed_nodes, corrupt_nodes, passed_over } = local;
+        let retry = |node, attempt| self.retry_chunk(node, attempt, &trace);
+        // The bounded retry budget also covers tier 0 showing no copy.
+        let mut local = gather(cluster, version, world, false, &all, n, retry, serves);
+        for attempt in 0..retries {
+            if local.is_some() {
+                break;
+            }
+            self.recorder.counter("ecc.load.fetch_retries").incr();
+            self.backoff_wait(attempt);
+            local = gather(cluster, version, world, false, &all, n, retry, serves);
+        }
+        let (failed_nodes, corrupt_nodes) =
+            self.judged(local.as_ref().map(|(Ok(found) | Err(found))| found), false, &trace);
+        drop(gather_span);
+        self.recorder.counter("ecc.load.survivors").add((n - failed_nodes.len()) as u64);
+
+        let (from_remote, found) = match local {
+            Some(Ok(found)) => (false, found),
+            // Catastrophic: more than m chunks are gone from memory.
+            local => {
+                let serves = |found: &Gathered| found.intact() >= k;
+                let remote = gather(cluster, version, world, true, &all, n, |_, _| false, serves);
+                let found = remote.as_ref().map(|(Ok(found) | Err(found))| found);
+                self.judged(found, true, &trace);
+                match remote {
+                    Some(Ok(found)) => (true, found),
+                    remote => return Err(self.unrecoverable([local, remote])),
+                }
+            }
+        };
+        let passed_over = found.from;
+        let (manifest, chunks) = found.into_parts();
+        let mut shards = vec![None; n];
+        for (node, chunk) in chunks.into_iter().enumerate() {
+            shards[self.placement.chunk_of(node)] = chunk;
+        }
         let survivors = shards.iter().flatten().count();
         let (workflow, counter) = if from_remote {
             (RecoveryWorkflow::Remote, "ecc.load.workflow.remote")
@@ -836,84 +858,32 @@ impl EcCheck {
         ))
     }
 
-    /// One tier's chunks under the first manifest copy that *serves* —
-    /// at least `k` chunks verify under it — with the bounded retry
-    /// budget while tier 0 shows no copy at all.
-    /// `Err` is what the first copy came to (no copy: zero survivors) —
-    /// a whole gather, which `unrecoverable` reads to name what is lost.
-    #[allow(clippy::result_large_err)]
-    fn gather_tier(
+    /// Records what one tier's gather came to, and returns the nodes
+    /// whose chunk failed and the subset that was corrupt (every node
+    /// failed when no copy verified). Each corrupt chunk is counted and
+    /// reported: under the copy that judged it, a bit-flipped (or
+    /// newer, or older) chunk is an *erasure* the code corrects, never
+    /// an input `reconstruct_all` decodes into garbage. On tier 0 each
+    /// chunk that verified also heartbeats its node.
+    fn judged(
         &self,
-        cluster: &impl DataPlane,
-        version: u64,
-        from_remote: bool,
+        found: Option<&Gathered>,
+        remote: bool,
         trace: &Option<TraceHandles>,
-    ) -> Result<(Manifest, Gathered), Gathered> {
-        let (n, world) = (self.spec.nodes(), self.spec.world_size());
-        let primary = (0..n).find(|&node| cluster.alive(node));
-        let retries = if from_remote { 0 } else { self.config.fetch_retries() };
-        for attempt in 0..=retries {
-            let judged = read_manifest(cluster, from_remote, version, world, |node, manifest| {
-                if !from_remote && primary != Some(node) {
-                    self.recorder.counter("ecc.load.manifest_fallbacks").incr();
-                }
-                let mut found = self.gather_chunks(cluster, version, manifest, from_remote, trace);
-                if found.survivors() < self.config.k() {
-                    return Err(found);
-                }
-                // Every node before the one whose copy serves held none
-                // that did.
-                found.passed_over = node;
-                Ok(found)
-            });
-            if let Some(judged) = judged {
-                return judged;
-            }
-            if attempt < retries {
-                self.recorder.counter("ecc.load.fetch_retries").incr();
-                self.backoff_wait(attempt);
-            }
-        }
-        Err(Gathered {
-            shards: vec![None; n],
-            failed_nodes: (0..n).collect(),
-            ..Gathered::default()
-        })
-    }
-
-    /// One tier's chunks as `manifest` judges them, by chunk id: every
-    /// fetched blob is compared with its entry, so a bit-flipped (or
-    /// newer, or older) chunk becomes an *erasure* the code corrects,
-    /// never an input `reconstruct_all` decodes into garbage.
-    fn gather_chunks(
-        &self,
-        cluster: &impl DataPlane,
-        version: u64,
-        manifest: &Manifest,
-        from_remote: bool,
-        trace: &Option<TraceHandles>,
-    ) -> Gathered {
+    ) -> (Vec<usize>, Vec<usize>) {
         let n = self.spec.nodes();
-        let mut out = Gathered { shards: vec![None; n], ..Gathered::default() };
+        let Some(found) = found else { return ((0..n).collect(), Vec::new()) };
+        let (mut failed, mut corrupt) = (Vec::new(), Vec::new());
         for node in 0..n {
-            let crc = manifest.chunks()[node];
-            let fetched = if from_remote {
-                read_verified(cluster, Tier::Remote, &remote_chunk_key(version, node), crc)
-            } else {
-                self.fetch_chunk(cluster, node, version, crc, trace)
-            };
-            match fetched {
-                Verified::Intact(blob) => {
-                    let chunk_id = self.placement.chunk_of(node);
-                    out.shards[chunk_id] = Some(blob);
-                    if !from_remote {
-                        trace_fetch(trace, node, &format!("chunk {chunk_id}"));
-                        self.heartbeat(node);
-                    }
+            match found.chunk(node) {
+                Verified::Intact if !remote => {
+                    trace_fetch(trace, node, &format!("chunk {}", self.placement.chunk_of(node)));
+                    self.heartbeat(node);
                 }
-                Verified::Missing => out.failed_nodes.push(node),
+                Verified::Intact => {}
+                Verified::Missing => failed.push(node),
                 Verified::Corrupt => {
-                    let tier = if from_remote { "remote" } else { "memory" };
+                    let tier = if remote { "remote" } else { "memory" };
                     self.recorder.counter("ecc.load.corrupt_chunks").incr();
                     self.recorder.event(
                         "ecc.load.corrupt",
@@ -922,35 +892,35 @@ impl EcCheck {
                     if let Some(t) = trace {
                         t.tracer.instant(t.engine, "load.corrupt", format!("{tier} node {node}"));
                     }
-                    out.corrupt_nodes.push(node);
-                    out.failed_nodes.push(node);
+                    corrupt.push(node);
+                    failed.push(node);
                 }
             }
         }
-        out
+        (failed, corrupt)
     }
 
-    /// The refusal when no tier serves. `local` (the in-memory gather)
-    /// and `remote` (tier 1's) are never decoded together — only used
-    /// to name exactly which workers' states are lost: every data
-    /// group whose chunk neither tier holds intact. `survivors` counts
-    /// intact chunks available *anywhere*.
-    fn unrecoverable(&self, local: &Gathered, remote: &Gathered) -> EcCheckError {
-        let (k, n) = (self.config.k(), self.spec.nodes());
-        let intact = |id: usize| local.shards[id].is_some() || remote.shards[id].is_some();
+    /// The refusal when no tier serves. The tiers' gathers are never
+    /// decoded together — only used to name exactly which workers'
+    /// states are lost: every data group whose chunk neither tier holds
+    /// intact. `survivors` counts intact chunks available *anywhere*.
+    fn unrecoverable(&self, tiers: [Option<Result<Gathered, Gathered>>; 2]) -> EcCheckError {
+        let k = self.config.k();
+        let mut intact = BTreeSet::new();
+        for found in tiers.iter().flatten().map(|(Ok(found) | Err(found))| found) {
+            let nodes =
+                (0..self.spec.nodes()).filter(|&node| found.chunk(node) == Verified::Intact);
+            intact.extend(nodes.map(|node| self.placement.chunk_of(node)));
+        }
         let group_size = self.placement.group_size();
-        let groups = (0..k).filter(|&j| !intact(j));
+        let groups = (0..k).filter(|j| !intact.contains(j));
         let lost_workers: Vec<usize> =
             groups.flat_map(|j| j * group_size..(j + 1) * group_size).collect();
         self.recorder.event(
             "ecc.load.lost_workers",
             format!("chunks unrecoverable; lost workers {lost_workers:?}"),
         );
-        EcCheckError::Unrecoverable {
-            survivors: (0..n).filter(|&id| intact(id)).count(),
-            needed: k,
-            lost_workers,
-        }
+        EcCheckError::Unrecoverable { survivors: intact.len(), needed: k, lost_workers }
     }
 
     /// Sleeps the bounded exponential backoff before retry `attempt + 1`
@@ -972,39 +942,23 @@ impl EcCheck {
         std::thread::sleep(std::time::Duration::from_nanos(delay));
     }
 
-    /// Fetches one node's chunk and verifies it against `crc`, retrying
-    /// a transiently missing blob up to `fetch_retries` times before
-    /// declaring the node's chunk lost.
-    fn fetch_chunk(
-        &self,
-        cluster: &impl DataPlane,
-        node: usize,
-        version: u64,
-        crc: u32,
-        trace: &Option<TraceHandles>,
-    ) -> Verified {
-        let retries = self.config.fetch_retries();
-        for attempt in 0..=retries {
-            if !cluster.alive(node) {
-                break;
-            }
-            match read_verified(cluster, Tier::Local(node), &chunk_key(version), crc) {
-                Verified::Missing => {}
-                found => return found,
-            }
-            if attempt < retries {
-                self.recorder.counter("ecc.load.fetch_retries").incr();
-                if let Some(t) = trace {
-                    t.tracer.instant(
-                        t.engine,
-                        "load.retry",
-                        format!("node {node} chunk, attempt {}", attempt + 1),
-                    );
-                }
-                self.backoff_wait(attempt);
-            }
+    /// Whether the load reads `node`'s transiently missing chunk again
+    /// after `attempt` reads (`fetch_retries` at most), having waited
+    /// the backoff, before declaring the chunk lost.
+    fn retry_chunk(&self, node: usize, attempt: usize, trace: &Option<TraceHandles>) -> bool {
+        if attempt >= self.config.fetch_retries() {
+            return false;
         }
-        Verified::Missing
+        self.recorder.counter("ecc.load.fetch_retries").incr();
+        if let Some(t) = trace {
+            t.tracer.instant(
+                t.engine,
+                "load.retry",
+                format!("node {node} chunk, attempt {}", attempt + 1),
+            );
+        }
+        self.backoff_wait(attempt);
+        true
     }
 
     /// Incrementally checkpoints an arbitrary *dirty set* of workers
@@ -1126,25 +1080,29 @@ impl EcCheck {
         let data_nodes = touched.iter().map(|&j| self.placement.data_nodes()[j]);
         let patched: Vec<usize> =
             data_nodes.chain(self.placement.parity_nodes().iter().copied()).collect();
-        let judged = read_manifest(cluster, false, version, world, |_, manifest| {
-            let chunks = patched.iter().map(|&node| {
-                let crc = manifest.chunks()[node];
-                match read_verified(cluster, Tier::Local(node), &chunk_key(version), crc) {
-                    Verified::Intact(blob) => Ok(blob),
-                    Verified::Missing => Err(EcCheckError::NoCheckpoint),
-                    Verified::Corrupt => Err(EcCheckError::CorruptChunk { node }),
+        let serves = |found: &Gathered| patched.iter().all(|&n| found.chunk(n) == Verified::Intact);
+        let found =
+            gather(cluster, version, world, false, &patched, patched.len(), |_, _| false, serves);
+        let (manifest, mut chunks) = match found {
+            Some(Ok(found)) => found.into_parts(),
+            Some(Err(refused)) => {
+                let node =
+                    patched.iter().copied().find(|&node| refused.chunk(node) != Verified::Intact);
+                let node = node.expect("a refused copy has a patched chunk that does not verify");
+                if refused.chunk(node) == Verified::Missing {
+                    return Err(EcCheckError::NoCheckpoint);
                 }
-            });
-            chunks.collect::<Result<Vec<_>, _>>()
-        });
-        let (manifest, mut chunks) =
-            judged.ok_or(EcCheckError::NoCheckpoint)?.inspect_err(|refusal| {
-                if let EcCheckError::CorruptChunk { node } = refusal {
-                    self.recorder.counter("ecc.delta.corrupt_chunks").incr();
-                    self.recorder
-                        .event("ecc.delta.corrupt", format!("node {node} chunk failed checksum"));
-                }
-            })?;
+                self.recorder.counter("ecc.delta.corrupt_chunks").incr();
+                self.recorder
+                    .event("ecc.delta.corrupt", format!("node {node} chunk failed checksum"));
+                return Err(EcCheckError::CorruptChunk { node });
+            }
+            None => return Err(EcCheckError::NoCheckpoint),
+        };
+        let mut chunks: Vec<Vec<u8>> = patched
+            .iter()
+            .map(|&node| chunks[node].take().expect("every patched chunk verified"))
+            .collect();
         let mut parities = chunks.split_off(touched.len());
         let mut cols: Vec<(usize, Vec<u8>)> = touched.into_iter().zip(chunks).collect();
 
@@ -1345,26 +1303,6 @@ fn lay_region(out: &mut Vec<u8>, tensors: &[&[u8]], region_len: usize) {
         out.extend_from_slice(tensor);
     }
     out.resize(end, 0);
-}
-
-/// What one tier's chunks came to under one manifest copy.
-#[derive(Default)]
-struct Gathered {
-    /// The chunks that verified, by chunk id.
-    shards: Vec<Option<Vec<u8>>>,
-    /// Nodes whose chunk was absent or failed verification.
-    failed_nodes: Vec<usize>,
-    /// The subset of `failed_nodes` whose chunk was present but wrong.
-    corrupt_nodes: Vec<usize>,
-    /// Every node before this one had its manifest copy read and passed
-    /// over: absent, failing its check, or stale.
-    passed_over: usize,
-}
-
-impl Gathered {
-    fn survivors(&self) -> usize {
-        self.shards.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]
@@ -2158,6 +2096,7 @@ mod store_tests {
     use std::collections::BTreeMap;
 
     use super::*;
+    use crate::keys::{remote_chunk_key, remote_manifest_key};
     use crate::store::Drainer;
     use ecc_checkpoint::{DType, Tensor, Value};
     use ecc_cluster::{Cluster, ClusterSpec, SharedPlane};

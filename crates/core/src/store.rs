@@ -28,12 +28,14 @@
 //!   the only place its byte format is spelled: the CRC-32 of every
 //!   node's chunk and every worker's header, closed by a CRC-32 of the
 //!   record itself. Every node holds the same copy, written after the
-//!   chunks it names, so it is at once the checksum of each chunk
-//!   ([`read_verified`] compares against its entries), the carrier of
-//!   the headers and the commit record of the version: every reader
-//!   takes one copy through [`read_manifest`] and judges every chunk by
-//!   it, so a save or delta cut short is seen as erasures under the old
-//!   record or as the new state under the new one, never as a mix.
+//!   chunks it names, so it is at once the checksum of each chunk, the
+//!   carrier of the headers and the commit record of the version.
+//! * [`gather`] — the one reader of a sealed version, and the only code
+//!   that decodes a manifest copy or verifies a chunk: it judges every
+//!   chunk a caller asks for by one copy, so a save or delta cut short
+//!   is seen as erasures under the old record or as the new state under
+//!   the new one, never as a mix. A restore, a delta, the drain and the
+//!   membership controller differ only in its arguments.
 //! * [`drain_version`] — the synchronous tier-0 → tier-1 copy itself
 //!   and the only code in this crate that writes tier 1. It settles on
 //!   one manifest copy, copies only chunks that verify against it and
@@ -179,8 +181,9 @@ pub struct DrainOutcome {
 
 /// Synchronously copies one sealed version from tier 0 (peer memory) to
 /// tier 1 (the remote store). The version is judged by one manifest
-/// copy — the one under which the most chunks verify, so a stale copy
-/// on the first node does not beat a newer one; only chunks that verify
+/// copy — the first under which no chunk fails its entry, else the one
+/// under which the most chunks verify, so a stale copy on the first
+/// node does not beat a newer one; only chunks that verify
 /// against it are copied (corrupt chunks are skipped and counted), and
 /// that manifest, which carries every header, is written last — so a
 /// drain racing a delta leaves a consistent or an incomplete copy,
@@ -200,41 +203,26 @@ pub fn drain_version<P: DataPlane>(
     world: usize,
     recorder: &Recorder,
 ) -> Result<DrainOutcome, EcCheckError> {
-    // The copy under which the most chunks verify; one that faults
-    // none of them ends the search.
-    let mut best: Option<(usize, Manifest, Vec<Verified>)> = None;
-    read_manifest(plane, false, version, world, |_, manifest| {
-        let chunks: Vec<Verified> = manifest
-            .chunks()
-            .iter()
-            .enumerate()
-            .map(|(node, &crc)| read_verified(plane, Tier::Local(node), &chunk_key(version), crc))
-            .collect();
-        let intact = chunks.iter().filter(|c| matches!(c, Verified::Intact(_))).count();
-        let clean = !chunks.iter().any(|c| matches!(c, Verified::Corrupt));
-        if best.as_ref().is_none_or(|(most, ..)| intact > *most) {
-            best = Some((intact, manifest.clone(), chunks));
-        }
-        clean.then_some(()).ok_or(())
-    });
-    let (chunks_copied, manifest, chunks) = best.ok_or(EcCheckError::VersionGone { version })?;
+    let all: Vec<usize> = (0..plane.nodes()).collect();
+    let clean = |found: &Gathered| all.iter().all(|&node| found.chunk(node) != Verified::Corrupt);
+    let found = gather(plane, version, world, false, &all, all.len(), |_, _| false, clean);
+    let (Ok(found) | Err(found)) = found.ok_or(EcCheckError::VersionGone { version })?;
+    let corrupt: Vec<usize> =
+        all.iter().copied().filter(|&node| found.chunk(node) == Verified::Corrupt).collect();
+    let (manifest, chunks) = found.into_parts();
     let epoch = committed_epoch(plane);
     let mut bytes_copied = 0u64;
-    let mut skipped_corrupt = 0usize;
-    for (node, chunk) in chunks.into_iter().enumerate() {
-        match chunk {
-            Verified::Intact(blob) => {
-                bytes_copied += blob.len() as u64;
-                plane.put_remote(&remote_chunk_key(version, node), blob);
-            }
-            Verified::Missing => {}
-            Verified::Corrupt => {
-                skipped_corrupt += 1;
-                recorder.counter("ecc.drain.skipped_corrupt").incr();
-                recorder
-                    .event("ecc.drain.corrupt", format!("v{version} node {node} failed checksum"));
-            }
+    let mut chunks_copied = 0usize;
+    for (node, blob) in chunks.into_iter().enumerate() {
+        if let Some(blob) = blob {
+            chunks_copied += 1;
+            bytes_copied += blob.len() as u64;
+            plane.put_remote(&remote_chunk_key(version, node), blob);
         }
+    }
+    for &node in &corrupt {
+        recorder.counter("ecc.drain.skipped_corrupt").incr();
+        recorder.event("ecc.drain.corrupt", format!("v{version} node {node} failed checksum"));
     }
     bytes_copied += manifest.record().len() as u64;
     plane.put_remote(&remote_manifest_key(version), manifest.record().to_vec());
@@ -244,7 +232,7 @@ pub fn drain_version<P: DataPlane>(
         "ecc.drain",
         format!("v{version} -> tier1: {chunks_copied} chunks, epoch {epoch:?}"),
     );
-    Ok(DrainOutcome { version, epoch, chunks_copied, bytes_copied, skipped_corrupt })
+    Ok(DrainOutcome { version, epoch, chunks_copied, bytes_copied, skipped_corrupt: corrupt.len() })
 }
 
 /// The verified record of one checkpoint version, and the only place
@@ -347,79 +335,162 @@ impl Manifest {
     }
 }
 
-/// Where a blob is read from: a node's memory (tier 0) or the remote
-/// store (tier 1).
-#[derive(Debug, Clone, Copy)]
-pub enum Tier {
-    /// The in-memory store of the given node.
-    Local(usize),
-    /// The remote persistent store.
-    Remote,
-}
-
-/// Outcome of one checksum-verified read.
+/// What one node's chunk came to under one manifest copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verified {
-    /// Present and matching its checksum.
-    Intact(Vec<u8>),
-    /// Absent (or the node is dead).
+    /// Present and matching its manifest entry.
+    Intact,
+    /// Absent, on a dead node, or not read.
     Missing,
-    /// Present but failing its checksum: silent corruption, which every
+    /// Present but failing its entry: silent corruption, which every
     /// caller treats as an erasure and never as data.
     Corrupt,
 }
 
-/// Reads the blob under `key` from `tier` and verifies it against
-/// `crc`, its entry in the version's manifest. Callers keep their own
-/// counters and events.
-pub fn read_verified(plane: &impl DataPlane, tier: Tier, key: &str, crc: u32) -> Verified {
-    let blob = match tier {
-        Tier::Local(node) => plane.get_local(node, key),
-        Tier::Remote => plane.get_remote(key),
-    };
-    match blob {
-        Some(blob) if crc32(&blob) == crc => Verified::Intact(blob),
-        Some(_) => Verified::Corrupt,
-        None => Verified::Missing,
+/// One node's chunk as a [`gather`] read it, shared by every copy it
+/// judges.
+enum Read {
+    Unread,
+    Absent,
+    /// The blob and its CRC-32.
+    Held(u32, Vec<u8>),
+}
+
+/// A version's chunks as one manifest copy judges them: what a
+/// [`gather`] returns.
+pub struct Gathered {
+    /// The copy the chunks are judged by; it carries every header.
+    pub manifest: Manifest,
+    /// The node whose copy this is (0 in tier 1). Every node before it
+    /// held no copy, a damaged one, or one that did not serve.
+    pub from: usize,
+    /// Every node's chunk as the gather read it, by node.
+    read: Vec<Read>,
+}
+
+impl Gathered {
+    /// What `node`'s chunk came to under this copy.
+    pub fn chunk(&self, node: usize) -> Verified {
+        match self.read[node] {
+            Read::Held(crc, _) if crc == self.manifest.chunks()[node] => Verified::Intact,
+            Read::Held(..) => Verified::Corrupt,
+            _ => Verified::Missing,
+        }
+    }
+
+    /// How many chunks verified.
+    pub fn intact(&self) -> usize {
+        (0..self.read.len()).filter(|&node| self.chunk(node) == Verified::Intact).count()
+    }
+
+    /// The copy, and the chunks that verified under it, by node.
+    pub fn into_parts(self) -> (Manifest, Vec<Option<Vec<u8>>>) {
+        let chunks = self.read.into_iter().zip(self.manifest.chunks());
+        let chunks = chunks.map(|(read, &entry)| match read {
+            Read::Held(crc, blob) if crc == entry => Some(blob),
+            _ => None,
+        });
+        let chunks = chunks.collect();
+        (self.manifest, chunks)
     }
 }
 
-/// The one reader of a version's manifest, and so of its headers.
-/// Offers `serves` each distinct copy that verifies — tier 0's in
-/// alive-node order, with the node that held it; tier 1's one copy —
-/// and returns the first copy it accepts with what it made of it. A
-/// copy that verifies can still be stale (a delta's manifest put
-/// dropped on that node), so a copy that does not serve gives way to
-/// the next before the version is given up: `Some(Err(_))` is the first copy's refusal, `None` means no copy
-/// verifies for this plane's node count and `world` workers.
-pub fn read_manifest<T, E>(
-    plane: &impl DataPlane,
-    from_remote: bool,
+/// The one reader of a sealed version (paper §III-B's gather), and the
+/// only code that decodes a manifest copy or verifies a chunk. Every
+/// caller judges the version by one copy of its manifest, and the
+/// caller's policies are the arguments.
+///
+/// * Each distinct copy that verifies for this plane's node count and
+///   `world` workers is offered in turn: tier 0's in alive-node order,
+///   tier 1's (`remote`) one copy. A copy that verifies can still be
+///   stale: a delta's record put dropped on that node.
+/// * Under a copy, the chunks of `nodes` are read in the order given
+///   until `enough` of them verify. A node that is down in tier 0 is
+///   `Missing` and costs no plane op. A chunk that is absent is read
+///   again while `retry(node, attempt)` says so; the caller waits.
+/// * Each chunk is read at most once per call, and its CRC-32 computed
+///   once: every chunk the call has read is judged by every copy's
+///   entry.
+///
+/// Returns `Ok` with the first copy `serves` accepts, `Err` with the
+/// refused copy under which the most chunks verified, and `None` when
+/// no copy verifies.
+#[allow(clippy::too_many_arguments)]
+pub fn gather<P: DataPlane>(
+    plane: &P,
     version: u64,
     world: usize,
-    mut serves: impl FnMut(usize, &Manifest) -> Result<T, E>,
-) -> Option<Result<(Manifest, T), E>> {
-    let nodes = plane.nodes();
-    let mut refused: Vec<Manifest> = Vec::new();
-    let mut refusal = None;
-    for node in 0..if from_remote { 1 } else { nodes } {
-        let record = match from_remote {
-            true => plane.get_remote(&remote_manifest_key(version)),
-            false if plane.alive(node) => plane.get_local(node, &manifest_key(version)),
-            false => None,
-        };
-        let Some(copy) = record.and_then(|r| Manifest::decode(r, nodes, world)) else { continue };
-        if refused.contains(&copy) {
-            continue;
-        }
-        match serves(node, &copy) {
-            Ok(found) => return Some(Ok((copy, found))),
-            Err(err) => {
-                refusal.get_or_insert(err);
-                refused.push(copy);
+    remote: bool,
+    nodes: &[usize],
+    enough: usize,
+    mut retry: impl FnMut(usize, usize) -> bool,
+    mut serves: impl FnMut(&Gathered) -> bool,
+) -> Option<Result<Gathered, Gathered>> {
+    let n = plane.nodes();
+    let mut fetch = |node: usize| {
+        let key = if remote { remote_chunk_key(version, node) } else { chunk_key(version) };
+        for attempt in 0.. {
+            if !remote && !plane.alive(node) {
+                break;
+            }
+            let blob = if remote { plane.get_remote(&key) } else { plane.get_local(node, &key) };
+            if let Some(blob) = blob {
+                return Read::Held(crc32(&blob), blob);
+            }
+            if !retry(node, attempt) {
+                break;
             }
         }
+        Read::Absent
+    };
+    let mut read: Vec<Read> = (0..n).map(|_| Read::Unread).collect();
+    // Copies refused so far, and the one under which the most chunks
+    // verified: (intact, its index, the node it came from).
+    let mut refused: Vec<Manifest> = Vec::new();
+    let mut best: Option<(usize, usize, usize)> = None;
+    for from in 0..if remote { 1 } else { n } {
+        let record = match remote {
+            true => plane.get_remote(&remote_manifest_key(version)),
+            false if plane.alive(from) => plane.get_local(from, &manifest_key(version)),
+            false => None,
+        };
+        let Some(manifest) = record.and_then(|r| Manifest::decode(r, n, world)) else { continue };
+        if refused.contains(&manifest) {
+            continue;
+        }
+        let mut intact = 0;
+        for &node in nodes {
+            if intact == enough {
+                break;
+            }
+            if let Read::Unread = read[node] {
+                read[node] = fetch(node);
+            }
+            if matches!(read[node], Read::Held(crc, _) if crc == manifest.chunks()[node]) {
+                intact += 1;
+            }
+        }
+        let found = Gathered { manifest, from, read };
+        if serves(&found) {
+            return Some(Ok(found));
+        }
+        let intact = found.intact();
+        if best.is_none_or(|(most, ..)| intact > most) {
+            best = Some((intact, refused.len(), from));
+        }
+        refused.push(found.manifest);
+        read = found.read;
     }
-    refusal.map(Err)
+    let (_, at, from) = best?;
+    Some(Err(Gathered { manifest: refused.swap_remove(at), from, read }))
+}
+
+/// `true` when some alive node or tier 1 holds a manifest of `version`.
+/// Presence only: a restore that follows judges the copies.
+pub(crate) fn sealed(plane: &impl DataPlane, version: u64) -> bool {
+    let key = manifest_key(version);
+    (0..plane.nodes()).any(|node| plane.alive(node) && plane.get_local(node, &key).is_some())
+        || plane.get_remote(&remote_manifest_key(version)).is_some()
 }
 
 /// What [`repair_version`] rebuilt and stored.

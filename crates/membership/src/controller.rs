@@ -15,9 +15,9 @@ use ecc_erasure::{CodeParams, ErasureCode};
 use ecc_telemetry::Recorder;
 use ecc_trace::{Tracer, TrackId, DRIVER_PID};
 use eccheck::keys::{
-    chunk_key, encode_epoch, is_chunk_class, key_version, manifest_versions, placement_epoch_key,
+    encode_epoch, is_chunk_class, key_version, manifest_versions, placement_epoch_key,
 };
-use eccheck::store::{read_manifest, read_verified, repair_version, Tier, Verified};
+use eccheck::store::{gather, repair_version, Gathered, Verified};
 use eccheck::{select_data_parity_nodes, EcCheckConfig, EcCheckError, Placement};
 
 use crate::{MemberState, MembershipError, MembershipTable, ShardMap};
@@ -406,8 +406,13 @@ impl PlacementController {
         for &version in &versions {
             self.migrate_version(plane, version, &plan, &mut report)?;
         }
+        // Naive full re-encode for the same membership change reads
+        // the k data chunks, rewrites all m parity chunks, and writes
+        // one chunk per churned *data* slot: (k + m + d) · chunk.
+        let churned_data = plan.moves.iter().filter(|m| m.chunk() < self.k).count();
+        let naive_factor = (self.k + self.m + churned_data) as u64;
         for &version in &versions {
-            self.verify_m_fault(plane, version, &plan)?;
+            report.bound_bytes += naive_factor * self.verify_m_fault(plane, version, &plan)?;
         }
 
         // Every chunk of every version is verified on its own alive
@@ -466,13 +471,6 @@ impl PlacementController {
         plan: &RebalancePlan,
         report: &mut RebalanceReport,
     ) -> Result<(), MembershipError> {
-        let targets: BTreeSet<NodeId> = plan.moves.iter().map(|m| m.slot()).collect();
-        // Naive full re-encode for the same membership change reads
-        // the k data chunks, rewrites all m parity chunks, and writes
-        // one chunk per churned *data* slot: (k + m + d) · chunk.
-        let churned_data = plan.moves.iter().filter(|m| m.chunk() < self.k).count();
-        let naive_factor = (self.k + self.m + churned_data) as u64;
-
         // Copy moves first: staged bytes of this version flow to the
         // slot's fresh incarnation.
         for mv in &plan.moves {
@@ -494,56 +492,34 @@ impl PlacementController {
         let lost: Vec<Move> =
             plan.moves.iter().copied().filter(|m| matches!(m, Move::Rebuild { .. })).collect();
         if lost.is_empty() {
-            // Still need the bound for the report: derive chunk size
-            // from any survivor.
-            if let Some(len) = self.survivor_chunk_len(plane, version, &targets) {
-                report.bound_bytes += naive_factor * len as u64;
-            }
             return Ok(());
         }
 
-        // Gather intact survivor chunks (verified against the first of
-        // the version's manifest copies under which k of them verify; a
-        // corrupt survivor counts as an erasure, exactly like the load
-        // path).
-        let (n, world) = (self.table.universe(), self.spec.world_size());
-        let gathered = read_manifest(plane, false, version, world, |_, manifest| {
-            let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-            let mut intact = 0usize;
-            let mut read_bytes = 0u64;
-            for entry in self.map.entries() {
-                if intact == self.k {
-                    break;
-                }
-                if targets.contains(&entry.slot) || !plane.alive(entry.slot) {
-                    continue;
-                }
-                let crc = manifest.chunks()[entry.slot];
-                let blob =
-                    match read_verified(plane, Tier::Local(entry.slot), &chunk_key(version), crc) {
-                        Verified::Intact(blob) => blob,
-                        Verified::Missing => continue,
-                        Verified::Corrupt => {
-                            self.recorder.counter("membership.migration.corrupt_survivors").incr();
-                            continue;
-                        }
-                    };
-                read_bytes += blob.len() as u64;
-                intact += 1;
-                shards[entry.chunk] = Some(blob);
-            }
-            if intact < self.k {
-                return Err(MembershipError::NotEnoughSurvivors {
-                    survivors: intact,
-                    needed: self.k,
-                });
-            }
-            Ok((shards, read_bytes))
-        });
-        let (manifest, (shards, read_bytes)) = gathered
-            .unwrap_or(Err(MembershipError::NotEnoughSurvivors { survivors: 0, needed: self.k }))?;
+        // Gather intact survivor chunks in shard-map order, verified
+        // against the first of the version's manifest copies under which
+        // k of them verify; a corrupt survivor counts as an erasure,
+        // exactly like the load path.
+        let targets: BTreeSet<NodeId> = plan.moves.iter().map(|m| m.slot()).collect();
+        let survivors: Vec<NodeId> =
+            self.map.entries().iter().map(|e| e.slot).filter(|s| !targets.contains(s)).collect();
+        let world = self.spec.world_size();
+        let serves = |found: &Gathered| found.intact() >= self.k;
+        let found = gather(plane, version, world, false, &survivors, self.k, |_, _| false, serves)
+            .ok_or(MembershipError::NotEnoughSurvivors { survivors: 0, needed: self.k })?;
+        let (Ok(judged) | Err(judged)) = &found;
+        let corrupt = survivors.iter().filter(|&&s| judged.chunk(s) == Verified::Corrupt).count();
+        self.recorder.counter("membership.migration.corrupt_survivors").add(corrupt as u64);
+        let found = found.map_err(|refused| MembershipError::NotEnoughSurvivors {
+            survivors: refused.intact(),
+            needed: self.k,
+        })?;
+        let (manifest, mut chunks) = found.into_parts();
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.table.universe()];
+        for entry in self.map.entries() {
+            shards[entry.chunk] = chunks[entry.slot].take();
+        }
+        let read_bytes: u64 = shards.iter().flatten().map(|chunk| chunk.len() as u64).sum();
         let chunk_len = shards.iter().flatten().next().map_or(0, Vec::len) as u64;
-        report.bound_bytes += naive_factor * chunk_len;
         report.migrated_bytes += read_bytes;
         report.chunk_bytes += read_bytes;
 
@@ -565,52 +541,40 @@ impl PlacementController {
         Ok(())
     }
 
-    /// Chunk length of any intact survivor for `version`, for bound
-    /// accounting when a rebalance is copy-only.
-    fn survivor_chunk_len(
-        &self,
-        plane: &impl DataPlane,
-        version: u64,
-        targets: &BTreeSet<NodeId>,
-    ) -> Option<usize> {
-        self.map
-            .entries()
-            .iter()
-            .filter(|e| !targets.contains(&e.slot) && plane.alive(e.slot))
-            .find_map(|e| plane.get_local(e.slot, &chunk_key(version)))
-            .map(|blob| blob.len())
-    }
-
     /// The acceptance gate for an epoch commit: every chunk of
     /// `version` present on its own alive slot and matching the
     /// version's manifest under the candidate placement — i.e. the
     /// cluster tolerates any `m` further faults from this instant on.
+    /// Returns the length of the version's chunks.
     fn verify_m_fault(
         &self,
         plane: &impl DataPlane,
         version: u64,
         plan: &RebalancePlan,
-    ) -> Result<(), MembershipError> {
+    ) -> Result<u64, MembershipError> {
         let violated = |detail: String| MembershipError::GuaranteeViolated { version, detail };
+        let placement = &plan.placement;
+        let slots: Vec<NodeId> =
+            placement.data_nodes().iter().chain(placement.parity_nodes()).copied().collect();
         let world = self.spec.world_size();
-        let judged = read_manifest(plane, false, version, world, |_, manifest| {
-            let slots = plan.placement.data_nodes().iter().chain(plan.placement.parity_nodes());
-            for (chunk, &slot) in slots.enumerate() {
-                if !plane.alive(slot) {
-                    return Err(violated(format!("slot {slot} (chunk {chunk}) is not alive")));
-                }
-                let crc = manifest.chunks()[slot];
-                let detail = match read_verified(plane, Tier::Local(slot), &chunk_key(version), crc)
-                {
-                    Verified::Intact(_) => continue,
-                    Verified::Missing => format!("chunk {chunk} absent on slot {slot}"),
-                    Verified::Corrupt => format!("chunk {chunk} on slot {slot} fails its checksum"),
-                };
-                return Err(violated(detail));
+        let serves = |found: &Gathered| slots.iter().all(|&s| found.chunk(s) == Verified::Intact);
+        let found = gather(plane, version, world, false, &slots, slots.len(), |_, _| false, serves);
+        let refused = match found {
+            Some(Ok(found)) => {
+                let chunk = found.into_parts().1.into_iter().flatten().next();
+                return Ok(chunk.map_or(0, |chunk| chunk.len() as u64));
             }
-            Ok(())
-        });
-        let none = || Err(violated("no alive slot holds a manifest that verifies".to_string()));
-        judged.unwrap_or_else(none).map(|_| ())
+            Some(Err(refused)) => refused,
+            None => return Err(violated("no alive slot holds a manifest that verifies".into())),
+        };
+        let mut failed =
+            slots.iter().enumerate().filter(|&(_, &s)| refused.chunk(s) != Verified::Intact);
+        let (chunk, &slot) =
+            failed.next().expect("a refused copy has a chunk that does not verify");
+        Err(violated(match refused.chunk(slot) {
+            _ if !plane.alive(slot) => format!("slot {slot} (chunk {chunk}) is not alive"),
+            Verified::Corrupt => format!("chunk {chunk} on slot {slot} fails its checksum"),
+            _ => format!("chunk {chunk} absent on slot {slot}"),
+        }))
     }
 }
