@@ -1112,6 +1112,7 @@ impl EcCheck {
         struct DirtyRegion {
             worker: usize,
             base: usize,
+            /// The worker's new bytes, then their delta.
             region: Vec<u8>,
             header: Vec<u8>,
         }
@@ -1140,32 +1141,26 @@ impl EcCheck {
             });
         }
 
-        // Whole-chunk deltas, zero outside the dirty slices (the
-        // bit-plane layout spans the full chunk, so the delta must
-        // too); patch the chunk copies alongside.
+        // Each dirty region becomes its slice's delta (`old ⊕ new`) and
+        // the chunk copy takes the new bytes; the parity copies are
+        // patched in place from those slices, the delta being zero
+        // elsewhere in the chunk. No chunk-sized buffer is made here.
         let mut changed = 0u64;
         let mut region_bytes = 0u64;
-        let mut deltas: Vec<Vec<u8>> = Vec::with_capacity(cols.len());
+        let mut encoded_bytes = 0u64;
         for (j, chunk) in cols.iter_mut() {
-            let mut delta = vec![0u8; chunk.len()];
-            for dr in &by_col[j] {
-                let slice = &mut delta[dr.base..dr.base + dr.region.len()];
-                slice.copy_from_slice(&chunk[dr.base..dr.base + dr.region.len()]);
-                ecc_erasure::region::xor_into(slice, &dr.region);
-                chunk[dr.base..dr.base + dr.region.len()].copy_from_slice(&dr.region);
+            let regions = by_col.get_mut(j).expect("every touched column has a dirty region");
+            for dr in regions.iter_mut() {
+                let old = &mut chunk[dr.base..dr.base + dr.region.len()];
+                ecc_erasure::region::xor_into(&mut dr.region, old);
+                ecc_erasure::region::xor_into(old, &dr.region);
+                changed += dr.region.iter().filter(|&&b| b != 0).count() as u64;
                 region_bytes += dr.region.len() as u64;
             }
-            changed += delta.iter().filter(|&&b| b != 0).count() as u64;
-            deltas.push(delta);
-        }
-
-        let mut encoded_bytes = 0u64;
-        for ((j, _), delta) in cols.iter().zip(&deltas) {
-            let parity_deltas = self.code.parity_delta(*j, delta)?;
-            for (i, pd) in parity_deltas.iter().enumerate() {
-                encoded_bytes += pd.len() as u64;
-                ecc_erasure::region::xor_into(&mut parities[i], pd);
-            }
+            let pieces: Vec<(usize, &[u8])> =
+                regions.iter().map(|dr| (dr.base, dr.region.as_slice())).collect();
+            self.code.patch_parity(*j, chunk.len(), &pieces, &mut parities)?;
+            encoded_bytes += (parities.len() * chunk.len()) as u64;
         }
         // Canonical store order: data columns ascending, then parity,
         // the CRC of each patched chunk going into the manifest and the

@@ -665,6 +665,11 @@ const L2_BLOCK_TARGET: usize = 128 * 1024;
 /// any locality win, so small stripes run as a single block.
 const MIN_BLOCK: usize = 4096;
 
+/// Rows of every sub-packet one block of [`ErasureCode::patch_parity`]
+/// covers: its buffers stay small (`(1 + m)·w` blocks of this size)
+/// whatever the chunk size.
+const PATCH_ROWS: usize = 4096;
+
 /// Block length (bytes of each sub-packet per pass) for a `(k, m, w)`
 /// schedule, cache-line aligned.
 fn schedule_block_len(k: usize, m: usize, w: usize) -> usize {
@@ -1110,25 +1115,95 @@ impl ErasureCode {
     /// # Ok::<(), ecc_erasure::ErasureError>(())
     /// ```
     pub fn parity_delta(&self, chunk: usize, delta: &[u8]) -> Result<Vec<Vec<u8>>, ErasureError> {
-        self.validate_column_region(chunk, delta)?;
+        self.validate_column_len(chunk, delta.len())?;
         // Single-column generator: parity rows restricted to `chunk`,
         // pre-built at construction time (see `Self::columns`).
         let ps = delta.len() / self.params.w() as usize;
         Ok(run_fused_on(&self.columns[chunk], &[delta], ps))
     }
 
-    fn validate_column_region(&self, chunk: usize, region: &[u8]) -> Result<(), ErasureError> {
+    /// Updates `parity` in place for a change to data chunk `chunk`
+    /// (`len` bytes) that is `pieces` and zero elsewhere: each piece is
+    /// a byte offset into the chunk and the `old ⊕ new` bytes there.
+    ///
+    /// The same update as XORing in [`Self::parity_delta`] of the
+    /// whole-chunk delta, but run [`PATCH_ROWS`] rows of every
+    /// sub-packet at a time through small buffers, so that neither the
+    /// delta nor the parity deltas exist at chunk size. Rows no piece
+    /// reaches are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ErasureError::InvalidParams`] for an out-of-range chunk
+    /// index, a parity count other than `m` or a piece that ends past
+    /// `len`, and [`ErasureError::BadChunkLength`] for a misaligned
+    /// `len` or a parity chunk of another length.
+    pub fn patch_parity(
+        &self,
+        chunk: usize,
+        len: usize,
+        pieces: &[(usize, &[u8])],
+        parity: &mut [Vec<u8>],
+    ) -> Result<(), ErasureError> {
+        self.validate_column_len(chunk, len)?;
+        let (m, w) = (self.params.m(), self.params.w() as usize);
+        if parity.len() != m || pieces.iter().any(|&(at, bytes)| at + bytes.len() > len) {
+            return Err(ErasureError::InvalidParams {
+                detail: format!(
+                    "{} parity chunks for m = {m}, or a piece past {len}",
+                    parity.len()
+                ),
+            });
+        }
+        if let Some(p) = parity.iter().find(|p| p.len() != len) {
+            return Err(ErasureError::BadChunkLength {
+                detail: format!("parity chunk of {} bytes for a {len}-byte chunk", p.len()),
+            });
+        }
+        let ps = len / w;
+        let rows = PATCH_ROWS.min(ps);
+        let (mut src, mut out) = (vec![0u8; w * rows], vec![0u8; m * w * rows]);
+        for lo in (0..ps).step_by(rows) {
+            let n = rows.min(ps - lo);
+            let src = &mut src[..w * n];
+            src.fill(0);
+            let mut reached = false;
+            for (s, sub) in src.chunks_mut(n).enumerate() {
+                let at = s * ps + lo;
+                for &(off, bytes) in pieces {
+                    let (a, b) = (at.max(off), (at + n).min(off + bytes.len()));
+                    if a < b {
+                        sub[a - at..b - at].copy_from_slice(&bytes[a - off..b - off]);
+                        reached = true;
+                    }
+                }
+            }
+            if !reached {
+                continue;
+            }
+            let out = &mut out[..m * w * n];
+            out.fill(0);
+            let mut subs: Vec<&mut [u8]> = out.chunks_mut(n).collect();
+            run_fused_stripe(&self.columns[chunk], &[src], n, 0, &mut subs);
+            for (i, sub) in subs.iter().enumerate() {
+                let at = (i % w) * ps + lo;
+                region::xor_into(&mut parity[i / w][at..at + n], sub);
+            }
+        }
+        Ok(())
+    }
+
+    fn validate_column_len(&self, chunk: usize, len: usize) -> Result<(), ErasureError> {
         let k = self.params.k();
         if chunk >= k {
             return Err(ErasureError::InvalidParams {
                 detail: format!("chunk index {chunk} out of range (k = {k})"),
             });
         }
-        if region.is_empty() || !region.len().is_multiple_of(self.params.alignment()) {
+        if len == 0 || !len.is_multiple_of(self.params.alignment()) {
             return Err(ErasureError::BadChunkLength {
                 detail: format!(
-                    "delta length {} must be a positive multiple of {}",
-                    region.len(),
+                    "delta length {len} must be a positive multiple of {}",
                     self.params.alignment()
                 ),
             });
@@ -1174,6 +1249,51 @@ mod delta_tests {
         let code = ErasureCode::cauchy_good(CodeParams::new(2, 2, 8).unwrap()).unwrap();
         let deltas = code.parity_delta(0, &[0u8; 128]).unwrap();
         assert!(deltas.iter().all(|d| d.iter().all(|&b| b == 0)));
+    }
+
+    /// Patching parity in place with the pieces of a change gives the
+    /// parity that XORing in the whole-chunk delta's parity deltas does,
+    /// over several row blocks and with pieces that cross sub-packets.
+    #[test]
+    fn patch_parity_matches_parity_delta() {
+        for (k, m, w) in [(2usize, 2usize, 8u8), (4, 2, 8), (3, 3, 16), (2, 2, 4)] {
+            let code = ErasureCode::cauchy_good(CodeParams::new(k, m, w).unwrap()).unwrap();
+            let len = w as usize * (2 * PATCH_ROWS + 64);
+            let old: Vec<Vec<u8>> = (0..k).map(|i| filled(len, i as u8)).collect();
+            let refs: Vec<&[u8]> = old.iter().map(Vec::as_slice).collect();
+            let parity = code.encode(&refs).unwrap();
+            let spans = [(0, 8), (len / 3, PATCH_ROWS + 17), (len - 40, 40)];
+            let pieces: Vec<(usize, Vec<u8>)> =
+                spans.iter().map(|&(at, n)| (at, filled(n, at as u8 ^ 0x5a))).collect();
+            for j in 0..k {
+                let mut delta = vec![0u8; len];
+                for (at, bytes) in &pieces {
+                    delta[*at..at + bytes.len()].copy_from_slice(bytes);
+                }
+                let mut expected = parity.clone();
+                for (p, d) in expected.iter_mut().zip(code.parity_delta(j, &delta).unwrap()) {
+                    xor_into(p, &d);
+                }
+                let borrowed: Vec<(usize, &[u8])> =
+                    pieces.iter().map(|(at, bytes)| (*at, bytes.as_slice())).collect();
+                let mut patched = parity.clone();
+                code.patch_parity(j, len, &borrowed, &mut patched).unwrap();
+                assert_eq!(patched, expected, "k={k} m={m} w={w} j={j}");
+                code.patch_parity(j, len, &[], &mut patched).unwrap();
+                assert_eq!(patched, expected, "no pieces leaves parity as it is");
+            }
+        }
+    }
+
+    #[test]
+    fn patch_parity_rejects_bad_inputs() {
+        let code = ErasureCode::cauchy_good(CodeParams::new(2, 2, 8).unwrap()).unwrap();
+        let mut parity = vec![vec![0u8; 128]; 2];
+        assert!(code.patch_parity(2, 128, &[], &mut parity).is_err());
+        assert!(code.patch_parity(0, 120, &[], &mut parity).is_err());
+        assert!(code.patch_parity(0, 128, &[(120, &[1u8; 9])], &mut parity).is_err());
+        assert!(code.patch_parity(0, 128, &[], &mut parity[..1]).is_err());
+        assert!(code.patch_parity(0, 192, &[], &mut parity).is_err());
     }
 
     #[test]
